@@ -2,12 +2,13 @@
 
 The package splits along the pipeline: ``schedules`` defines the forward
 corruption process, ``scorenet`` the hand-differentiated noise predictor and
-its trainer, ``samplers`` the reverse processes (ancestral, deterministic
-skip, annealed Langevin) with classifier-free guidance, ``regularizers`` the
-smoothing and spectral-anchor corrections applied between steps, ``dataio``
-the CSV-to-window preparation, ``evaluate`` the return metrics and top-k
-backtest, and ``oracles`` slow reference implementations the tests check
-everything against.  ``cli`` wires the pieces into a reproducible pipeline.
+its trainer, ``samplers`` the reverse processes (skip, with the ancestral walk
+as its full-step case, and annealed Langevin) with classifier-free guidance,
+``regularizers`` the smoothing and spectral-anchor corrections applied between
+steps, ``dataio`` the CSV-to-window preparation, ``evaluate`` the return
+metrics and top-k backtest, and ``oracles`` slow reference implementations the
+tests check everything against.  ``cli`` wires the pieces into a reproducible
+pipeline.
 """
 
 from .errors import DataError, NumericError, ParameterError, SeriesDiffError
@@ -49,6 +50,7 @@ from .samplers import (
     perturb_to_level,
     sample,
     sample_one,
+    sample_rows,
 )
 from .regularizers import (
     AntvConfig,

@@ -64,8 +64,6 @@ DEFAULT_CONFIG: dict[str, object] = {
     "sampler.band_low": 1,
     "sampler.band_high": 10,
     "eval.top_k": 20,
-    "eval.horizon": 5,
-    "eval.lookback": 20,
 }
 
 
@@ -117,9 +115,7 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 def _schedule_from_config(config: dict[str, object]) -> NoiseSchedule:
     return make_linear_schedule(
-        int(config["schedule.steps"]),
-        float(config["schedule.beta_start"]),
-        float(config["schedule.beta_end"]),
+        config["schedule.steps"], config["schedule.beta_start"], config["schedule.beta_end"]
     )
 
 
@@ -166,54 +162,34 @@ def _require_seed(args: argparse.Namespace) -> int:
     return int(args.seed)
 
 
+def _group(config: dict[str, object], prefix: str) -> dict[str, object]:
+    """The ``prefix.*`` keys of ``config`` with the prefix stripped."""
+    head = prefix + "."
+    return {key[len(head):]: value for key, value in config.items() if key.startswith(head)}
+
+
 def _net_config(config: dict[str, object], input_len: int) -> scorenet.ScoreNetConfig:
-    return scorenet.ScoreNetConfig(
-        input_len=input_len,
-        width=int(config["net.width"]),
-        blocks=int(config["net.blocks"]),
-        time_dim=int(config["net.time_dim"]),
-        embed_dim=int(config["net.embed_dim"]),
-        cond_hidden=int(config["net.cond_hidden"]),
-        n_industries=int(config["net.n_industries"]),
-        activation=str(config["net.activation"]),
-    )
+    return scorenet.ScoreNetConfig(input_len=input_len, **_group(config, "net"))
 
 
-def _sampler_config(
-    config: dict[str, object],
-    seed: int,
-    num_samples: int | None = None,
-    source: np.ndarray | None = None,
-) -> samplers.SamplerConfig:
-    return samplers.SamplerConfig(
-        mode=str(config["sampler.mode"]),
-        steps=int(config["sampler.steps"]),
-        eta=float(config["sampler.eta"]),
-        guidance=float(config["sampler.guidance"]),
-        num_samples=num_samples if num_samples is not None else int(config["sampler.num_samples"]),
-        lambda_antv=float(config["sampler.lambda_antv"]),
-        lambda_bp=float(config["sampler.lambda_bp"]),
-        antv_window=int(config["sampler.antv_window"]),
-        antv_alpha=float(config["sampler.antv_alpha"]),
-        antv_sigma=float(config["sampler.antv_sigma"]),
-        band=(int(config["sampler.band_low"]), int(config["sampler.band_high"])),
-        source=source,
-        seed=seed,
-    )
+def _sampler_config(config: dict[str, object], seed: int) -> samplers.SamplerConfig:
+    fields = _group(config, "sampler")
+    fields["band"] = (fields.pop("band_low"), fields.pop("band_high"))
+    return samplers.SamplerConfig(seed=seed, **fields)
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     out = _out_dir(args)
-    records = dataio.read_close_csv(args.csv, n_industries=int(config["net.n_industries"]))
+    records = dataio.read_close_csv(args.csv, n_industries=config["net.n_industries"])
     windows, report = dataio.prepare_windows(
         records,
-        length=int(config["data.window"]),
-        step=int(config["data.step"]),
-        ipo_head_days=int(config["data.ipo_head_days"]),
-        max_interp_gap=int(config["data.max_interp_gap"]),
-        max_long_gaps=int(config["data.max_long_gaps"]),
-        max_gap_days=int(config["data.max_gap_days"]),
+        length=config["data.window"],
+        step=config["data.step"],
+        ipo_head_days=config["data.ipo_head_days"],
+        max_interp_gap=config["data.max_interp_gap"],
+        max_long_gaps=config["data.max_long_gaps"],
+        max_gap_days=config["data.max_gap_days"],
     )
     if not windows:
         raise DataError("ingest produced no windows; every record was skipped or too short")
@@ -230,14 +206,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     seed = _require_seed(args)
     out = _out_dir(args)
     store = dataio.read_window_store(args.store)
-    length = int(config["data.window"])
+    length = config["data.window"]
     if any(w.values.size != length for w in store):
         raise DataError(
             f"store {args.store} holds windows of a different length than "
             f"data.window={length}"
         )
     train_split, test_split = dataio.split_train_test(
-        store, train_fraction=float(config["data.train_fraction"])
+        store, train_fraction=config["data.train_fraction"]
     )
     windows = np.stack([w.values for w in train_split])
     conditions = [w.condition for w in train_split]
@@ -246,14 +222,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         windows,
         conditions,
         schedule,
-        scorenet.TrainConfig(
-            epochs=int(config["train.epochs"]),
-            batch_size=int(config["train.batch_size"]),
-            learning_rate=float(config["train.learning_rate"]),
-            p_uncond=float(config["train.p_uncond"]),
-            weighting=str(config["train.weighting"]),
-            seed=seed,
-        ),
+        scorenet.TrainConfig(seed=seed, **_group(config, "train")),
         net_config=_net_config(config, length),
     )
     digest = config_digest(config)
@@ -299,9 +268,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
     schedule = _load_schedule_for(args.checkpoint, args.schedule)
     if (args.industry is None) != (args.board is None):
         raise ParameterError("--industry and --board must be given together")
-    guidance = float(config["sampler.guidance"])
     if args.industry is None:
-        if guidance != 0.0:
+        if config["sampler.guidance"] != 0.0:
             raise ParameterError(
                 "unconditional sampling needs sampler.guidance = 0; "
                 "pass --industry/--board to sample a condition"
@@ -343,46 +311,35 @@ def cmd_augment(args: argparse.Namespace) -> int:
     if any(w.values.size != length for w in targets):
         raise DataError("store window length does not match the checkpoint input length")
     n_synth = (len(targets) * synth) // real
-    streams = np.random.SeedSequence(seed).spawn(max(n_synth, 1))
-    digest = config_digest(config)
-    synthetic: list[dataio.SeriesWindow] = []
-    for i in range(n_synth):
-        source_window = targets[i % len(targets)]
-        condition = scorenet.encode_condition(
-            source_window.industry_id, int(source_window.board), params
+    cfg = _sampler_config(config, seed)
+    # --use-mean draws k consecutive rows per synthetic window and averages them
+    k = cfg.num_samples if args.use_mean else 1
+    donors = [targets[i % len(targets)] for i in range(n_synth) for _ in range(k)]
+    rows = samplers.sample_rows(
+        params,
+        schedule,
+        cfg,
+        [scorenet.encode_condition(w.industry_id, int(w.board), params) for w in donors],
+        sources=[w.values for w in donors] if args.transfer else None,
+    )
+    values = rows.reshape(n_synth, k, length).mean(axis=1)
+    synthetic = [
+        dataio.SeriesWindow(
+            ticker=w.ticker,
+            start_date=w.start_date,
+            values=v,
+            mean=0.0,
+            scale=1.0,
+            industry_id=w.industry_id,
+            board=w.board,
+            synthetic=True,
         )
-        cfg = _sampler_config(
-            config,
-            seed=seed,
-            num_samples=int(config["sampler.num_samples"]) if args.use_mean else 1,
-            source=source_window.values if args.transfer else None,
-        )
-        rng = np.random.default_rng(streams[i])
-        if args.use_mean:
-            values = np.stack(
-                [
-                    samplers.sample_one(params, schedule, cfg, condition, rng)
-                    for _ in range(cfg.num_samples)
-                ]
-            ).mean(axis=0)
-        else:
-            values = samplers.sample_one(params, schedule, cfg, condition, rng)
-        synthetic.append(
-            dataio.SeriesWindow(
-                ticker=source_window.ticker,
-                start_date=source_window.start_date,
-                values=values,
-                mean=0.0,
-                scale=1.0,
-                industry_id=source_window.industry_id,
-                board=source_window.board,
-                synthetic=True,
-            )
-        )
+        for w, v in zip(donors[::k], values)
+    ]
     dataio.write_window_store(list(store) + synthetic, out / "augmented.jsonl")
     _write_json(
         {
-            "config_digest": digest,
+            "config_digest": config_digest(config),
             "board": board.name,
             "ratio": f"{real}:{synth}",
             "transfer": bool(args.transfer),
@@ -425,9 +382,9 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     out = _out_dir(args)
     panel = evaluate.read_panel_csv(args.panel)
-    k = int(config["eval.top_k"])
+    k = config["eval.top_k"]
     result = evaluate.topk_dropk_backtest(panel, k=k)
-    summary = evaluate.summarize_backtest(panel, k=k)
+    summary = evaluate.summarize_backtest(panel, k=k, result=result)
     summary["config_digest"] = config_digest(config)
     _write_json(summary, out / "summary.json")
     with (out / "backtest.csv").open("w") as fh:

@@ -315,13 +315,11 @@ def make_windows(record: StockRecord, length: int = 60, step: int = 20) -> list[
 def split_train_test(
     windows: list[SeriesWindow],
     train_fraction: float = 0.8,
-    seed: int | None = None,
 ) -> tuple[list[SeriesWindow], list[SeriesWindow]]:
     """Chronological per-ticker split: the earliest ceil(fraction * n) windows train.
 
     The test split is strictly later than the train split within each ticker,
-    so no lookahead leaks across the boundary.  ``seed`` is accepted for
-    interface stability but unused; the split is deterministic by design.
+    so no lookahead leaks across the boundary, and the split is deterministic.
     Output lists are ordered by (ticker, start_date).
     """
     if not 0.0 < train_fraction < 1.0:
@@ -397,9 +395,12 @@ def read_close_csv(path: str | Path, n_industries: int = 124) -> list[StockRecor
     for ticker in sorted(rows):
         entries = sorted(rows[ticker], key=lambda e: e[0])
         dates = [e[0] for e in entries]
-        dupes = {d for i, d in enumerate(dates[:-1]) if d == dates[i + 1]}
-        if dupes:
-            raise DataError(f"{path}: ticker {ticker} has duplicate dates {sorted(dupes)}")
+        dupes = sorted({d for i, d in enumerate(dates[:-1]) if d == dates[i + 1]})
+        if dupes:  # name a few, so one bad ticker cannot flood the message
+            raise DataError(
+                f"{path}: ticker {ticker} has {len(dupes)} duplicate dates, "
+                f"first {', '.join(dupes[:5])}"
+            )
         close = np.array([e[1] for e in entries], dtype=np.float64)
         industry = entries[-1][2]
         records.append(

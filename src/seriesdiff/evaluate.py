@@ -238,15 +238,20 @@ def topk_dropk_backtest(panel: PredictionPanel, k: int = 20) -> BacktestResult:
     )
 
 
-def summarize_backtest(panel: PredictionPanel, k: int = 20) -> dict:
+def summarize_backtest(
+    panel: PredictionPanel, k: int = 20, result: BacktestResult | None = None
+) -> dict:
     """Backtest plus per-date IC / Rank IC averages, as one flat summary dict.
 
-    Dates where a correlation is undefined (constant scores or returns for
-    IC, fully tied vectors for Rank IC) are skipped and counted instead of
-    poisoning the averages; with a 1-name universe every date is skipped and
-    the averages are reported as None.
+    ``result`` is ``topk_dropk_backtest(panel, k)`` when the caller already
+    holds it; otherwise the backtest runs here.  Dates where a correlation is
+    undefined (constant scores or returns for IC, fully tied vectors for
+    Rank IC) are skipped and counted instead of poisoning the averages; with
+    a 1-name universe every date is skipped and the averages are reported as
+    None.
     """
-    result = topk_dropk_backtest(panel, k=k)
+    if result is None:
+        result = topk_dropk_backtest(panel, k=k)
     ics: list[float] = []
     rank_ics: list[float] = []
     skipped = 0

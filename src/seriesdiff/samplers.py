@@ -1,4 +1,4 @@
-"""Reverse-process samplers: ancestral, deterministic-skip, and annealed Langevin.
+"""Reverse-process samplers: the skip sampler (ancestral walk included) and Langevin.
 
 All samplers share the epsilon-parameterized network through
 ``guided_eps``, which blends conditional and unconditional predictions as
@@ -7,21 +7,21 @@ the conditional model and omega = 0 exactly the unconditional one; both
 endpoints skip the second network evaluation entirely so they are bitwise
 identical to the single-model calls.
 
-The ancestral sampler walks every step t = T..1 with the forward-posterior
-variance; its final step has zero variance by the alpha_bar_0 = 1 convention,
-so the last update is deterministic.  The skip sampler jumps along a
-subsequence of steps through the predicted clean window; with sigma = 0 it is
-fully deterministic, and with sigma^2 equal to the posterior variance it
-reproduces the ancestral per-step mean exactly.  Between denoising steps the
-high-level ``sample`` loop optionally applies the smoothing and spectral
-corrections from ``regularizers``.
+The skip sampler jumps along a subsequence of steps through the predicted
+clean window; with sigma = 0 it is fully deterministic, and with sigma^2 equal
+to the posterior variance it reproduces the ancestral per-step mean, so the
+ancestral walk (``mode="ddpm"``) is the skip sampler over every step at eta = 1;
+``ddpm_step`` stays as its single-step reference.  The last jump, to t = 0, has
+zero variance, so no noise is drawn there.  Between denoising steps
+``sample_one`` optionally applies the corrections from ``regularizers``;
+``sample_rows`` is the one place that gives each draw its random stream.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -43,6 +43,7 @@ __all__ = [
     "langevin_sample",
     "perturb_to_level",
     "sample_one",
+    "sample_rows",
     "sample",
 ]
 
@@ -250,13 +251,16 @@ def perturb_to_level(
 class SamplerConfig:
     """Settings of the high-level sampling loop.
 
-    mode : "ddim" (skip sampler) or "ddpm" (full ancestral walk).
+    mode : "ddim" (skip sampler) or "ddpm" (the skip sampler over every
+        step at eta = 1, i.e. the ancestral walk).
     steps : subsequence length for ddim; None means the full T.  ddpm always
         walks every step.
     eta : noise scale factor; per-jump sigma = eta * sqrt(jump_variance).
-        0 is deterministic, 1 matches the ancestral noise level.
+        0 is deterministic, 1 matches the ancestral noise level.  ddpm
+        ignores it.
     guidance : classifier-free guidance weight omega.
-    num_samples : how many windows to draw.
+    num_samples : how many windows ``sample`` draws; ``sample_rows`` draws
+        one per condition and does not read it.
     lambda_antv : smoothing step size applied after each denoising step;
         0 disables.
     lambda_bp : spectral-anchor step size, used only when ``source`` is set;
@@ -266,7 +270,8 @@ class SamplerConfig:
     source : optional clean window; when set, sampling starts from a partial
         corruption of it instead of pure noise, and the spectral anchor pulls
         toward its band-limited spectrum.
-    seed : base seed; sample i runs on the i-th spawned child stream.
+    seed : base seed; row i of ``sample_rows`` runs on the i-th spawned child
+        stream.
     """
 
     mode: str = "ddim"
@@ -311,18 +316,23 @@ class SampleResult:
     samples: np.ndarray
 
 
-def _step_pairs(schedule: NoiseSchedule, cfg: SamplerConfig) -> list[tuple[int, int]]:
+def _jumps(schedule: NoiseSchedule, cfg: SamplerConfig) -> list[tuple[int, int, float]]:
+    """(t_cur, t_prev, sigma) of every jump, from the top of the subsequence down to 0."""
     T = schedule.T
+    steps = cfg.steps if cfg.steps is not None else T
+    eta = cfg.eta
     if cfg.mode == "ddpm":
-        if cfg.steps is not None and cfg.steps != T:
+        if steps != T:
             raise ParameterError(
                 f"ddpm walks all {T} steps; steps={cfg.steps} is only valid for ddim"
             )
-        taus = np.arange(1, T + 1, dtype=np.int64)
-    else:
-        taus = make_subsequence(T, cfg.steps if cfg.steps is not None else T)
-    prev = np.concatenate(([0], taus[:-1]))
-    return list(zip(taus[::-1].tolist(), prev[::-1].tolist()))
+        eta = 1.0
+    taus = make_subsequence(T, steps).tolist()[::-1]
+    prevs = taus[1:] + [0]
+    return [
+        (t_cur, t_prev, eta * math.sqrt(jump_variance(schedule, t_cur, t_prev)))
+        for t_cur, t_prev in zip(taus, prevs)
+    ]
 
 
 def sample_one(
@@ -335,18 +345,18 @@ def sample_one(
     """Generate a single window with an externally supplied generator.
 
     The denoising loop interleaves, in order per step: the guided noise
-    prediction, the reverse update, the smoothing sweep (if enabled), and the
+    prediction, the skip update, the smoothing sweep (if enabled), and the
     spectral-anchor step (if a source window is set).  Raises NumericError
     with the offending step index if the state ever leaves the finite range.
     """
     L = params.config.input_len
-    pairs = _step_pairs(schedule, cfg)
+    jumps = _jumps(schedule, cfg)
     if cfg.source is not None and cfg.source.shape != (L,):
         raise ParameterError(
             f"source window has shape {cfg.source.shape}, expected ({L},)"
         )
     if cfg.source is not None:
-        x = perturb_to_level(cfg.source, pairs[0][0], schedule, rng)
+        x = perturb_to_level(cfg.source, jumps[0][0], schedule, rng)
     else:
         x = rng.standard_normal(L)
     antv_cfg = None
@@ -358,13 +368,9 @@ def sample_one(
             rate=cfg.lambda_antv,
         )
     band = BandSpec(int(cfg.band[0]), int(cfg.band[1])) if cfg.source is not None else None
-    for t_cur, t_prev in pairs:
+    for t_cur, t_prev, sigma in jumps:
         eps_hat = guided_eps(params, x, t_cur, condition, cfg.guidance)
-        if cfg.mode == "ddpm":
-            x = ddpm_step(x, t_cur, eps_hat, schedule, rng)
-        else:
-            sigma = cfg.eta * math.sqrt(jump_variance(schedule, t_cur, t_prev))
-            x = ddim_step(x, t_cur, t_prev, eps_hat, schedule, sigma, rng)
+        x = ddim_step(x, t_cur, t_prev, eps_hat, schedule, sigma, rng)
         if antv_cfg is not None:
             x = antv_step(x, antv_cfg)
         if band is not None and cfg.lambda_bp > 0.0:
@@ -372,6 +378,32 @@ def sample_one(
         if not np.all(np.isfinite(x)):
             raise NumericError(f"sampler state became non-finite after step t={t_cur}")
     return x
+
+
+def sample_rows(
+    params: ScoreNetworkParams,
+    schedule: NoiseSchedule,
+    cfg: SamplerConfig,
+    conditions: Sequence[ConditionVector | None],
+    sources: Sequence[np.ndarray] | None = None,
+) -> np.ndarray:
+    """Draw one window per condition, as a (len(conditions), L) array.
+
+    Row i runs ``sample_one`` on child stream i spawned from ``cfg.seed``,
+    with ``conditions[i]`` and, when ``sources`` is given, donor window
+    ``sources[i]`` in place of ``cfg.source``.  Row i therefore does not
+    depend on how many rows are drawn.  ``cfg.num_samples`` is not read.
+    """
+    if sources is None:
+        sources = [cfg.source] * len(conditions)
+    if len(sources) != len(conditions):
+        raise ParameterError(f"{len(sources)} sources for {len(conditions)} conditions")
+    streams = np.random.SeedSequence(cfg.seed).spawn(len(conditions))
+    rows = [
+        sample_one(params, schedule, replace(cfg, source=src), cond, np.random.default_rng(s))
+        for cond, src, s in zip(conditions, sources, streams)
+    ]
+    return np.array(rows, dtype=np.float64).reshape(len(rows), params.config.input_len)
 
 
 def sample(
@@ -382,12 +414,9 @@ def sample(
 ) -> SampleResult:
     """Generate ``cfg.num_samples`` windows and their pointwise mean.
 
-    Each sample runs on an independent child stream spawned from
-    ``cfg.seed``, so the result is reproducible and individual samples are
+    The draws are ``sample_rows`` over ``cfg.num_samples`` copies of
+    ``condition``, so the result is reproducible and individual samples are
     unchanged when num_samples grows.
     """
-    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.num_samples)
-    out = np.empty((cfg.num_samples, params.config.input_len), dtype=np.float64)
-    for i, stream in enumerate(streams):
-        out[i] = sample_one(params, schedule, cfg, condition, np.random.default_rng(stream))
+    out = sample_rows(params, schedule, cfg, [condition] * cfg.num_samples)
     return SampleResult(mean=out.mean(axis=0), samples=out)

@@ -14,9 +14,10 @@ Everything is plain float64 numpy.  Parameters live in one flat vector with a
 named layout so the whole model can be checkpointed, finite-difference
 checked, and updated by a vector optimizer without any framework.  Forward
 and backward passes are written out explicitly; the backward pass is verified
-against central differences in the test suite.  Evaluation is
-single-threaded with a fixed reduction order, so every result is bitwise
-reproducible for a given parameter vector and rng seed.
+against central differences in the test suite.  Results are bitwise
+reproducible for a given parameter vector and rng seed only at a fixed BLAS
+thread count: a width-256, batch-512 run gave other checkpoint bytes under
+one and two OpenBLAS threads.
 """
 
 from __future__ import annotations

@@ -47,7 +47,7 @@ def test_load_config_defaults_and_overrides(fast_config):
     cfg = load_config(fast_config)
     assert cfg["data.window"] == 30
     assert cfg["data.step"] == 20
-    assert cfg["eval.horizon"] == 5  # untouched default survives
+    assert cfg["sampler.guidance"] == 7.5  # untouched default survives
 
 
 def test_load_config_rejects_junk(tmp_path):
@@ -194,3 +194,48 @@ def test_ingest_is_byte_identical_across_runs(tmp_path, prices_csv, fast_config)
     _run("ingest", prices_csv, "--config", fast_config, "--out", b)
     for name in ("windows.jsonl", "manifest.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def _trained_run(tmp_path, prices_csv, fast_config):
+    run = tmp_path / "run"
+    _run("ingest", prices_csv, "--config", fast_config, "--out", run)
+    _run("train", run / "windows.jsonl", "--config", fast_config, "--seed", 1, "--out", run)
+    return run
+
+
+def _augment(run, fast_config, out, board, ratio, *flags) -> list:
+    assert _run("augment", run / "windows.jsonl", run / "checkpoint.json",
+                "--config", fast_config, "--seed", 4, "--board", board,
+                "--ratio", ratio, *flags, "--out", out) == 0
+    return [w for w in read_window_store(out / "augmented.jsonl") if w.synthetic]
+
+
+def test_augment_is_byte_identical_and_prefix_stable(tmp_path, prices_csv, fast_config):
+    run = _trained_run(tmp_path, prices_csv, fast_config)
+    a, b, wide = tmp_path / "a", tmp_path / "b", tmp_path / "wide"
+    one = _augment(run, fast_config, a, "MAIN", "1:1", "--transfer")
+    _augment(run, fast_config, b, "MAIN", "1:1", "--transfer")
+    for name in ("augmented.jsonl", "augment_manifest.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+    # synthetic window i is draw i of the seed, whatever the ratio
+    two = _augment(run, fast_config, wide, "MAIN", "1:2", "--transfer")
+    assert len(two) == 2 * len(one)
+    for x, y in zip(one, two):
+        assert (x.ticker, x.start_date) == (y.ticker, y.start_date)
+        assert np.array_equal(x.values, y.values)
+
+
+def test_augment_use_mean_averages_consecutive_draws(tmp_path, prices_csv, fast_config):
+    # every BSE fixture ticker is in industry 99, so all draws share one condition
+    # and --use-mean window i must average plain draws i*k .. i*k+k-1
+    run = _trained_run(tmp_path, prices_csv, fast_config)
+    k = FAST["sampler.num_samples"]
+    plain = _augment(run, fast_config, tmp_path / "plain", "BSE", f"1:{k}")
+    mean = _augment(run, fast_config, tmp_path / "mean", "BSE", "1:1", "--use-mean")
+    assert len(plain) == k * len(mean) > 0
+    draws = np.stack([w.values for w in plain]).reshape(len(mean), k, -1)
+    for i, w in enumerate(mean):
+        assert np.array_equal(w.values, draws[i].mean(axis=0))
+    _augment(run, fast_config, tmp_path / "again", "BSE", "1:1", "--use-mean")
+    assert ((tmp_path / "mean" / "augmented.jsonl").read_bytes()
+            == (tmp_path / "again" / "augmented.jsonl").read_bytes())

@@ -238,6 +238,18 @@ def test_read_close_csv_line_numbered_errors(tmp_path):
         read_close_csv(p)
 
 
+def test_duplicate_date_error_is_bounded(tmp_path):
+    days = trading_days("2021-01-04", 600)
+    rows = [f"{d},600000,{10.0 + i % 7},1" for i, d in enumerate(days)]
+    p = tmp_path / "dupes.csv"
+    p.write_text("date,ticker,close,industry_id\n" + "\n".join(rows + rows) + "\n")
+    with pytest.raises(DataError, match="600 duplicate dates") as info:
+        read_close_csv(p)
+    message = str(info.value)
+    assert days[0] in message and days[-1] not in message
+    assert len(message) < 200 + len(str(p))
+
+
 def test_prepare_windows_report(prices_csv):
     records = read_close_csv(prices_csv)
     windows, report = prepare_windows(records, length=60, step=20)

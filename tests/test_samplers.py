@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from seriesdiff import (
     predict_eps,
     sample,
     sample_one,
+    sample_rows,
 )
 from seriesdiff.oracles import GaussianSpec, ve_perturbed_gaussian_score
 
@@ -236,6 +238,36 @@ def test_ddpm_mode_rejects_subsequence():
     cfg = SamplerConfig(mode="ddpm", steps=6, guidance=0.0, seed=0)
     with pytest.raises(ParameterError):
         sample_one(params, sch, cfg, None, np.random.default_rng(0))
+
+
+def test_ddpm_mode_is_the_full_skip_sampler_at_eta_one():
+    params = _noisy_params(7)
+    sch = make_linear_schedule(12, 1e-3, 0.1)
+    cond = encode_condition(1, 0, params)
+    ddpm = SamplerConfig(mode="ddpm", eta=0.3, guidance=2.0, num_samples=3, seed=5)
+    ddim = SamplerConfig(mode="ddim", steps=12, eta=1.0, guidance=2.0, num_samples=3, seed=5)
+    a = sample(params, sch, ddpm, cond)
+    b = sample(params, sch, ddim, cond)
+    assert np.array_equal(a.samples, b.samples)
+
+
+def test_sample_rows_gives_each_row_its_stream_condition_and_donor():
+    params = _noisy_params(11)
+    sch = make_linear_schedule(12, 1e-3, 0.1)
+    rng = np.random.default_rng(3)
+    sources = [np.cumsum(rng.standard_normal(3)) for _ in range(3)]
+    conds = [encode_condition(i, 0, params) for i in range(3)]
+    cfg = SamplerConfig(mode="ddim", steps=6, eta=0.5, guidance=1.0, lambda_bp=0.01,
+                        band=(0, 1), seed=13)
+    rows = sample_rows(params, sch, cfg, conds, sources=sources)
+    streams = np.random.SeedSequence(13).spawn(3)
+    for i in range(3):
+        row_cfg = replace(cfg, source=sources[i])
+        one = sample_one(params, sch, row_cfg, conds[i], np.random.default_rng(streams[i]))
+        assert np.array_equal(rows[i], one)
+    assert sample_rows(params, sch, cfg, []).shape == (0, 3)
+    with pytest.raises(ParameterError):
+        sample_rows(params, sch, cfg, conds, sources=sources[:2])
 
 
 def test_sample_is_reproducible_and_prefix_stable():
