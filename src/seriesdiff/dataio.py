@@ -19,8 +19,11 @@ import csv
 import enum
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -340,6 +343,35 @@ def split_train_test(
 _CSV_HEADER = ["date", "ticker", "close", "industry_id"]
 
 
+def _csv_rows(path: Path, header: list[str], what: str) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, stripped fields) of each non-blank row of a 4-column CSV.
+
+    Raises DataError for a missing or empty file, a header other than
+    ``header``, a row without exactly 4 fields (naming its line), and a file
+    with no data rows; ``what`` names the file kind when it is missing.
+    """
+    if not path.exists():
+        raise DataError(f"{what} {path} does not exist")
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            first = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: file is empty") from None
+        if [h.strip() for h in first] != header:
+            raise DataError(f"{path}: expected header {','.join(header)}")
+        n_rows = 0
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != 4:
+                raise DataError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
+            n_rows += 1
+            yield lineno, [cell.strip() for cell in row]
+    if not n_rows:
+        raise DataError(f"{path}: no data rows")
+
+
 def read_close_csv(path: str | Path, n_industries: int = 124) -> list[StockRecord]:
     """Parse the long-format close CSV into per-ticker records.
 
@@ -349,47 +381,30 @@ def read_close_csv(path: str | Path, n_industries: int = 124) -> list[StockRecor
     apply retroactively).  Malformed rows raise line-numbered errors.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"close CSV {path} does not exist")
     rows: dict[str, list[tuple[str, float, int]]] = {}
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        if [h.strip() for h in header] != _CSV_HEADER:
-            raise DataError(f"{path}: expected header {','.join(_CSV_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 4:
-                raise DataError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            date, ticker, close_s, industry_s = (cell.strip() for cell in row)
-            if not date or not ticker:
-                raise DataError(f"{path}:{lineno}: empty date or ticker")
-            if close_s:
-                try:
-                    close = float(close_s)
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: close {close_s!r} is not a number") from None
-                if not math.isfinite(close) or close <= 0.0:
-                    raise DataError(f"{path}:{lineno}: close must be positive, got {close_s}")
-            else:
-                close = math.nan
+    for lineno, (date, ticker, close_s, industry_s) in _csv_rows(path, _CSV_HEADER, "close CSV"):
+        if not date or not ticker:
+            raise DataError(f"{path}:{lineno}: empty date or ticker")
+        if close_s:
             try:
-                industry = int(industry_s)
+                close = float(close_s)
             except ValueError:
-                raise DataError(
-                    f"{path}:{lineno}: industry_id {industry_s!r} is not an integer"
-                ) from None
-            if not 0 <= industry < n_industries:
-                raise DataError(
-                    f"{path}:{lineno}: industry_id {industry} outside [0, {n_industries})"
-                )
-            rows.setdefault(ticker, []).append((date, close, industry))
-    if not rows:
-        raise DataError(f"{path}: no data rows")
+                raise DataError(f"{path}:{lineno}: close {close_s!r} is not a number") from None
+            if not math.isfinite(close) or close <= 0.0:
+                raise DataError(f"{path}:{lineno}: close must be positive, got {close_s}")
+        else:
+            close = math.nan
+        try:
+            industry = int(industry_s)
+        except ValueError:
+            raise DataError(
+                f"{path}:{lineno}: industry_id {industry_s!r} is not an integer"
+            ) from None
+        if not 0 <= industry < n_industries:
+            raise DataError(
+                f"{path}:{lineno}: industry_id {industry} outside [0, {n_industries})"
+            )
+        rows.setdefault(ticker, []).append((date, close, industry))
 
     records: list[StockRecord] = []
     for ticker in sorted(rows):
@@ -486,9 +501,29 @@ def _window_to_obj(w: SeriesWindow) -> dict:
     }
 
 
+@contextmanager
+def _replacing(path: str | Path) -> Iterator[TextIO]:
+    """A text file opened on a sibling temporary that replaces ``path`` on success.
+
+    If the write fails the temporary is removed and ``path`` is left as it
+    was, so a reader never sees a half-written file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_window_store(windows: list[SeriesWindow], path: str | Path) -> None:
-    """Write windows as JSON lines, one object per window, in the given order."""
-    with Path(path).open("w") as fh:
+    """Write windows as JSON lines, one object per window, in the given order.
+
+    The store is replaced whole: a failed write leaves the old file intact.
+    """
+    with _replacing(path) as fh:
         for w in windows:
             fh.write(json.dumps(_window_to_obj(w), sort_keys=True) + "\n")
 

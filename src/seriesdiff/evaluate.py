@@ -10,14 +10,13 @@ between scores and realized returns (IC) and its rank version (Rank IC).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataio import StockRecord
+from .dataio import StockRecord, _csv_rows
 from .errors import DataError, ParameterError
 
 __all__ = [
@@ -149,32 +148,16 @@ def read_panel_csv(path: str | Path) -> PredictionPanel:
     The grid must be complete: every date needs a row for every ticker.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"panel CSV {path} does not exist")
     cells: dict[tuple[str, str], tuple[float, float]] = {}
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+    header = ["date", "ticker", "score", "realized_return"]
+    for lineno, (date, ticker, score_s, ret_s) in _csv_rows(path, header, "panel CSV"):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        if [h.strip() for h in header] != ["date", "ticker", "score", "realized_return"]:
-            raise DataError(f"{path}: expected header date,ticker,score,realized_return")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 4:
-                raise DataError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            date, ticker, score_s, ret_s = (cell.strip() for cell in row)
-            try:
-                score, ret = float(score_s), float(ret_s)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: score/return must be numbers") from None
-            if (date, ticker) in cells:
-                raise DataError(f"{path}:{lineno}: duplicate cell ({date}, {ticker})")
-            cells[(date, ticker)] = (score, ret)
-    if not cells:
-        raise DataError(f"{path}: no data rows")
+            score, ret = float(score_s), float(ret_s)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: score/return must be numbers") from None
+        if (date, ticker) in cells:
+            raise DataError(f"{path}:{lineno}: duplicate cell ({date}, {ticker})")
+        cells[(date, ticker)] = (score, ret)
     dates = sorted({d for d, _ in cells})
     tickers = sorted({t for _, t in cells})
     scores = np.empty((len(dates), len(tickers)))

@@ -31,6 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .dataio import _replacing
 from .errors import DataError, NumericError, ParameterError
 from .schedules import NoiseSchedule
 
@@ -104,7 +105,11 @@ class ScoreNetConfig:
 
 @dataclass(frozen=True)
 class ConditionVector:
-    """An encoded (industry, board) condition; ids None on the NULL condition."""
+    """An encoded (industry, board) condition; ids None on the NULL condition.
+
+    ``encoded`` belongs to the parameters that made it (see
+    ``encode_condition``) and is what ``predict_eps`` feeds the trunk.
+    """
 
     industry_id: int | None
     board_id: int | None
@@ -153,7 +158,7 @@ class ScoreNetworkParams:
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
         layout = _param_layout(self.config)
-        total = sum(int(np.prod(shape)) for _, shape in layout)
+        total = sum(math.prod(shape) for _, shape in layout)
         if values.ndim != 1 or values.shape[0] != total:
             raise ParameterError(
                 f"parameter vector has {values.shape} entries, layout needs {total}"
@@ -162,7 +167,7 @@ class ScoreNetworkParams:
         offsets: dict[str, tuple[int, int, tuple[int, ...]]] = {}
         pos = 0
         for name, shape in layout:
-            size = int(np.prod(shape))
+            size = math.prod(shape)
             offsets[name] = (pos, pos + size, shape)
             pos += size
         self._offsets = offsets
@@ -199,7 +204,7 @@ def init_params(cfg: ScoreNetConfig, rng: np.random.Generator) -> ScoreNetworkPa
     """
     chunks: list[np.ndarray] = []
     for name, shape in _param_layout(cfg):
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         if name == "embed":
             chunks.append(0.1 * rng.standard_normal(size))
         elif name.endswith(("_b1", "_b2", "_b3", "in_b", "out_b")) or len(shape) == 1:
@@ -255,150 +260,123 @@ def encode_condition(
 
     The encoding concatenates the MLP-refined industry embedding with a board
     one-hot.  NULL encodes as the all-zero vector; a partially-None pair is
-    rejected because the network was never trained on one.
+    rejected because the network was never trained on one.  The encoding
+    belongs to ``params``: it is what ``predict_eps`` feeds the trunk, so it
+    must be used with the parameters that made it.
     """
-    cfg = params.config
     if (industry_id is None) != (board_id is None):
         raise ParameterError("industry_id and board_id must be both set or both None")
-    if industry_id is None:
-        return ConditionVector(None, None, np.zeros(cfg.cond_dim, dtype=np.float64))
-    if not 0 <= industry_id < cfg.n_industries:
-        raise ParameterError(
-            f"industry_id {industry_id} outside [0, {cfg.n_industries})"
-        )
-    if not 0 <= board_id < cfg.n_boards:
-        raise ParameterError(f"board_id {board_id} outside [0, {cfg.n_boards})")
-    iid = np.array([industry_id])
-    bid = np.array([board_id])
-    enc, _ = _encode_batch(params, iid, bid, want_cache=False)
-    return ConditionVector(industry_id, board_id, enc[0])
+    ids = None if industry_id is None else (industry_id, board_id)
+    cenc, _ = _encode_batch(params, *_condition_arrays([ids], params.config))
+    return ConditionVector(industry_id, board_id, cenc[0])
 
 
 def _encode_batch(
-    params: ScoreNetworkParams,
-    iid: np.ndarray,
-    bid: np.ndarray,
-    want_cache: bool,
-) -> tuple[np.ndarray, dict | None]:
-    """Condition encodings for a batch; iid/bid use -1 for the NULL condition."""
+    params: ScoreNetworkParams, iid: np.ndarray, bid: np.ndarray
+) -> tuple[np.ndarray, tuple]:
+    """Condition encodings of a batch and the MLP activations behind them.
+
+    iid/bid use -1 for the NULL condition, which encodes as the zero vector.
+    The MLP runs on the conditioned rows only (zero rows if all are NULL);
+    its activations come back as (rows, mask, e, a1, h1, a2, h2).
+    """
     cfg = params.config
     kind = cfg.activation
-    B = iid.shape[0]
-    cenc = np.zeros((B, cfg.cond_dim), dtype=np.float64)
     mask = iid >= 0
-    cache: dict | None = None
-    if np.any(mask):
-        rows = iid[mask]
-        e = params.view("embed")[rows]
-        a1 = e @ params.view("cond_w1").T + params.view("cond_b1")
-        h1 = _act(a1, kind)
-        a2 = h1 @ params.view("cond_w2").T + params.view("cond_b2")
-        h2 = _act(a2, kind)
-        h3 = h2 @ params.view("cond_w3").T + params.view("cond_b3")
-        cenc[mask, : cfg.embed_dim] = h3
-        cenc[mask, cfg.embed_dim + bid[mask]] = 1.0
-        if want_cache:
-            cache = {"rows": rows, "e": e, "a1": a1, "h1": h1, "a2": a2, "h2": h2}
-    if want_cache:
-        return cenc, {"mask": mask, "mlp": cache}
-    return cenc, None
+    rows = iid[mask]
+    e = params.view("embed")[rows]
+    a1 = e @ params.view("cond_w1").T + params.view("cond_b1")
+    h1 = _act(a1, kind)
+    a2 = h1 @ params.view("cond_w2").T + params.view("cond_b2")
+    h2 = _act(a2, kind)
+    cenc = np.zeros((iid.shape[0], cfg.cond_dim), dtype=np.float64)
+    cenc[mask, : cfg.embed_dim] = h2 @ params.view("cond_w3").T + params.view("cond_b3")
+    cenc[mask, cfg.embed_dim + bid[mask]] = 1.0
+    return cenc, (rows, mask, e, a1, h1, a2, h2)
 
 
 def _forward(
-    params: ScoreNetworkParams,
-    x: np.ndarray,
-    t: np.ndarray,
-    iid: np.ndarray,
-    bid: np.ndarray,
-    want_cache: bool = False,
-) -> tuple[np.ndarray, dict | None]:
-    """Batched forward pass; x (B, L), t (B,), iid/bid (B,) with -1 for NULL."""
+    params: ScoreNetworkParams, x: np.ndarray, t: np.ndarray, cenc: np.ndarray
+) -> tuple[np.ndarray, tuple]:
+    """Batched forward pass; x (B, L), t (B,), cenc (B, cond_dim) encodings.
+
+    Returns the output and the activations ``_backward`` reads:
+    (x, temb, cenc, [(z, a1, v) per block], h) with h the last trunk state.
+    """
     cfg = params.config
     kind = cfg.activation
     temb = time_embedding(t, cfg.time_dim)
-    cenc, cond_cache = _encode_batch(params, iid, bid, want_cache)
     h = x @ params.view("in_w").T + params.view("in_b")
-    hs = [h]
-    zs, a1s, vs = [], [], []
+    blocks = []
     for i in range(cfg.blocks):
         z = h + temb @ params.view(f"blk{i}_time_w").T + cenc @ params.view(f"blk{i}_cond_w").T
         a1 = z @ params.view(f"blk{i}_w1").T + params.view(f"blk{i}_b1")
         v = _act(a1, kind)
         h = h + v @ params.view(f"blk{i}_w2").T + params.view(f"blk{i}_b2")
-        if want_cache:
-            zs.append(z)
-            a1s.append(a1)
-            vs.append(v)
-            hs.append(h)
+        blocks.append((z, a1, v))
     out = h @ params.view("out_w").T + params.view("out_b")
-    if not want_cache:
-        return out, None
-    cache = {
-        "x": x,
-        "temb": temb,
-        "cenc": cenc,
-        "cond": cond_cache,
-        "zs": zs,
-        "a1s": a1s,
-        "vs": vs,
-        "hs": hs,
-    }
-    return out, cache
+    return out, (x, temb, cenc, blocks, h)
 
 
-def _backward(params: ScoreNetworkParams, cache: dict, dout: np.ndarray) -> np.ndarray:
-    """Reverse-mode gradient of <dout, output> with respect to the flat vector."""
+def _backward(
+    params: ScoreNetworkParams, acts: tuple, mlp: tuple, dout: np.ndarray
+) -> np.ndarray:
+    """Reverse-mode gradient of <dout, output> with respect to the flat vector.
+
+    ``acts`` comes from ``_forward`` and ``mlp`` from the ``_encode_batch``
+    that made its encodings.
+    """
     cfg = params.config
     kind = cfg.activation
     grad = np.zeros_like(params.values)
+    g = params.with_values(grad).view  # views write into grad
+    x, temb, cenc, blocks, h = acts
 
-    def g(name: str) -> np.ndarray:
-        lo, hi, shape = params._offsets[name]
-        return grad[lo:hi].reshape(shape)
-
-    hs, zs, a1s, vs = cache["hs"], cache["zs"], cache["a1s"], cache["vs"]
-    temb, cenc = cache["temb"], cache["cenc"]
-
-    g("out_w")[...] += dout.T @ hs[-1]
+    g("out_w")[...] += dout.T @ h
     g("out_b")[...] += dout.sum(axis=0)
     dh = dout @ params.view("out_w")
     dcenc = np.zeros_like(cenc)
     for i in reversed(range(cfg.blocks)):
-        g(f"blk{i}_w2")[...] += dh.T @ vs[i]
+        z, a1, v = blocks[i]
+        g(f"blk{i}_w2")[...] += dh.T @ v
         g(f"blk{i}_b2")[...] += dh.sum(axis=0)
         dv = dh @ params.view(f"blk{i}_w2")
-        da1 = dv * _act_grad(a1s[i], kind)
-        g(f"blk{i}_w1")[...] += da1.T @ zs[i]
+        da1 = dv * _act_grad(a1, kind)
+        g(f"blk{i}_w1")[...] += da1.T @ z
         g(f"blk{i}_b1")[...] += da1.sum(axis=0)
         dz = da1 @ params.view(f"blk{i}_w1")
         g(f"blk{i}_time_w")[...] += dz.T @ temb
         g(f"blk{i}_cond_w")[...] += dz.T @ cenc
         dcenc += dz @ params.view(f"blk{i}_cond_w")
         dh = dh + dz
-    g("in_w")[...] += dh.T @ cache["x"]
+    g("in_w")[...] += dh.T @ x
     g("in_b")[...] += dh.sum(axis=0)
 
-    cond = cache["cond"]
-    if cond is not None and cond["mlp"] is not None:
-        mask, mlp = cond["mask"], cond["mlp"]
-        dh3 = dcenc[mask, : cfg.embed_dim]
-        g("cond_w3")[...] += dh3.T @ mlp["h2"]
-        g("cond_b3")[...] += dh3.sum(axis=0)
-        da2 = (dh3 @ params.view("cond_w3")) * _act_grad(mlp["a2"], kind)
-        g("cond_w2")[...] += da2.T @ mlp["h1"]
-        g("cond_b2")[...] += da2.sum(axis=0)
-        da1 = (da2 @ params.view("cond_w2")) * _act_grad(mlp["a1"], kind)
-        g("cond_w1")[...] += da1.T @ mlp["e"]
-        g("cond_b1")[...] += da1.sum(axis=0)
-        de = da1 @ params.view("cond_w1")
-        np.add.at(g("embed"), mlp["rows"], de)
+    rows, mask, e, a1, h1, a2, h2 = mlp
+    dh3 = dcenc[mask, : cfg.embed_dim]
+    g("cond_w3")[...] += dh3.T @ h2
+    g("cond_b3")[...] += dh3.sum(axis=0)
+    da2 = (dh3 @ params.view("cond_w3")) * _act_grad(a2, kind)
+    g("cond_w2")[...] += da2.T @ h1
+    g("cond_b2")[...] += da2.sum(axis=0)
+    da1 = (da2 @ params.view("cond_w2")) * _act_grad(a1, kind)
+    g("cond_w1")[...] += da1.T @ e
+    g("cond_b1")[...] += da1.sum(axis=0)
+    de = da1 @ params.view("cond_w1")
+    np.add.at(g("embed"), rows, de)
     return grad
 
 
-def _ids_from_condition(cond: ConditionVector | None) -> tuple[int, int]:
-    if cond is None or cond.is_null:
-        return -1, -1
-    return cond.industry_id, cond.board_id
+def _rows(params: ScoreNetworkParams, t: int, *windows: np.ndarray) -> list[np.ndarray]:
+    """Each window as a (1, input_len) float row, after checking its shape and t."""
+    L = params.config.input_len
+    rows = [np.asarray(w, dtype=np.float64) for w in windows]
+    for r in rows:
+        if r.shape != (L,):
+            raise ParameterError(f"window shape {r.shape} does not match input_len {L}")
+    if t < 1:
+        raise ParameterError(f"t must be >= 1, got {t}")
+    return [r[None, :] for r in rows]
 
 
 def predict_eps(
@@ -409,21 +387,15 @@ def predict_eps(
 ) -> np.ndarray:
     """Predicted noise for one corrupted window at step t (None = NULL condition).
 
-    The implied score is -predict_eps(...) / sqrt(1 - alpha_bar_t).
+    The trunk reads ``cond.encoded`` as given.  The implied score is
+    -predict_eps(...) / sqrt(1 - alpha_bar_t).
     """
-    cfg = params.config
-    x_t = np.asarray(x_t, dtype=np.float64)
-    if x_t.shape != (cfg.input_len,):
-        raise ParameterError(
-            f"window shape {x_t.shape} does not match input_len {cfg.input_len}"
-        )
-    if t < 1:
-        raise ParameterError(f"t must be >= 1, got {t}")
-    iid, bid = _ids_from_condition(cond)
-    out, _ = _forward(
-        params, x_t[None, :], np.array([t]), np.array([iid]), np.array([bid])
-    )
-    out = out[0]
+    (x,) = _rows(params, t, x_t)
+    cond_dim = params.config.cond_dim
+    cenc = np.zeros((1, cond_dim)) if cond is None else cond.encoded[None, :]
+    if cenc.shape != (1, cond_dim):
+        raise ParameterError(f"condition encoding shape {cenc.shape[1:]} is not ({cond_dim},)")
+    out = _forward(params, x, np.array([t]), cenc)[0][0]
     if not np.all(np.isfinite(out)):
         raise NumericError(f"network produced non-finite output at t={t}")
     return out
@@ -439,21 +411,14 @@ def predict_eps_vjp(
     """Prediction plus gradient of <cotangent, prediction> w.r.t. the flat vector.
 
     This is the building block the finite-difference tests drive directly.
+    The condition is encoded again from its ids, since the gradient reaches
+    the condition MLP.
     """
-    cfg = params.config
-    x_t = np.asarray(x_t, dtype=np.float64)
-    cotangent = np.asarray(cotangent, dtype=np.float64)
-    if x_t.shape != (cfg.input_len,) or cotangent.shape != (cfg.input_len,):
-        raise ParameterError("window and cotangent must both have shape (input_len,)")
-    if t < 1:
-        raise ParameterError(f"t must be >= 1, got {t}")
-    iid, bid = _ids_from_condition(cond)
-    out, cache = _forward(
-        params, x_t[None, :], np.array([t]), np.array([iid]), np.array([bid]),
-        want_cache=True,
-    )
-    grad = _backward(params, cache, cotangent[None, :])
-    return out[0], grad
+    x, cot = _rows(params, t, x_t, cotangent)
+    ids = None if cond is None or cond.is_null else (cond.industry_id, cond.board_id)
+    cenc, mlp = _encode_batch(params, *_condition_arrays([ids], params.config))
+    out, acts = _forward(params, x, np.array([t]), cenc)
+    return out[0], _backward(params, acts, mlp, cot)
 
 
 def condition_dropout(
@@ -493,6 +458,7 @@ def dsm_residual_loss(
 def _condition_arrays(
     conditions: Sequence[tuple[int, int] | None], cfg: ScoreNetConfig
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Checked industry and board id arrays, -1 for NULL; the only id validator."""
     iid = np.empty(len(conditions), dtype=np.int64)
     bid = np.empty(len(conditions), dtype=np.int64)
     for n, c in enumerate(conditions):
@@ -551,11 +517,12 @@ def dsm_loss(
 
     ab = schedule.alpha_bar[t - 1]
     x_t = np.sqrt(ab)[:, None] * windows + np.sqrt(1.0 - ab)[:, None] * eps
-    pred, cache = _forward(params, x_t, t, iid, bid, want_cache=True)
+    cenc, mlp = _encode_batch(params, iid, bid)
+    pred, acts = _forward(params, x_t, t, cenc)
     w = (1.0 - ab) if weighting == "elbo" else np.ones(B)
     loss = dsm_residual_loss(pred, eps, w)
     dout = (2.0 / B) * w[:, None] * (pred - eps)
-    grad = _backward(params, cache, dout)
+    grad = _backward(params, acts, mlp, dout)
     return loss, grad
 
 
@@ -664,7 +631,10 @@ def train(
 def save_checkpoint(
     params: ScoreNetworkParams, path: str | Path, meta: dict | None = None
 ) -> None:
-    """Write the parameter vector as versioned JSON with per-array shape headers."""
+    """Write the parameter vector as versioned JSON with per-array shape headers.
+
+    The file is replaced whole: a failed write leaves the old file intact.
+    """
     arrays = {}
     for name in params.names():
         arr = params.view(name)
@@ -676,7 +646,8 @@ def save_checkpoint(
         "arrays": arrays,
         "meta": meta or {},
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
+    with _replacing(path) as fh:
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _read_checkpoint(path: str | Path) -> dict:
@@ -706,9 +677,11 @@ def load_checkpoint(path: str | Path) -> ScoreNetworkParams:
     if set(arrays) != expected:
         missing = sorted(expected - set(arrays))
         extra = sorted(set(arrays) - expected)
+        # name a few of each, so a foreign file cannot flood the message
         raise DataError(
-            f"checkpoint {path} arrays do not match the layout "
-            f"(missing {missing}, unexpected {extra})"
+            f"checkpoint {path} arrays do not match the layout: "
+            f"{len(missing)} missing (first {missing[:5]}), "
+            f"{len(extra)} unexpected (first {extra[:5]})"
         )
     chunks = []
     for name, shape in layout:

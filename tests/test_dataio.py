@@ -250,6 +250,19 @@ def test_duplicate_date_error_is_bounded(tmp_path):
     assert len(message) < 200 + len(str(p))
 
 
+def test_window_store_overwrite_is_atomic(tmp_path):
+    rec = _record([50.0 * math.exp(0.005 * i) for i in range(90)], ticker="300750")
+    windows = make_windows(rec, length=60, step=10)
+    path = tmp_path / "windows.jsonl"
+    write_window_store(windows, path)
+    before = path.read_bytes()
+    with pytest.raises(AttributeError):
+        write_window_store([windows[0], object()], path)
+    assert path.read_bytes() == before
+    assert len(read_window_store(path)) == len(windows)
+    assert [p.name for p in tmp_path.iterdir()] == ["windows.jsonl"]
+
+
 def test_prepare_windows_report(prices_csv):
     records = read_close_csv(prices_csv)
     windows, report = prepare_windows(records, length=60, step=20)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -150,24 +151,52 @@ def test_vjp_matches_finite_differences():
     params = params.with_values(params.values + 0.1 * rng.standard_normal(params.n_params))
     x = rng.standard_normal(2)
     cot = rng.standard_normal(2)
+    for ids in [(1, 0), (None, None)]:
+        cond = encode_condition(*ids, params)
+        out, grad = predict_eps_vjp(params, x, 3, cond, cot)
+        assert np.array_equal(out, predict_eps(params, x, 3, cond))
+
+        def f(v: np.ndarray) -> float:
+            p = params.with_values(v)
+            return float(cot @ predict_eps(p, x, 3, encode_condition(*ids, p)))
+
+        h = 1e-6
+        base = params.values
+        fd = np.empty_like(grad)
+        for i in range(base.size):
+            up, dn = base.copy(), base.copy()
+            up[i] += h
+            dn[i] -= h
+            fd[i] = (f(up) - f(dn)) / (2.0 * h)
+        denom = max(1.0, float(np.max(np.abs(fd))))
+        assert float(np.max(np.abs(grad - fd))) / denom < 1e-6
+
+
+def test_predict_eps_reads_the_given_encoding():
+    rng = np.random.default_rng(16)
+    params = init_params(TINY, rng)
+    params = params.with_values(params.values + 0.1 * rng.standard_normal(params.n_params))
+    x = rng.standard_normal(2)
     cond = encode_condition(1, 0, params)
-    out, grad = predict_eps_vjp(params, x, 3, cond, cot)
-    assert np.array_equal(out, predict_eps(params, x, 3, cond))
+    zeroed = replace(cond, encoded=np.zeros(TINY.cond_dim))
+    assert np.array_equal(predict_eps(params, x, 3, zeroed), predict_eps(params, x, 3, None))
+    assert not np.array_equal(predict_eps(params, x, 3, cond), predict_eps(params, x, 3, None))
+    with pytest.raises(ParameterError):
+        predict_eps(params, x, 3, replace(cond, encoded=np.zeros(TINY.cond_dim + 1)))
 
-    def f(v: np.ndarray) -> float:
-        p = params.with_values(v)
-        return float(cot @ predict_eps(p, x, 3, encode_condition(1, 0, p)))
 
-    h = 1e-6
-    base = params.values
-    fd = np.empty_like(grad)
-    for i in range(base.size):
-        up, dn = base.copy(), base.copy()
-        up[i] += h
-        dn[i] -= h
-        fd[i] = (f(up) - f(dn)) / (2.0 * h)
-    denom = max(1.0, float(np.max(np.abs(fd))))
-    assert float(np.max(np.abs(grad - fd))) / denom < 1e-6
+def test_dsm_loss_all_null_batch_leaves_condition_gradient_zero():
+    sch = make_linear_schedule(7, 1e-3, 0.3)
+    rng = np.random.default_rng(17)
+    params = init_params(TINY, rng)
+    params = params.with_values(params.values + 0.1 * rng.standard_normal(params.n_params))
+    loss, grad = dsm_loss(params, rng.standard_normal((4, 2)), [None] * 4, sch, rng)
+    assert np.isfinite(loss)
+    grads = params.with_values(grad)
+    cond_names = ["embed"] + [n for n in grads.names() if n.startswith("cond_")]
+    for name in cond_names:
+        assert np.all(grads.view(name) == 0.0), name
+    assert np.any(grads.view("in_w") != 0.0)
 
 
 def test_residual_loss_hand_value():
@@ -356,3 +385,18 @@ def test_checkpoint_rejects_tampering(tmp_path):
     path.write_text("not json")
     with pytest.raises(DataError):
         load_checkpoint(path)
+
+
+def test_checkpoint_layout_error_is_bounded(tmp_path):
+    params = init_params(TINY, np.random.default_rng(18))
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(params, path)
+    payload = json.loads(path.read_text())
+    for i in range(1000):
+        payload["arrays"][f"extra_{i:04d}"] = {"shape": [1], "data": [0.0]}
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match="1000 unexpected") as info:
+        load_checkpoint(path)
+    message = str(info.value)
+    assert "extra_0000" in message and "extra_0999" not in message
+    assert len(message) < 300
