@@ -57,7 +57,7 @@ DEFAULT_CONFIG: dict[str, object] = {
     "sampler.guidance": 7.5,
     "sampler.num_samples": 4,
     "sampler.lambda_antv": 0.03,
-    "sampler.lambda_bp": 0.03,
+    "sampler.lambda_bp": 0.005,
     "sampler.antv_window": 3,
     "sampler.antv_alpha": 1.0,
     "sampler.antv_sigma": 1.0,
@@ -104,7 +104,8 @@ def config_digest(config: dict[str, object]) -> str:
 
 
 def _write_json(obj: dict, path: Path) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    with dataio._replacing(path) as fh:
+        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -236,8 +237,9 @@ def cmd_train(args: argparse.Namespace) -> int:
             "n_test_windows": len(test_split),
         },
     )
-    (out / "schedule.json").write_text(schedule.to_json() + "\n")
-    with (out / "loss.csv").open("w") as fh:
+    with dataio._replacing(out / "schedule.json") as fh:
+        fh.write(schedule.to_json() + "\n")
+    with dataio._replacing(out / "loss.csv") as fh:
         fh.write("epoch,loss\n")
         for epoch, loss in enumerate(result.epoch_losses, start=1):
             fh.write(f"{epoch},{loss!r}\n")
@@ -289,7 +291,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         "seed": seed,
         "config_digest": config_digest(config),
     }
-    with (out / "samples.jsonl").open("w") as fh:
+    with dataio._replacing(out / "samples.jsonl") as fh:
         _emit_samples(fh, result, base)
     print(f"wrote {result.samples.shape[0]} samples and their mean to {out / 'samples.jsonl'}")
     return 0
@@ -387,11 +389,12 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     summary = evaluate.summarize_backtest(panel, k=k, result=result)
     summary["config_digest"] = config_digest(config)
     _write_json(summary, out / "summary.json")
-    with (out / "backtest.csv").open("w") as fh:
+    with dataio._replacing(out / "backtest.csv") as fh:
         fh.write("date,daily_return,cumulative_rr\n")
         for d, date in enumerate(result.dates):
             fh.write(f"{date},{result.daily_returns[d]!r},{result.cumulative[d]!r}\n")
-    (out / "equity.svg").write_text(_equity_svg(result.dates, result.cumulative))
+    with dataio._replacing(out / "equity.svg") as fh:
+        fh.write(_equity_svg(result.dates, result.cumulative))
     print(
         f"backtest over {len(result.dates)} dates: cumulative return "
         f"{result.cumulative_return:.4%}, turnover {result.turnover}"

@@ -8,6 +8,8 @@ inside the library itself.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class SeriesDiffError(Exception):
     """Base class for all package-specific errors."""
@@ -23,3 +25,11 @@ class DataError(SeriesDiffError, ValueError):
 
 class NumericError(SeriesDiffError, ArithmeticError):
     """A computation produced non-finite values or failed to converge."""
+
+
+def check_finite_rows(a: np.ndarray, what: str) -> None:
+    """Raise NumericError naming ``what``, the first non-finite row of the
+    (rows, n) array ``a`` and the count of such rows."""
+    bad = np.flatnonzero(~np.isfinite(a).all(axis=1))
+    if bad.size:
+        raise NumericError(f"{what} is non-finite in {bad.size} of {len(a)} rows, first row {bad[0]}")

@@ -76,10 +76,10 @@ def antv_weight(xi: float, xj: float, sigma: float) -> float:
     return math.exp(-(d * d) / (2.0 * sigma * sigma))
 
 
-def _check_series(x: np.ndarray) -> np.ndarray:
+def _check_series(x: np.ndarray, ndims: tuple[int, ...] = (1,)) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ParameterError("expected a non-empty 1-D series")
+    if x.ndim not in ndims or x.size == 0:
+        raise ParameterError(f"expected a non-empty {' or '.join(map(str, ndims))}-D series")
     return x
 
 
@@ -104,7 +104,8 @@ def antv_loss(x: np.ndarray, cfg: AntvConfig) -> float:
 
 
 def antv_step(x: np.ndarray, cfg: AntvConfig) -> np.ndarray:
-    """One sequential correction sweep; returns a new array.
+    """One sequential correction sweep of a series, or of each row of a
+    batch, as if swept alone; returns a new array.
 
     Centers are visited left to right.  Each center moves against the frozen
     partial gradient of its own neighborhood terms,
@@ -116,17 +117,17 @@ def antv_step(x: np.ndarray, cfg: AntvConfig) -> np.ndarray:
     for the step (their derivative is deliberately not applied here; see
     ``antv_exact_grad`` for the full gradient).
     """
-    x = _check_series(x).copy()
-    n = x.size
+    x = _check_series(x, (1, 2)).copy()
+    n = x.shape[-1]
     k = cfg.window
     two_s2 = 2.0 * cfg.sigma * cfg.sigma
     for i in range(n):
         lo = max(0, i - k)
         hi = min(n - 1, i + k)
-        d = x[lo : hi + 1] - x[i]
+        d = x[..., lo : hi + 1] - x[..., i, None]
         w = np.exp(-(d * d) / two_s2)
-        grad_i = -cfg.alpha * float(np.sum(np.sign(d) * w))
-        x[i] -= cfg.rate * grad_i
+        grad_i = -cfg.alpha * np.sum(np.sign(d) * w, axis=-1)
+        x[..., i] -= cfg.rate * grad_i
     return x
 
 
@@ -238,17 +239,19 @@ def bp_grad_step(
     By the DFT adjoint (F^H v = n * ifft(v)) the gradient is
     2n * (x - ifft(BandPass(F(reference)))), real for real inputs because the
     symmetric band keeps conjugate pairs together.  A single step at
-    rate = 1/(2n) therefore lands exactly on the band-limited reference.
+    rate = 1/(2n) therefore lands exactly on the band-limited reference, and
+    the step contracts toward it only for rate < 1/n.  ``x`` and
+    ``reference`` may be (rows, n) batches, each row with its own reference.
     """
     if not (rate > 0.0 and math.isfinite(rate)):
         raise ParameterError(f"rate must be positive, got {rate}")
-    x = _check_series(x)
-    reference = _check_series(reference)
+    x = _check_series(x, (1, 2))
+    reference = _check_series(reference, (1, 2))
     if x.shape != reference.shape:
         raise ParameterError(
             f"shape mismatch: x {x.shape} vs reference {reference.shape}"
         )
-    n = x.size
-    target = idft(band_pass(dft(reference), band)).real
+    n = x.shape[-1]
+    target = np.fft.ifft(np.fft.fft(reference) * band_mask(n, band)).real
     grad = 2.0 * n * (x - target)
     return x - rate * grad

@@ -2,19 +2,20 @@
 
 All samplers share the epsilon-parameterized network through
 ``guided_eps``, which blends conditional and unconditional predictions as
-omega * eps(x, t, c) + (1 - omega) * eps(x, t, NULL).  omega = 1 is exactly
-the conditional model and omega = 0 exactly the unconditional one; both
-endpoints skip the second network evaluation entirely so they are bitwise
-identical to the single-model calls.
+omega * eps(x, t, c) + (1 - omega) * eps(x, t, NULL), with the conditional
+rows and their NULL twins in one network call.  omega = 1 is exactly the
+conditional model and omega = 0 exactly the unconditional one; both
+endpoints skip the NULL twins entirely so they are bitwise identical to the
+single-model calls.
 
 The skip sampler jumps along a subsequence of steps through the predicted
 clean window; with sigma = 0 it is fully deterministic, and with sigma^2 equal
 to the posterior variance it reproduces the ancestral per-step mean, so the
 ancestral walk (``mode="ddpm"``) is the skip sampler over every step at eta = 1;
 ``ddpm_step`` stays as its single-step reference.  The last jump, to t = 0, has
-zero variance, so no noise is drawn there.  Between denoising steps
-``sample_one`` optionally applies the corrections from ``regularizers``;
-``sample_rows`` is the one place that gives each draw its random stream.
+zero variance, so no noise is drawn there.  One reverse loop over a (B, L)
+state serves every draw, with the corrections from ``regularizers`` between
+steps; ``sample_rows`` is the one place that gives each draw its stream.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NumericError, ParameterError
+from .errors import NumericError, ParameterError, check_finite_rows
 from .regularizers import AntvConfig, BandSpec, antv_step, bp_grad_step
 from .schedules import NoiseSchedule, SigmaLadder, forward_perturb
 from .scorenet import ConditionVector, ScoreNetworkParams, predict_eps
@@ -52,28 +53,31 @@ def guided_eps(
     params: ScoreNetworkParams,
     x_t: np.ndarray,
     t: int,
-    cond: ConditionVector | None,
+    cond: ConditionVector | None | Sequence[ConditionVector | None],
     omega: float,
 ) -> np.ndarray:
     """Classifier-free guided noise prediction.
 
-    Returns omega * eps(x, t, cond) + (1 - omega) * eps(x, t, NULL).  The
-    omega = 0 and omega = 1 endpoints evaluate the network once and return
-    that result unchanged.  A NULL condition with omega != 0 is rejected:
-    there is nothing to guide toward.
+    Returns omega * eps(x, t, cond) + (1 - omega) * eps(x, t, NULL) for one
+    (L,) window and condition, or a (B, L) batch with one condition per row,
+    whose rows and NULL twins go through one ``predict_eps`` call.  The
+    omega = 0 and omega = 1 endpoints evaluate the network once on the rows
+    as given and return that result unchanged.  A NULL condition with
+    omega != 0 is rejected: there is nothing to guide toward.
     """
     if not math.isfinite(omega):
         raise ParameterError(f"omega must be finite, got {omega}")
-    is_null = cond is None or cond.is_null
+    if np.ndim(x_t) == 1:
+        return guided_eps(params, np.asarray(x_t)[None], t, [cond], omega)[0]
+    B = len(x_t)
     if omega == 0.0:
-        return predict_eps(params, x_t, t, None)
-    if is_null:
+        return predict_eps(params, x_t, t, [None] * B)
+    if any(c is None or c.is_null for c in cond):
         raise ParameterError("guidance weight is nonzero but the condition is NULL")
     if omega == 1.0:
         return predict_eps(params, x_t, t, cond)
-    eps_cond = predict_eps(params, x_t, t, cond)
-    eps_uncond = predict_eps(params, x_t, t, None)
-    return omega * eps_cond + (1.0 - omega) * eps_uncond
+    eps = predict_eps(params, np.concatenate([x_t, x_t]), t, list(cond) + [None] * B)
+    return omega * eps[:B] + (1.0 - omega) * eps[B:]
 
 
 def ddpm_mean(
@@ -264,7 +268,7 @@ class SamplerConfig:
     lambda_antv : smoothing step size applied after each denoising step;
         0 disables.
     lambda_bp : spectral-anchor step size, used only when ``source`` is set;
-        0 disables.
+        0 disables; below 1/L, or the anchor diverges.
     antv_window/antv_alpha/antv_sigma : smoothing shape parameters.
     band : (low, high) frequency band of the spectral anchor.
     source : optional clean window; when set, sampling starts from a partial
@@ -335,6 +339,59 @@ def _jumps(schedule: NoiseSchedule, cfg: SamplerConfig) -> list[tuple[int, int, 
     ]
 
 
+def _reverse(
+    params: ScoreNetworkParams,
+    schedule: NoiseSchedule,
+    cfg: SamplerConfig,
+    conditions: Sequence[ConditionVector | None],
+    sources: Sequence[np.ndarray | None],
+    rngs: Sequence[np.random.Generator],
+) -> np.ndarray:
+    """The reverse loop over a (B, L) state.
+
+    Per step, in order: the guided noise prediction, the skip update, the
+    smoothing sweep (if enabled), and the spectral-anchor step on the rows
+    with a source.  Row i draws its initial state and its noise from ``rngs[i]``.
+    """
+    L = params.config.input_len
+    jumps = _jumps(schedule, cfg)
+    anchored = [i for i, src in enumerate(sources) if src is not None]
+    if anchored and cfg.lambda_bp >= 1.0 / L:
+        raise ParameterError(
+            f"lambda_bp={cfg.lambda_bp} must be below 1/L = {1.0 / L:.6g} (L={L}), "
+            "or the spectral anchor diverges"
+        )
+    x = np.empty((len(conditions), L))
+    for i, (src, rng) in enumerate(zip(sources, rngs)):
+        if src is None:
+            x[i] = rng.standard_normal(L)
+        elif src.shape != (L,):
+            raise ParameterError(f"source window has shape {src.shape}, expected ({L},)")
+        else:
+            x[i] = perturb_to_level(src, jumps[0][0], schedule, rng)
+    antv_cfg = None
+    if cfg.lambda_antv > 0.0:
+        antv_cfg = AntvConfig(
+            window=cfg.antv_window,
+            alpha=cfg.antv_alpha,
+            sigma=cfg.antv_sigma,
+            rate=cfg.lambda_antv,
+        )
+    band = BandSpec(int(cfg.band[0]), int(cfg.band[1])) if anchored else None
+    refs = np.array([sources[i] for i in anchored])
+    for t_cur, t_prev, sigma in jumps:
+        eps_hat = guided_eps(params, x, t_cur, conditions, cfg.guidance)
+        x = ddim_mean(x, t_cur, t_prev, eps_hat, schedule, sigma)
+        if sigma > 0.0:
+            x = x + sigma * np.array([rng.standard_normal(L) for rng in rngs])
+        if antv_cfg is not None:
+            x = antv_step(x, antv_cfg)
+        if band is not None and cfg.lambda_bp > 0.0:
+            x[anchored] = bp_grad_step(x[anchored], refs, band, cfg.lambda_bp)
+        check_finite_rows(x, f"sampler state after step t={t_cur}")
+    return x
+
+
 def sample_one(
     params: ScoreNetworkParams,
     schedule: NoiseSchedule,
@@ -344,40 +401,10 @@ def sample_one(
 ) -> np.ndarray:
     """Generate a single window with an externally supplied generator.
 
-    The denoising loop interleaves, in order per step: the guided noise
-    prediction, the skip update, the smoothing sweep (if enabled), and the
-    spectral-anchor step (if a source window is set).  Raises NumericError
-    with the offending step index if the state ever leaves the finite range.
+    The one-row reverse loop, with ``cfg.source`` as its donor.  Raises
+    NumericError with the offending step if the state leaves the finite range.
     """
-    L = params.config.input_len
-    jumps = _jumps(schedule, cfg)
-    if cfg.source is not None and cfg.source.shape != (L,):
-        raise ParameterError(
-            f"source window has shape {cfg.source.shape}, expected ({L},)"
-        )
-    if cfg.source is not None:
-        x = perturb_to_level(cfg.source, jumps[0][0], schedule, rng)
-    else:
-        x = rng.standard_normal(L)
-    antv_cfg = None
-    if cfg.lambda_antv > 0.0:
-        antv_cfg = AntvConfig(
-            window=cfg.antv_window,
-            alpha=cfg.antv_alpha,
-            sigma=cfg.antv_sigma,
-            rate=cfg.lambda_antv,
-        )
-    band = BandSpec(int(cfg.band[0]), int(cfg.band[1])) if cfg.source is not None else None
-    for t_cur, t_prev, sigma in jumps:
-        eps_hat = guided_eps(params, x, t_cur, condition, cfg.guidance)
-        x = ddim_step(x, t_cur, t_prev, eps_hat, schedule, sigma, rng)
-        if antv_cfg is not None:
-            x = antv_step(x, antv_cfg)
-        if band is not None and cfg.lambda_bp > 0.0:
-            x = bp_grad_step(x, cfg.source, band, cfg.lambda_bp)
-        if not np.all(np.isfinite(x)):
-            raise NumericError(f"sampler state became non-finite after step t={t_cur}")
-    return x
+    return _reverse(params, schedule, cfg, [condition], [cfg.source], [rng])[0]
 
 
 def sample_rows(
@@ -385,25 +412,26 @@ def sample_rows(
     schedule: NoiseSchedule,
     cfg: SamplerConfig,
     conditions: Sequence[ConditionVector | None],
-    sources: Sequence[np.ndarray] | None = None,
+    sources: Sequence[np.ndarray | None] | None = None,
 ) -> np.ndarray:
     """Draw one window per condition, as a (len(conditions), L) array.
 
-    Row i runs ``sample_one`` on child stream i spawned from ``cfg.seed``,
-    with ``conditions[i]`` and, when ``sources`` is given, donor window
-    ``sources[i]`` in place of ``cfg.source``.  Row i therefore does not
-    depend on how many rows are drawn.  ``cfg.num_samples`` is not read.
+    Row i is ``sample_one`` on child stream i spawned from ``cfg.seed``, with
+    ``conditions[i]`` and, when ``sources`` is given, donor window
+    ``sources[i]`` in place of ``cfg.source``; so it does not depend on how
+    many rows are drawn.  ``cfg.num_samples`` is not read.
     """
-    if sources is None:
-        sources = [cfg.source] * len(conditions)
+    # a config per donor checks each donor as it checks ``cfg.source``
+    sources = [cfg.source] * len(conditions) if sources is None else [
+        replace(cfg, source=src).source for src in sources
+    ]
     if len(sources) != len(conditions):
         raise ParameterError(f"{len(sources)} sources for {len(conditions)} conditions")
+    if not conditions:
+        return np.empty((0, params.config.input_len))
     streams = np.random.SeedSequence(cfg.seed).spawn(len(conditions))
-    rows = [
-        sample_one(params, schedule, replace(cfg, source=src), cond, np.random.default_rng(s))
-        for cond, src, s in zip(conditions, sources, streams)
-    ]
-    return np.array(rows, dtype=np.float64).reshape(len(rows), params.config.input_len)
+    rngs = [np.random.default_rng(s) for s in streams]
+    return _reverse(params, schedule, cfg, conditions, sources, rngs)
 
 
 def sample(

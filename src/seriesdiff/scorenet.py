@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataio import _replacing
-from .errors import DataError, NumericError, ParameterError
+from .errors import DataError, NumericError, ParameterError, check_finite_rows
 from .schedules import NoiseSchedule
 
 __all__ = [
@@ -298,14 +298,15 @@ def _encode_batch(
 def _forward(
     params: ScoreNetworkParams, x: np.ndarray, t: np.ndarray, cenc: np.ndarray
 ) -> tuple[np.ndarray, tuple]:
-    """Batched forward pass; x (B, L), t (B,), cenc (B, cond_dim) encodings.
+    """Batched forward pass; x (..., L), t (...), cenc (..., cond_dim) encodings,
+    with leading axes (B,) or (n_tiles, _TILE).
 
     Returns the output and the activations ``_backward`` reads:
     (x, temb, cenc, [(z, a1, v) per block], h) with h the last trunk state.
     """
     cfg = params.config
     kind = cfg.activation
-    temb = time_embedding(t, cfg.time_dim)
+    temb = time_embedding(t.ravel(), cfg.time_dim).reshape(t.shape + (cfg.time_dim,))
     h = x @ params.view("in_w").T + params.view("in_b")
     blocks = []
     for i in range(cfg.blocks):
@@ -368,37 +369,56 @@ def _backward(
 
 
 def _rows(params: ScoreNetworkParams, t: int, *windows: np.ndarray) -> list[np.ndarray]:
-    """Each window as a (1, input_len) float row, after checking its shape and t."""
+    """Each (L,) window or (B, L) batch as (B, L) floats, after checking its shape and t."""
     L = params.config.input_len
     rows = [np.asarray(w, dtype=np.float64) for w in windows]
     for r in rows:
-        if r.shape != (L,):
+        if r.ndim not in (1, 2) or r.shape[-1] != L:
             raise ParameterError(f"window shape {r.shape} does not match input_len {L}")
     if t < 1:
         raise ParameterError(f"t must be >= 1, got {t}")
-    return [r[None, :] for r in rows]
+    return [r.reshape(-1, L) for r in rows]
+
+
+# OpenBLAS rounds a row of a matrix product differently as the row count
+# changes, but rounds a row of an 8-row product the same in any slot and
+# beside any neighbours; so inference runs each row in a zero-padded 8-row tile.
+_TILE = 8
+
+
+def _tiles(a: np.ndarray) -> np.ndarray:
+    """The rows of ``a`` zero-padded to whole tiles, as (n_tiles, _TILE, ...)."""
+    padded = np.pad(a, [(0, -len(a) % _TILE)] + [(0, 0)] * (a.ndim - 1))
+    return padded.reshape((len(padded) // _TILE, _TILE) + a.shape[1:])
 
 
 def predict_eps(
     params: ScoreNetworkParams,
     x_t: np.ndarray,
     t: int,
-    cond: ConditionVector | None = None,
+    cond: ConditionVector | None | Sequence[ConditionVector | None] = None,
 ) -> np.ndarray:
-    """Predicted noise for one corrupted window at step t (None = NULL condition).
+    """Predicted noise for corrupted windows at step t (None = NULL condition).
 
-    The trunk reads ``cond.encoded`` as given.  The implied score is
+    ``x_t`` is one (L,) window with one condition, or a (B, L) batch with a
+    sequence of B conditions; row i does not depend on the other rows.  The
+    trunk reads each ``cond.encoded`` as given.  The implied score is
     -predict_eps(...) / sqrt(1 - alpha_bar_t).
     """
+    single = np.ndim(x_t) == 1
     (x,) = _rows(params, t, x_t)
+    conds = [cond] if single else cond
+    if not isinstance(conds, Sequence) or len(conds) != len(x):
+        raise ParameterError(f"{len(x)} windows need a sequence of {len(x)} conditions")
     cond_dim = params.config.cond_dim
-    cenc = np.zeros((1, cond_dim)) if cond is None else cond.encoded[None, :]
-    if cenc.shape != (1, cond_dim):
-        raise ParameterError(f"condition encoding shape {cenc.shape[1:]} is not ({cond_dim},)")
-    out = _forward(params, x, np.array([t]), cenc)[0][0]
-    if not np.all(np.isfinite(out)):
-        raise NumericError(f"network produced non-finite output at t={t}")
-    return out
+    enc = [np.zeros(cond_dim) if c is None else c.encoded for c in conds]
+    if any(e.shape != (cond_dim,) for e in enc):
+        raise ParameterError(f"a condition encoding is not of shape ({cond_dim},)")
+    cenc = np.array(enc).reshape(len(x), cond_dim)
+    tiled = _forward(params, _tiles(x), _tiles(np.full(len(x), t)), _tiles(cenc))[0]
+    out = tiled.reshape(-1, x.shape[1])[: len(x)]
+    check_finite_rows(out, f"network output at t={t}")
+    return out[0] if single else out
 
 
 def predict_eps_vjp(
@@ -412,12 +432,15 @@ def predict_eps_vjp(
 
     This is the building block the finite-difference tests drive directly.
     The condition is encoded again from its ids, since the gradient reaches
-    the condition MLP.
+    the condition MLP.  The window runs in a NULL-padded tile, as in ``predict_eps``.
     """
-    x, cot = _rows(params, t, x_t, cotangent)
+    if np.ndim(x_t) != 1:
+        raise ParameterError(f"predict_eps_vjp takes one window, got shape {np.shape(x_t)}")
+    x, cot = (_tiles(r)[0] for r in _rows(params, t, x_t, cotangent))
     ids = None if cond is None or cond.is_null else (cond.industry_id, cond.board_id)
-    cenc, mlp = _encode_batch(params, *_condition_arrays([ids], params.config))
-    out, acts = _forward(params, x, np.array([t]), cenc)
+    pad = [None] * (_TILE - 1)
+    cenc, mlp = _encode_batch(params, *_condition_arrays([ids] + pad, params.config))
+    out, acts = _forward(params, x, _tiles(np.array([t]))[0], cenc)
     return out[0], _backward(params, acts, mlp, cot)
 
 

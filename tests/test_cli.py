@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from seriesdiff import cli
 from seriesdiff.cli import DEFAULT_CONFIG, config_digest, load_config, main
 from seriesdiff import read_window_store
 from conftest import write_panel_csv, write_prices_csv
@@ -223,6 +224,25 @@ def test_augment_is_byte_identical_and_prefix_stable(tmp_path, prices_csv, fast_
     for x, y in zip(one, two):
         assert (x.ticker, x.start_date) == (y.ticker, y.start_date)
         assert np.array_equal(x.values, y.values)
+
+
+def test_failed_artifact_write_keeps_the_old_file(tmp_path, prices_csv, fast_config, monkeypatch):
+    run = _trained_run(tmp_path, prices_csv, fast_config)
+    out = tmp_path / "sampled"
+    argv = ("sample", run / "checkpoint.json", "--config", fast_config, "--seed", 2,
+            "--industry", 7, "--board", "STAR", "--out", out)
+    assert _run(*argv) == 0
+    before = (out / "samples.jsonl").read_bytes()
+
+    def broken(fh, result, base):
+        fh.write('{"half": ')
+        raise RuntimeError("write failed")
+
+    monkeypatch.setattr(cli, "_emit_samples", broken)
+    with pytest.raises(RuntimeError):
+        _run(*argv)
+    assert (out / "samples.jsonl").read_bytes() == before
+    assert [p.name for p in out.iterdir()] == ["samples.jsonl"]
 
 
 def test_augment_use_mean_averages_consecutive_draws(tmp_path, prices_csv, fast_config):

@@ -169,3 +169,20 @@ def test_band_spec_validation():
         BandSpec(3, 3)
     with pytest.raises(ParameterError):
         BandSpec(5, 2)
+
+
+def test_batched_corrections_match_rows():
+    rng = np.random.default_rng(5)
+    x = 0.7 * rng.standard_normal((87, 60))
+    ref = rng.standard_normal((87, 60))
+    cfg = AntvConfig(window=3, alpha=1.0, sigma=1.0, rate=0.03)
+    band = BandSpec(1, 10)
+    smoothed = antv_step(x, cfg)
+    anchored = bp_grad_step(x, ref, band, 0.005)
+    for i in range(87):
+        assert np.array_equal(smoothed[i], antv_step(x[i], cfg))
+        assert np.array_equal(anchored[i], bp_grad_step(x[i], ref[i], band, 0.005))
+    with pytest.raises(ParameterError):
+        bp_grad_step(x, ref[:3], band, 0.005)
+    with pytest.raises(ParameterError):
+        antv_step(x[None], cfg)

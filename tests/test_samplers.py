@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -31,6 +32,7 @@ from seriesdiff import (
     sample_one,
     sample_rows,
 )
+from seriesdiff.errors import check_finite_rows
 from seriesdiff.oracles import GaussianSpec, ve_perturbed_gaussian_score
 
 TINY = ScoreNetConfig(
@@ -317,3 +319,88 @@ def test_source_window_shape_checked():
                         lambda_bp=0.01, band=(0, 1), source=np.ones(5))
     with pytest.raises(ParameterError):
         sample_one(params, sch, cfg, None, np.random.default_rng(0))
+
+
+def test_sample_rows_matches_sample_one_across_tile_boundaries():
+    # guided rows and their NULL twins share one network call in 8-row tiles;
+    # every row must still be its own one-row draw, bit for bit
+    params = _noisy_params(12)
+    sch = make_linear_schedule(12, 1e-3, 0.1)
+    rng = np.random.default_rng(4)
+    cfg = SamplerConfig(mode="ddim", steps=6, eta=0.5, guidance=2.0, lambda_antv=0.05,
+                        antv_window=1, lambda_bp=0.1, band=(0, 1), seed=21)
+    for n in (1, 7, 8, 9, 17):
+        conds = [encode_condition(i % 3, i % 5, params) for i in range(n)]
+        sources = [None if i % 3 == 1 else np.cumsum(rng.standard_normal(3)) for i in range(n)]
+        rows = sample_rows(params, sch, cfg, conds, sources=sources)
+        streams = np.random.SeedSequence(21).spawn(n)
+        for i in range(n):
+            one = sample_one(params, sch, replace(cfg, source=sources[i]), conds[i],
+                             np.random.default_rng(streams[i]))
+            assert np.array_equal(rows[i], one), (n, i)
+
+
+def test_guided_eps_batch_matches_rows():
+    params = _noisy_params(13)
+    rng = np.random.default_rng(5)
+    for n in (1, 9, 17):
+        x = rng.standard_normal((n, 3))
+        conds = [encode_condition(i % 3, i % 5, params) for i in range(n)]
+        for omega in (0.0, 1.0, 7.5):
+            got = guided_eps(params, x, 4, conds, omega)
+            assert got.shape == (n, 3)
+            for i in range(n):
+                assert np.array_equal(got[i], guided_eps(params, x[i], 4, conds[i], omega))
+    with pytest.raises(ParameterError):
+        guided_eps(params, x[:2], 4, [conds[0], None], 7.5)
+
+
+def test_spectral_anchor_rate_must_contract():
+    # the anchor maps x - target to (1 - 2 L rate)(x - target): at rate >= 1/L
+    # it no longer contracts, and 50 steps at the old default of 0.03 with
+    # L = 60 grew windows to 1e21
+    params = _noisy_params(14)
+    sch = make_linear_schedule(12, 1e-3, 0.1)
+    source = np.array([0.3, -0.1, 0.5])
+    cfg = SamplerConfig(mode="ddim", steps=6, guidance=0.0, band=(0, 1), source=source,
+                        lambda_bp=1.0 / 3.0, seed=2)
+    with pytest.raises(ParameterError, match="1/L"):
+        sample_one(params, sch, cfg, None, np.random.default_rng(0))
+    with pytest.raises(ParameterError, match="1/L"):
+        sample_rows(params, sch, replace(cfg, source=None), [None, None],
+                    sources=[None, source])
+    below = replace(cfg, lambda_bp=0.33)
+    assert np.all(np.isfinite(sample_one(params, sch, below, None, np.random.default_rng(0))))
+    # without a donor the anchor never runs, so the rate is not checked
+    assert sample_rows(params, sch, replace(cfg, source=None), [None]).shape == (1, 3)
+
+
+def test_non_finite_state_names_step_and_rows():
+    params = _noisy_params(15)
+    sch = make_linear_schedule(12, 1e-3, 0.1)
+    cfg = SamplerConfig(mode="ddim", steps=6, guidance=0.0, lambda_antv=1e308,
+                        antv_window=1, seed=3)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericError) as err:
+            sample_rows(params, sch, cfg, [None] * 40)
+        msg = str(err.value)
+        assert len(msg) < 120
+        found = re.fullmatch(
+            r"sampler state after step t=(\d+) is non-finite in (\d+) of 40 rows, first row (\d+)",
+            msg,
+        )
+        assert found, msg
+        t, first = found.group(1), int(found.group(3))
+        # the named row, drawn alone on its stream, fails at the same step
+        stream = np.random.SeedSequence(3).spawn(40)[first]
+        with pytest.raises(NumericError, match=f"t={t} is non-finite in 1 of 1 rows"):
+            sample_one(params, sch, cfg, None, np.random.default_rng(stream))
+        huge = params.with_values(params.values * 1e200)
+        with pytest.raises(NumericError, match="network output at t=12"):
+            sample_rows(huge, sch, replace(cfg, lambda_antv=0.0), [None] * 3)
+    bad = np.zeros((8, 2))
+    bad[3, 1] = np.inf
+    bad[5, 0] = np.nan
+    with pytest.raises(NumericError, match="in 2 of 8 rows, first row 3"):
+        check_finite_rows(bad, "state")
+    check_finite_rows(np.zeros((8, 2)), "state")

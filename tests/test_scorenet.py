@@ -400,3 +400,21 @@ def test_checkpoint_layout_error_is_bounded(tmp_path):
     message = str(info.value)
     assert "extra_0000" in message and "extra_0999" not in message
     assert len(message) < 300
+
+
+def test_predict_eps_batch_matches_rows():
+    rng = np.random.default_rng(18)
+    params = init_params(TINY, rng)
+    params = params.with_values(params.values + 0.1 * rng.standard_normal(params.n_params))
+    for n in (1, 7, 8, 9, 17):
+        x = rng.standard_normal((n, 2))
+        conds = [None if i % 4 == 0 else encode_condition(i % 3, i % 5, params)
+                 for i in range(n)]
+        got = predict_eps(params, x, 3, conds)
+        assert got.shape == (n, 2)
+        for i in range(n):
+            assert np.array_equal(got[i], predict_eps(params, x[i], 3, conds[i]))
+    with pytest.raises(ParameterError):
+        predict_eps(params, x, 3, conds[:-1])  # one condition short
+    with pytest.raises(ParameterError):
+        predict_eps(params, x, 3, None)  # a batch needs one condition per row
