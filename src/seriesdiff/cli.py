@@ -59,7 +59,6 @@ DEFAULT_CONFIG: dict[str, object] = {
     "sampler.lambda_antv": 0.03,
     "sampler.lambda_bp": 0.005,
     "sampler.antv_window": 3,
-    "sampler.antv_alpha": 1.0,
     "sampler.antv_sigma": 1.0,
     "sampler.band_low": 1,
     "sampler.band_high": 10,

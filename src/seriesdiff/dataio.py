@@ -362,12 +362,13 @@ def _csv_rows(path: Path, header: list[str], what: str) -> Iterator[tuple[int, l
             raise DataError(f"{path}: expected header {','.join(header)}")
         n_rows = 0
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            fields = [cell.strip() for cell in row]
+            if not any(fields):
                 continue
-            if len(row) != 4:
-                raise DataError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
+            if len(fields) != 4:
+                raise DataError(f"{path}:{lineno}: expected 4 fields, got {len(fields)}")
             n_rows += 1
-            yield lineno, [cell.strip() for cell in row]
+            yield lineno, fields
     if not n_rows:
         raise DataError(f"{path}: no data rows")
 
@@ -492,7 +493,7 @@ def _window_to_obj(w: SeriesWindow) -> dict:
     return {
         "ticker": w.ticker,
         "start_date": w.start_date,
-        "values": [float(v) for v in w.values],
+        "values": w.values.tolist(),
         "mean": float(w.mean),
         "scale": float(w.scale),
         "industry_id": int(w.industry_id),

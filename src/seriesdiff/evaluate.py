@@ -79,17 +79,9 @@ def information_coefficient(predicted: np.ndarray, realized: np.ndarray) -> floa
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:
     """1-based ranks with ties sharing the average of their positions."""
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(v.size, dtype=np.float64)
-    i = 0
-    sv = v[order]
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and sv[j + 1] == sv[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(v, return_inverse=True, return_counts=True)
+    # a tie group ending at 1-based position c with n members averages to c - (n - 1) / 2
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def rank_ic(predicted: np.ndarray, realized: np.ndarray) -> float:
@@ -160,13 +152,17 @@ def read_panel_csv(path: str | Path) -> PredictionPanel:
         cells[(date, ticker)] = (score, ret)
     dates = sorted({d for d, _ in cells})
     tickers = sorted({t for _, t in cells})
-    scores = np.empty((len(dates), len(tickers)))
-    returns = np.empty((len(dates), len(tickers)))
-    for i, d in enumerate(dates):
-        for j, t in enumerate(tickers):
-            if (d, t) not in cells:
-                raise DataError(f"{path}: missing cell for ({d}, {t}); the grid must be full")
-            scores[i, j], returns[i, j] = cells[(d, t)]
+    D, N = len(dates), len(tickers)
+    # cells are unique, so the grid is full exactly when there are D * N of them
+    if len(cells) != D * N:
+        d, t = next((d, t) for d in dates for t in tickers if (d, t) not in cells)
+        raise DataError(f"{path}: missing cell for ({d}, {t}); the grid must be full")
+    row = {d: i for i, d in enumerate(dates)}
+    col = {t: j for j, t in enumerate(tickers)}
+    scores, returns = np.empty((2, D, N))
+    for (d, t), (score, ret) in cells.items():
+        i, j = row[d], col[t]
+        scores[i, j], returns[i, j] = score, ret
     return PredictionPanel(dates=dates, tickers=tickers, scores=scores, returns=returns)
 
 
@@ -290,7 +286,7 @@ def momentum_panel(
     scores = np.empty((len(usable), len(records)))
     returns = np.empty((len(usable), len(records)))
     for i, date in enumerate(usable):
-        di = dates.index(date)
+        di = lookback + i
         for j, lookup in enumerate(by_date):
             now = lookup[date]
             past = lookup[dates[di - lookback]]

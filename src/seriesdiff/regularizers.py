@@ -181,21 +181,23 @@ class BandSpec:
             )
 
 
+def _last_axis(a: np.ndarray, dtype: type | None = None) -> np.ndarray:
+    a = np.asarray(a, dtype=dtype)
+    if a.ndim == 0 or a.size == 0:
+        raise ParameterError("expected a non-empty array, transformed along its last axis")
+    return a
+
+
 def dft(x: np.ndarray) -> np.ndarray:
-    """Forward DFT (numpy FFT fast path; tests pin it to direct summation)."""
-    x = np.asarray(x)
-    if x.ndim != 1 or x.size == 0:
-        raise ParameterError("expected a non-empty 1-D array")
-    return np.fft.fft(x)
+    """Forward DFT along the last axis (numpy FFT fast path; tests pin it to
+    direct summation)."""
+    return np.fft.fft(_last_axis(x))
 
 
 def idft(spectrum: np.ndarray) -> np.ndarray:
-    """Inverse DFT; returns a complex array, imaginary parts near zero for
-    conjugate-symmetric input."""
-    spectrum = np.asarray(spectrum)
-    if spectrum.ndim != 1 or spectrum.size == 0:
-        raise ParameterError("expected a non-empty 1-D array")
-    return np.fft.ifft(spectrum)
+    """Inverse DFT along the last axis; returns a complex array, imaginary
+    parts near zero for conjugate-symmetric input."""
+    return np.fft.ifft(_last_axis(spectrum))
 
 
 def band_mask(n: int, band: BandSpec) -> np.ndarray:
@@ -212,11 +214,10 @@ def band_mask(n: int, band: BandSpec) -> np.ndarray:
 
 
 def band_pass(spectrum: np.ndarray, band: BandSpec) -> np.ndarray:
-    """Zero every spectrum bin outside the symmetric band; DC survives only if low == 0."""
-    spectrum = np.asarray(spectrum, dtype=np.complex128)
-    if spectrum.ndim != 1 or spectrum.size == 0:
-        raise ParameterError("expected a non-empty 1-D spectrum")
-    return spectrum * band_mask(spectrum.size, band)
+    """Zero every bin outside the symmetric band along the last axis; DC
+    survives only if low == 0."""
+    spectrum = _last_axis(spectrum, np.complex128)
+    return spectrum * band_mask(spectrum.shape[-1], band)
 
 
 def bp_loss(x: np.ndarray, reference: np.ndarray, band: BandSpec) -> float:
@@ -252,6 +253,6 @@ def bp_grad_step(
             f"shape mismatch: x {x.shape} vs reference {reference.shape}"
         )
     n = x.shape[-1]
-    target = np.fft.ifft(np.fft.fft(reference) * band_mask(n, band)).real
+    target = idft(band_pass(dft(reference), band)).real
     grad = 2.0 * n * (x - target)
     return x - rate * grad

@@ -21,7 +21,7 @@ steps; ``sample_rows`` is the one place that gives each draw its stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -115,14 +115,12 @@ def ddpm_step(
     return mean + math.sqrt(var) * rng.standard_normal(x_t.shape)
 
 
-def make_subsequence(T: int, n_steps: int, strategy: str = "uniform") -> np.ndarray:
+def make_subsequence(T: int, n_steps: int) -> np.ndarray:
     """Increasing step subsequence of length ``n_steps`` ending exactly at T.
 
-    The uniform strategy uses stride floor(T / n_steps) counted back from T:
+    Uniform stride floor(T / n_steps) counted back from T:
     T=400, n_steps=50 gives 8, 16, ..., 400.  n_steps = T returns 1..T.
     """
-    if strategy != "uniform":
-        raise ParameterError(f"unknown subsequence strategy {strategy!r}")
     if not 1 <= n_steps <= T:
         raise ParameterError(f"n_steps={n_steps} outside [1, {T}]")
     stride = T // n_steps
@@ -251,7 +249,7 @@ def perturb_to_level(
     return forward_perturb(x0, t, rng.standard_normal(x0.shape), schedule)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SamplerConfig:
     """Settings of the high-level sampling loop.
 
@@ -265,15 +263,12 @@ class SamplerConfig:
     guidance : classifier-free guidance weight omega.
     num_samples : how many windows ``sample`` draws; ``sample_rows`` draws
         one per condition and does not read it.
-    lambda_antv : smoothing step size applied after each denoising step;
-        0 disables.
-    lambda_bp : spectral-anchor step size, used only when ``source`` is set;
-        0 disables; below 1/L, or the anchor diverges.
-    antv_window/antv_alpha/antv_sigma : smoothing shape parameters.
+    lambda_antv : smoothing step size applied after each denoising step (the
+        sweep's strength, at kernel weight alpha = 1); 0 disables.
+    lambda_bp : spectral-anchor step size, used only on rows with a donor
+        window; 0 disables; below 1/L, or the anchor diverges.
+    antv_window/antv_sigma : smoothing shape parameters.
     band : (low, high) frequency band of the spectral anchor.
-    source : optional clean window; when set, sampling starts from a partial
-        corruption of it instead of pure noise, and the spectral anchor pulls
-        toward its band-limited spectrum.
     seed : base seed; row i of ``sample_rows`` runs on the i-th spawned child
         stream.
     """
@@ -286,10 +281,8 @@ class SamplerConfig:
     lambda_antv: float = 0.0
     lambda_bp: float = 0.0
     antv_window: int = 3
-    antv_alpha: float = 1.0
     antv_sigma: float = 1.0
     band: tuple[int, int] = (1, 10)
-    source: np.ndarray | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -305,11 +298,6 @@ class SamplerConfig:
             raise ParameterError(f"num_samples must be >= 1, got {self.num_samples}")
         if self.lambda_antv < 0.0 or self.lambda_bp < 0.0:
             raise ParameterError("correction step sizes must be >= 0")
-        if self.source is not None:
-            src = np.asarray(self.source, dtype=np.float64)
-            if src.ndim != 1 or src.size == 0 or not np.all(np.isfinite(src)):
-                raise ParameterError("source must be a finite non-empty 1-D window")
-            object.__setattr__(self, "source", src)
 
 
 @dataclass(frozen=True)
@@ -351,7 +339,7 @@ def _reverse(
 
     Per step, in order: the guided noise prediction, the skip update, the
     smoothing sweep (if enabled), and the spectral-anchor step on the rows
-    with a source.  Row i draws its initial state and its noise from ``rngs[i]``.
+    with a donor.  Row i draws its initial state and its noise from ``rngs[i]``.
     """
     L = params.config.input_len
     jumps = _jumps(schedule, cfg)
@@ -365,20 +353,21 @@ def _reverse(
     for i, (src, rng) in enumerate(zip(sources, rngs)):
         if src is None:
             x[i] = rng.standard_normal(L)
-        elif src.shape != (L,):
-            raise ParameterError(f"source window has shape {src.shape}, expected ({L},)")
-        else:
-            x[i] = perturb_to_level(src, jumps[0][0], schedule, rng)
+            continue
+        src = np.asarray(src, dtype=np.float64)
+        if src.shape != (L,) or not np.all(np.isfinite(src)):
+            raise ParameterError(
+                f"donor window of row {i} must be finite with shape ({L},), got {src.shape}"
+            )
+        x[i] = perturb_to_level(src, jumps[0][0], schedule, rng)
     antv_cfg = None
     if cfg.lambda_antv > 0.0:
+        # the sweep moves by rate * alpha * (sign sum): lambda_antv alone sets its strength
         antv_cfg = AntvConfig(
-            window=cfg.antv_window,
-            alpha=cfg.antv_alpha,
-            sigma=cfg.antv_sigma,
-            rate=cfg.lambda_antv,
+            window=cfg.antv_window, alpha=1.0, sigma=cfg.antv_sigma, rate=cfg.lambda_antv
         )
     band = BandSpec(int(cfg.band[0]), int(cfg.band[1])) if anchored else None
-    refs = np.array([sources[i] for i in anchored])
+    refs = np.array([sources[i] for i in anchored], dtype=np.float64)
     for t_cur, t_prev, sigma in jumps:
         eps_hat = guided_eps(params, x, t_cur, conditions, cfg.guidance)
         x = ddim_mean(x, t_cur, t_prev, eps_hat, schedule, sigma)
@@ -398,13 +387,17 @@ def sample_one(
     cfg: SamplerConfig,
     condition: ConditionVector | None,
     rng: np.random.Generator,
+    source: np.ndarray | None = None,
 ) -> np.ndarray:
     """Generate a single window with an externally supplied generator.
 
-    The one-row reverse loop, with ``cfg.source`` as its donor.  Raises
-    NumericError with the offending step if the state leaves the finite range.
+    The one-row reverse loop.  ``source`` is an optional clean donor window:
+    sampling then starts from a partial corruption of it instead of pure
+    noise, and the spectral anchor pulls toward its band-limited spectrum.
+    Raises NumericError with the offending step if the state leaves the
+    finite range.
     """
-    return _reverse(params, schedule, cfg, [condition], [cfg.source], [rng])[0]
+    return _reverse(params, schedule, cfg, [condition], [source], [rng])[0]
 
 
 def sample_rows(
@@ -417,14 +410,11 @@ def sample_rows(
     """Draw one window per condition, as a (len(conditions), L) array.
 
     Row i is ``sample_one`` on child stream i spawned from ``cfg.seed``, with
-    ``conditions[i]`` and, when ``sources`` is given, donor window
-    ``sources[i]`` in place of ``cfg.source``; so it does not depend on how
-    many rows are drawn.  ``cfg.num_samples`` is not read.
+    ``conditions[i]`` and donor window ``sources[i]`` (None, or no
+    ``sources``, means no donor); so it does not depend on how many rows are
+    drawn.  ``cfg.num_samples`` is not read.
     """
-    # a config per donor checks each donor as it checks ``cfg.source``
-    sources = [cfg.source] * len(conditions) if sources is None else [
-        replace(cfg, source=src).source for src in sources
-    ]
+    sources = [None] * len(conditions) if sources is None else list(sources)
     if len(sources) != len(conditions):
         raise ParameterError(f"{len(sources)} sources for {len(conditions)} conditions")
     if not conditions:

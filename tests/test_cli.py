@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,12 +53,24 @@ def test_load_config_defaults_and_overrides(fast_config):
     assert cfg["sampler.guidance"] == 7.5  # untouched default survives
 
 
+def test_readme_config_table_lists_exactly_the_default_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = []
+    for group, keys in re.findall(r"^\| ([a-z]+) \| (.+) \|$", readme, flags=re.M):
+        listed += [f"{group}.{key}" for key in re.findall(r"`([a-z_]+)` \(", keys)]
+    assert len(listed) == len(set(listed))
+    assert set(listed) == set(DEFAULT_CONFIG)
+
+
 def test_load_config_rejects_junk(tmp_path):
     from seriesdiff import ParameterError
 
     p = tmp_path / "c.json"
     p.write_text('{"data.windom": 30}')
     with pytest.raises(ParameterError, match="windom"):
+        load_config(str(p))
+    p.write_text('{"sampler.antv_alpha": 1.0}')  # removed key: lambda_antv sets the strength
+    with pytest.raises(ParameterError, match="antv_alpha"):
         load_config(str(p))
     p.write_text('{"data.window": "wide"}')
     with pytest.raises(ParameterError):

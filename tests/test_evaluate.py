@@ -120,8 +120,19 @@ def test_read_panel_csv(tmp_path, panel_csv):
         "2022-01-02,A,0.2,0.02\n"
         "2022-01-01,B,0.1,0.00\n"
     )
-    with pytest.raises(DataError, match="grid"):
+    with pytest.raises(DataError, match=r"missing cell for \(2022-01-02, B\); the grid must"):
         read_panel_csv(p)
+
+    p.write_text(
+        "date,ticker,score,realized_return\n"
+        "2022-01-02,A,0.2,0.02\n"
+        "2022-01-01,B,0.1,0.00\n"
+        "2022-01-02,B,0.3,-0.01\n"
+        "2022-01-01,A,0.5,0.01\n"
+    )
+    panel = read_panel_csv(p)
+    assert panel.scores.tolist() == [[0.5, 0.1], [0.2, 0.3]]
+    assert panel.returns.tolist() == [[0.01, 0.00], [0.02, -0.01]]
 
     p.write_text(
         "date,ticker,score,realized_return\n"

@@ -115,6 +115,13 @@ def test_band_pass_idempotent_and_zero_outside():
     once = band_pass(spec, band)
     assert np.array_equal(band_pass(once, band), once)
     assert np.all(once[~band_mask(16, band)] == 0.0)
+    # a (rows, n) batch is transformed and masked row by row along its last axis
+    xs = rng.standard_normal((3, 16))
+    batch = idft(band_pass(dft(xs), band))
+    for row, got in zip(xs, batch):
+        assert np.array_equal(got, idft(band_pass(dft(row), band)))
+    with pytest.raises(ParameterError):
+        dft(np.float64(1.0))
 
 
 def test_dft_round_trip_and_parseval():
