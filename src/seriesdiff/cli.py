@@ -24,8 +24,6 @@ from . import dataio, evaluate, samplers, scorenet
 from .errors import DataError, NumericError, ParameterError
 from .schedules import NoiseSchedule, make_linear_schedule, schedule_from_dict
 
-logger = logging.getLogger(__name__)
-
 __all__ = ["main", "DEFAULT_CONFIG"]
 
 DEFAULT_CONFIG: dict[str, object] = {
@@ -113,22 +111,15 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
-def _schedule_from_config(config: dict[str, object]) -> NoiseSchedule:
-    return make_linear_schedule(
-        config["schedule.steps"], config["schedule.beta_start"], config["schedule.beta_end"]
-    )
-
-
-def _load_schedule_for(checkpoint_path: str, override: str | None) -> NoiseSchedule:
-    """The schedule saved next to the checkpoint at train time, or an explicit file."""
-    path = Path(override) if override else Path(checkpoint_path).parent / "schedule.json"
-    if not path.exists():
-        raise DataError(f"schedule file {path} does not exist")
+def _load_model(args: argparse.Namespace) -> tuple[scorenet.ScoreNetworkParams, NoiseSchedule]:
+    """The checkpoint and the schedule saved beside it at train time (or ``--schedule``)."""
+    params = scorenet.load_checkpoint(args.checkpoint)
+    path = Path(args.schedule or Path(args.checkpoint).parent / "schedule.json")
+    obj = dataio._read_json(path, "schedule file")
     try:
-        obj = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"schedule file {path} is not valid JSON: {exc}") from exc
-    return schedule_from_dict(obj)
+        return params, schedule_from_dict(obj)
+    except ParameterError as exc:
+        raise DataError(f"schedule file {path} is invalid: {exc}") from exc
 
 
 def _parse_board(text: str) -> dataio.Board:
@@ -168,10 +159,6 @@ def _group(config: dict[str, object], prefix: str) -> dict[str, object]:
     return {key[len(head):]: value for key, value in config.items() if key.startswith(head)}
 
 
-def _net_config(config: dict[str, object], input_len: int) -> scorenet.ScoreNetConfig:
-    return scorenet.ScoreNetConfig(input_len=input_len, **_group(config, "net"))
-
-
 def _sampler_config(config: dict[str, object], seed: int) -> samplers.SamplerConfig:
     fields = _group(config, "sampler")
     fields["band"] = (fields.pop("band_low"), fields.pop("band_high"))
@@ -196,7 +183,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     dataio.write_window_store(windows, out / "windows.jsonl")
     manifest = {"config_digest": config_digest(config), **report}
     _write_json(manifest, out / "manifest.json")
-    logger.info("ingested %d windows from %d records", len(windows), len(records))
     print(f"wrote {len(windows)} windows to {out / 'windows.jsonl'}")
     return 0
 
@@ -217,13 +203,15 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     windows = np.stack([w.values for w in train_split])
     conditions = [w.condition for w in train_split]
-    schedule = _schedule_from_config(config)
+    schedule = make_linear_schedule(
+        config["schedule.steps"], config["schedule.beta_start"], config["schedule.beta_end"]
+    )
     result = scorenet.train(
         windows,
         conditions,
         schedule,
         scorenet.TrainConfig(seed=seed, **_group(config, "train")),
-        net_config=_net_config(config, length),
+        net_config=scorenet.ScoreNetConfig(input_len=length, **_group(config, "net")),
     )
     digest = config_digest(config)
     scorenet.save_checkpoint(
@@ -265,8 +253,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     seed = _require_seed(args)
     out = _out_dir(args)
-    params = scorenet.load_checkpoint(args.checkpoint)
-    schedule = _load_schedule_for(args.checkpoint, args.schedule)
+    params, schedule = _load_model(args)
     if (args.industry is None) != (args.board is None):
         raise ParameterError("--industry and --board must be given together")
     if args.industry is None:
@@ -300,8 +287,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     seed = _require_seed(args)
     out = _out_dir(args)
-    params = scorenet.load_checkpoint(args.checkpoint)
-    schedule = _load_schedule_for(args.checkpoint, args.schedule)
+    params, schedule = _load_model(args)
     store = dataio.read_window_store(args.store)
     board = _parse_board(args.board)
     real, synth = _parse_ratio(args.ratio)
@@ -408,28 +394,22 @@ def cmd_report(args: argparse.Namespace) -> int:
     out = Path(args.out) if args.out else run_dir
     out.mkdir(parents=True, exist_ok=True)
     report: dict[str, object] = {}
-    manifest = run_dir / "manifest.json"
-    if manifest.exists():
-        report["ingest"] = json.loads(manifest.read_text())
-    augment_manifest = run_dir / "augment_manifest.json"
-    if augment_manifest.exists():
-        report["augment"] = json.loads(augment_manifest.read_text())
-    checkpoint = run_dir / "checkpoint.json"
-    if checkpoint.exists():
-        report["train"] = scorenet.read_checkpoint_meta(checkpoint)
+    for section, name in (("ingest", "manifest.json"), ("augment", "augment_manifest.json"),
+                          ("backtest", "summary.json")):
+        if (run_dir / name).exists():
+            report[section] = dataio._read_json(run_dir / name, name)
+    if (run_dir / "checkpoint.json").exists():
+        report["train"] = scorenet.read_checkpoint_meta(run_dir / "checkpoint.json")
     loss_csv = run_dir / "loss.csv"
-    if loss_csv.exists():
-        lines = [ln for ln in loss_csv.read_text().splitlines()[1:] if ln]
-        losses = [float(ln.split(",")[1]) for ln in lines]
-        if losses:
-            report["loss"] = {
-                "epochs": len(losses),
-                "first": losses[0],
-                "last": losses[-1],
-            }
-    summary = run_dir / "summary.json"
-    if summary.exists():
-        report["backtest"] = json.loads(summary.read_text())
+    rows = loss_csv.read_text(errors="replace").splitlines()[1:] if loss_csv.exists() else []
+    losses = []
+    for lineno, row in enumerate(rows, start=2):
+        try:
+            losses.append(float(row.split(",")[1]))
+        except (IndexError, ValueError):
+            raise DataError(f"{loss_csv}:{lineno}: malformed loss row {row[:40]!r}") from None
+    if losses:
+        report["loss"] = {"epochs": len(losses), "first": losses[0], "last": losses[-1]}
     if not report:
         raise DataError(f"no known artifacts found under {run_dir}")
     _write_json(report, out / "report.json")
@@ -445,13 +425,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, out_default: str | None = None) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON file of dotted config keys")
         p.add_argument("--seed", type=int, help="random seed (required to train/sample/augment)")
-        if out_default is None:
-            p.add_argument("--out", required=True, help="output directory")
-        else:
-            p.add_argument("--out", default=out_default, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("ingest", help="CSV of closes -> repaired, windowed store")
     p.add_argument("csv", help="long-format close CSV")

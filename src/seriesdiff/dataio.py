@@ -519,6 +519,17 @@ def _replacing(path: str | Path) -> Iterator[TextIO]:
         tmp.unlink(missing_ok=True)
 
 
+def _read_json(path: str | Path, what: str) -> dict:
+    """The JSON object stored at ``path``, or a DataError naming ``what`` and the path."""
+    try:
+        obj = json.loads(Path(path).read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise DataError(f"{what} {path} does not hold a JSON object")
+    return obj
+
+
 def write_window_store(windows: list[SeriesWindow], path: str | Path) -> None:
     """Write windows as JSON lines, one object per window, in the given order.
 

@@ -25,13 +25,13 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .dataio import _replacing
+from .dataio import _read_json, _replacing
 from .errors import DataError, NumericError, ParameterError, check_finite_rows
 from .schedules import NoiseSchedule
 
@@ -187,9 +187,6 @@ class ScoreNetworkParams:
     def names(self) -> list[str]:
         return list(self._offsets)
 
-    def copy(self) -> "ScoreNetworkParams":
-        return ScoreNetworkParams(config=self.config, values=self.values.copy())
-
     def with_values(self, values: np.ndarray) -> "ScoreNetworkParams":
         return ScoreNetworkParams(config=self.config, values=values)
 
@@ -207,9 +204,7 @@ def init_params(cfg: ScoreNetConfig, rng: np.random.Generator) -> ScoreNetworkPa
         size = math.prod(shape)
         if name == "embed":
             chunks.append(0.1 * rng.standard_normal(size))
-        elif name.endswith(("_b1", "_b2", "_b3", "in_b", "out_b")) or len(shape) == 1:
-            chunks.append(np.zeros(size))
-        elif name == "out_w" or name.endswith("_w2") and name.startswith("blk"):
+        elif len(shape) == 1 or name == "out_w" or name.startswith("blk") and name.endswith("_w2"):
             chunks.append(np.zeros(size))
         else:
             fan_in = shape[-1]
@@ -674,10 +669,7 @@ def save_checkpoint(
 
 
 def _read_checkpoint(path: str | Path) -> dict:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
+    payload = _read_json(path, "checkpoint")
     version = payload.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise DataError(
@@ -688,11 +680,14 @@ def _read_checkpoint(path: str | Path) -> dict:
 
 
 def load_checkpoint(path: str | Path) -> ScoreNetworkParams:
-    """Rebuild parameters from ``save_checkpoint`` output, verifying every shape."""
+    """Rebuild parameters from ``save_checkpoint`` output, verifying every shape.
+
+    An unreadable file, a malformed config or an array off the layout is a DataError.
+    """
     payload = _read_checkpoint(path)
     try:
         cfg = ScoreNetConfig(**payload["config"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ParameterError) as exc:
         raise DataError(f"checkpoint {path} has a malformed config: {exc}") from exc
     arrays = payload.get("arrays", {})
     layout = _param_layout(cfg)

@@ -273,3 +273,67 @@ def test_augment_use_mean_averages_consecutive_draws(tmp_path, prices_csv, fast_
     _augment(run, fast_config, tmp_path / "again", "BSE", "1:1", "--use-mean")
     assert ((tmp_path / "mean" / "augmented.jsonl").read_bytes()
             == (tmp_path / "again" / "augmented.jsonl").read_bytes())
+
+
+def _untrained_run(tmp_path, prices_csv):
+    # train.epochs 0 saves the initial parameters and a header-only loss.csv
+    config = tmp_path / "zero_epochs.json"
+    config.write_text(json.dumps(dict(FAST, **{"train.epochs": 0})))
+    run = tmp_path / "run"
+    assert _run("ingest", prices_csv, "--config", config, "--out", run) == 0
+    assert _run("train", run / "windows.jsonl", "--config", config,
+                "--seed", 1, "--out", run) == 0
+    return run, config
+
+
+def _data_error(capsys, *argv) -> str:
+    """Run a command that must fail as a data error; return its one stderr line."""
+    capsys.readouterr()
+    assert _run(*argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1
+    return err
+
+
+def test_report_without_loss_rows_has_no_loss_section(tmp_path, prices_csv):
+    run, _ = _untrained_run(tmp_path, prices_csv)
+    assert (run / "loss.csv").read_text() == "epoch,loss\n"
+    assert _run("report", run) == 0
+    report = json.loads((run / "report.json").read_text())
+    assert set(report) == {"ingest", "train"}
+
+
+def test_report_corrupt_artifact_is_a_data_error(tmp_path, prices_csv, panel_csv, capsys):
+    run, config = _untrained_run(tmp_path, prices_csv)
+    assert _run("backtest", panel_csv, "--config", config, "--out", run) == 0
+    (run / "augment_manifest.json").write_text(json.dumps({"board": "MAIN"}))
+    assert _run("report", run) == 0
+    for name in ("manifest.json", "augment_manifest.json", "summary.json"):
+        good = (run / name).read_text()
+        (run / name).write_text(good[: len(good) // 2])
+        assert name in _data_error(capsys, "report", run)
+        (run / name).write_text(good)
+    for row in (b"1,abc", b"1,\xff"):
+        (run / "loss.csv").write_bytes(b"epoch,loss\n" + row + b"\n")
+        assert "loss.csv:2" in _data_error(capsys, "report", run)
+
+
+def test_sample_with_a_corrupt_model_is_a_data_error(tmp_path, prices_csv, capsys):
+    run, config = _untrained_run(tmp_path, prices_csv)
+    argv = ("sample", run / "checkpoint.json", "--config", config, "--seed", 2,
+            "--industry", 7, "--board", "STAR", "--out", tmp_path / "sampled")
+    assert _run(*argv) == 0
+
+    schedule = json.loads((run / "schedule.json").read_text())
+    (run / "schedule.json").write_text(
+        json.dumps(dict(schedule, beta=schedule["beta"][::-1]))
+    )
+    assert "schedule.json" in _data_error(capsys, *argv)
+    (run / "schedule.json").unlink()
+    assert "schedule.json" in _data_error(capsys, *argv)
+    (run / "schedule.json").write_text(json.dumps(schedule))
+
+    checkpoint = json.loads((run / "checkpoint.json").read_text())
+    checkpoint["config"]["width"] = 0
+    (run / "checkpoint.json").write_text(json.dumps(checkpoint))
+    assert "checkpoint.json" in _data_error(capsys, *argv)

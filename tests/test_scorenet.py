@@ -418,3 +418,14 @@ def test_predict_eps_batch_matches_rows():
         predict_eps(params, x, 3, conds[:-1])  # one condition short
     with pytest.raises(ParameterError):
         predict_eps(params, x, 3, None)  # a batch needs one condition per row
+
+
+def test_checkpoint_with_an_invalid_config_is_a_data_error(tmp_path):
+    params = init_params(TINY, np.random.default_rng(19))
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(params, path)
+    payload = json.loads(path.read_text())
+    payload["config"]["width"] = 0
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match="malformed config"):
+        load_checkpoint(path)
