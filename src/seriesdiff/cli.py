@@ -16,6 +16,7 @@ import hashlib
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -69,15 +70,10 @@ def load_config(path: str | None) -> dict[str, object]:
     config = dict(DEFAULT_CONFIG)
     if path is None:
         return config
-    p = Path(path)
-    if not p.exists():
-        raise ParameterError(f"config file {p} does not exist")
     try:
-        overrides = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"config file {p} is not valid JSON: {exc}") from exc
-    if not isinstance(overrides, dict):
-        raise ParameterError(f"config file {p} must hold a JSON object")
+        overrides = dataio._read_json(path, "config file")
+    except DataError as exc:  # a config the run cannot read is a configuration error
+        raise ParameterError(str(exc)) from exc
     for key, value in overrides.items():
         if key not in DEFAULT_CONFIG:
             raise ParameterError(f"unknown config key {key!r}")
@@ -311,16 +307,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
     )
     values = rows.reshape(n_synth, k, length).mean(axis=1)
     synthetic = [
-        dataio.SeriesWindow(
-            ticker=w.ticker,
-            start_date=w.start_date,
-            values=v,
-            mean=0.0,
-            scale=1.0,
-            industry_id=w.industry_id,
-            board=w.board,
-            synthetic=True,
-        )
+        replace(w, values=v, mean=0.0, scale=1.0, synthetic=True)
         for w, v in zip(donors[::k], values)
     ]
     dataio.write_window_store(list(store) + synthetic, out / "augmented.jsonl")
@@ -391,8 +378,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
     if not run_dir.is_dir():
         raise DataError(f"run directory {run_dir} does not exist")
-    out = Path(args.out) if args.out else run_dir
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args) if args.out else run_dir
     report: dict[str, object] = {}
     for section, name in (("ingest", "manifest.json"), ("augment", "augment_manifest.json"),
                           ("backtest", "summary.json")):

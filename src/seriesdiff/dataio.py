@@ -20,6 +20,7 @@ import enum
 import json
 import math
 import os
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -121,19 +122,9 @@ class StockRecord:
 
 def _nan_runs(mask: np.ndarray) -> list[tuple[int, int]]:
     """Maximal runs of True as half-open (start, stop) index pairs."""
-    runs: list[tuple[int, int]] = []
-    i = 0
-    n = mask.shape[0]
-    while i < n:
-        if mask[i]:
-            j = i
-            while j < n and mask[j]:
-                j += 1
-            runs.append((i, j))
-            i = j
-        else:
-            i += 1
-    return runs
+    # with a False on each side, the mask flips at every start and every stop
+    edges = np.flatnonzero(np.diff(np.pad(mask, 1))).tolist()
+    return list(zip(edges[0::2], edges[1::2]))
 
 
 def repair_suspensions(
@@ -178,12 +169,9 @@ def repair_suspensions(
         longest = max(longest, gap)
         if gap > max_interp_gap:
             n_long += 1
-        if stop == close.shape[0]:
-            # Trailing suspension: no right bracket, forward fill regardless of length.
-            close[start:stop] = close[start - 1]
-            n_ffill += 1
-            notes.append(f"forward-filled trailing gap of {gap} days at {dates[start]}")
-        elif gap <= max_interp_gap:
+        # a trailing suspension has no right bracket: forward fill regardless of length
+        trailing = "trailing " if stop == close.shape[0] else ""
+        if gap <= max_interp_gap and not trailing:
             left = close[start - 1]
             right = close[stop]
             steps = np.arange(1, gap + 1, dtype=np.float64) / (gap + 1)
@@ -193,7 +181,7 @@ def repair_suspensions(
         else:
             close[start:stop] = close[start - 1]
             n_ffill += 1
-            notes.append(f"forward-filled gap of {gap} days at {dates[start]}")
+            notes.append(f"forward-filled {trailing}gap of {gap} days at {dates[start]}")
 
     exclude = record.exclude
     if n_long > max_long_gaps:
@@ -472,18 +460,13 @@ def prepare_windows(
             continue
         windows.extend(make_windows(trimmed, length=length, step=step))
 
-    per_board: dict[str, int] = {}
-    per_industry: dict[str, int] = {}
-    for w in windows:
-        per_board[w.board.name] = per_board.get(w.board.name, 0) + 1
-        per_industry[str(w.industry_id)] = per_industry.get(str(w.industry_id), 0) + 1
     report = {
         "n_records": len(records),
         "n_skipped_records": len(skipped),
         "skipped": skipped,
         "n_windows": len(windows),
-        "windows_per_board": per_board,
-        "windows_per_industry": per_industry,
+        "windows_per_board": dict(Counter(w.board.name for w in windows)),
+        "windows_per_industry": dict(Counter(str(w.industry_id) for w in windows)),
         "gaps": {"interpolated": n_interp, "forward_filled": n_ffill},
     }
     return windows, report

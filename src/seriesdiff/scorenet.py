@@ -15,9 +15,9 @@ named layout so the whole model can be checkpointed, finite-difference
 checked, and updated by a vector optimizer without any framework.  Forward
 and backward passes are written out explicitly; the backward pass is verified
 against central differences in the test suite.  Results are bitwise
-reproducible for a given parameter vector and rng seed only at a fixed BLAS
-thread count: a width-256, batch-512 run gave other checkpoint bytes under
-one and two OpenBLAS threads.
+reproducible for a given parameter vector and rng seed, and tested equal
+under one and two OpenBLAS threads: no weight-gradient product reduces over
+more than 256 rows.
 """
 
 from __future__ import annotations
@@ -157,19 +157,17 @@ class ScoreNetworkParams:
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
-        layout = _param_layout(self.config)
-        total = sum(math.prod(shape) for _, shape in layout)
-        if values.ndim != 1 or values.shape[0] != total:
-            raise ParameterError(
-                f"parameter vector has {values.shape} entries, layout needs {total}"
-            )
-        self.values = values
         offsets: dict[str, tuple[int, int, tuple[int, ...]]] = {}
         pos = 0
-        for name, shape in layout:
+        for name, shape in _param_layout(self.config):
             size = math.prod(shape)
             offsets[name] = (pos, pos + size, shape)
             pos += size
+        if values.ndim != 1 or values.shape[0] != pos:
+            raise ParameterError(
+                f"parameter vector has {values.shape} entries, layout needs {pos}"
+            )
+        self.values = values
         self._offsets = offsets
 
     @property
@@ -314,6 +312,19 @@ def _forward(
     return out, (x, temb, cenc, blocks, h)
 
 
+def _dense_grad(g, w: str, b: str | None, d: np.ndarray, a: np.ndarray) -> None:
+    """Add a dense layer's gradients, given its input rows ``a`` and output cotangent ``d``.
+
+    ``d.T @ a`` is summed as 256-row products in row order, because OpenBLAS
+    rounds a longer reduction differently under one and two threads.
+    ``b`` is None for a layer without a bias.
+    """
+    for lo in range(0, len(d), 256):
+        g(w)[...] += d[lo : lo + 256].T @ a[lo : lo + 256]
+    if b is not None:
+        g(b)[...] += d.sum(axis=0)
+
+
 def _backward(
     params: ScoreNetworkParams, acts: tuple, mlp: tuple, dout: np.ndarray
 ) -> np.ndarray:
@@ -328,36 +339,29 @@ def _backward(
     g = params.with_values(grad).view  # views write into grad
     x, temb, cenc, blocks, h = acts
 
-    g("out_w")[...] += dout.T @ h
-    g("out_b")[...] += dout.sum(axis=0)
+    _dense_grad(g, "out_w", "out_b", dout, h)
     dh = dout @ params.view("out_w")
     dcenc = np.zeros_like(cenc)
     for i in reversed(range(cfg.blocks)):
         z, a1, v = blocks[i]
-        g(f"blk{i}_w2")[...] += dh.T @ v
-        g(f"blk{i}_b2")[...] += dh.sum(axis=0)
+        _dense_grad(g, f"blk{i}_w2", f"blk{i}_b2", dh, v)
         dv = dh @ params.view(f"blk{i}_w2")
         da1 = dv * _act_grad(a1, kind)
-        g(f"blk{i}_w1")[...] += da1.T @ z
-        g(f"blk{i}_b1")[...] += da1.sum(axis=0)
+        _dense_grad(g, f"blk{i}_w1", f"blk{i}_b1", da1, z)
         dz = da1 @ params.view(f"blk{i}_w1")
-        g(f"blk{i}_time_w")[...] += dz.T @ temb
-        g(f"blk{i}_cond_w")[...] += dz.T @ cenc
+        _dense_grad(g, f"blk{i}_time_w", None, dz, temb)
+        _dense_grad(g, f"blk{i}_cond_w", None, dz, cenc)
         dcenc += dz @ params.view(f"blk{i}_cond_w")
         dh = dh + dz
-    g("in_w")[...] += dh.T @ x
-    g("in_b")[...] += dh.sum(axis=0)
+    _dense_grad(g, "in_w", "in_b", dh, x)
 
     rows, mask, e, a1, h1, a2, h2 = mlp
     dh3 = dcenc[mask, : cfg.embed_dim]
-    g("cond_w3")[...] += dh3.T @ h2
-    g("cond_b3")[...] += dh3.sum(axis=0)
+    _dense_grad(g, "cond_w3", "cond_b3", dh3, h2)
     da2 = (dh3 @ params.view("cond_w3")) * _act_grad(a2, kind)
-    g("cond_w2")[...] += da2.T @ h1
-    g("cond_b2")[...] += da2.sum(axis=0)
+    _dense_grad(g, "cond_w2", "cond_b2", da2, h1)
     da1 = (da2 @ params.view("cond_w2")) * _act_grad(a1, kind)
-    g("cond_w1")[...] += da1.T @ e
-    g("cond_b1")[...] += da1.sum(axis=0)
+    _dense_grad(g, "cond_w1", "cond_b1", da1, e)
     de = da1 @ params.view("cond_w1")
     np.add.at(g("embed"), rows, de)
     return grad
@@ -680,16 +684,18 @@ def _read_checkpoint(path: str | Path) -> dict:
 
 
 def load_checkpoint(path: str | Path) -> ScoreNetworkParams:
-    """Rebuild parameters from ``save_checkpoint`` output, verifying every shape.
+    """Rebuild parameters from ``save_checkpoint`` output, verifying every array.
 
-    An unreadable file, a malformed config or an array off the layout is a DataError.
+    An unreadable file, a malformed config, or an array off the layout or not
+    holding its shape's count of finite numbers is a DataError.
     """
     payload = _read_checkpoint(path)
     try:
         cfg = ScoreNetConfig(**payload["config"])
     except (KeyError, TypeError, ParameterError) as exc:
         raise DataError(f"checkpoint {path} has a malformed config: {exc}") from exc
-    arrays = payload.get("arrays", {})
+    arrays = payload.get("arrays")
+    arrays = arrays if isinstance(arrays, dict) else {}  # anything else holds no array
     layout = _param_layout(cfg)
     expected = {name for name, _ in layout}
     if set(arrays) != expected:
@@ -703,19 +709,20 @@ def load_checkpoint(path: str | Path) -> ScoreNetworkParams:
         )
     chunks = []
     for name, shape in layout:
-        entry = arrays[name]
-        if tuple(entry.get("shape", ())) != shape:
-            raise DataError(
-                f"checkpoint {path} array {name!r} has shape {entry.get('shape')}, "
-                f"expected {list(shape)}"
-            )
-        data = np.asarray(entry["data"], dtype=np.float64)
-        if data.size != int(np.prod(shape)):
-            raise DataError(f"checkpoint {path} array {name!r} has wrong length")
-        chunks.append(data.ravel())
+        try:
+            data = np.array(arrays[name]["data"], dtype=np.float64)
+            ok = arrays[name]["shape"] == list(shape) and data.shape == (math.prod(shape),)
+        except (KeyError, TypeError, ValueError, OverflowError):
+            ok = False
+        if not (ok and np.all(np.isfinite(data))):
+            raise DataError(f"checkpoint {path} array {name!r} is not {list(shape)} finite numbers")
+        chunks.append(data)
     return ScoreNetworkParams(config=cfg, values=np.concatenate(chunks))
 
 
 def read_checkpoint_meta(path: str | Path) -> dict:
-    """The free-form metadata blob stored alongside the arrays."""
-    return dict(_read_checkpoint(path).get("meta", {}))
+    """The free-form metadata object stored alongside the arrays."""
+    meta = _read_checkpoint(path).get("meta", {})
+    if not isinstance(meta, dict):
+        raise DataError(f"checkpoint {path} metadata is not a JSON object")
+    return meta

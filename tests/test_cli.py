@@ -81,6 +81,11 @@ def test_load_config_rejects_junk(tmp_path):
     p.write_text("[1, 2]")
     with pytest.raises(ParameterError):
         load_config(str(p))
+    p.write_bytes(b'{"data.window": 30}\xff')  # not UTF-8
+    with pytest.raises(ParameterError, match="c.json"):
+        load_config(str(p))
+    with pytest.raises(ParameterError, match="config file"):
+        load_config(str(tmp_path))  # a directory
 
 
 def test_config_digest_is_content_addressed():
@@ -316,6 +321,9 @@ def test_report_corrupt_artifact_is_a_data_error(tmp_path, prices_csv, panel_csv
     for row in (b"1,abc", b"1,\xff"):
         (run / "loss.csv").write_bytes(b"epoch,loss\n" + row + b"\n")
         assert "loss.csv:2" in _data_error(capsys, "report", run)
+    checkpoint = json.loads((run / "checkpoint.json").read_text())
+    (run / "checkpoint.json").write_text(json.dumps(dict(checkpoint, meta=[1])))
+    assert "checkpoint.json" in _data_error(capsys, "report", run)
 
 
 def test_sample_with_a_corrupt_model_is_a_data_error(tmp_path, prices_csv, capsys):

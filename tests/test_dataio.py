@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seriesdiff import (
     Board,
@@ -100,6 +102,33 @@ def test_leading_and_trailing_gaps():
     assert len(rec) == 5
     assert np.allclose(rec.close, [10.0, 11.0, 11.0, 11.0, 11.0], atol=0)
     assert rec.dates[0] == trading_days("2021-01-04", 7)[2]
+
+
+def _runs_after_leading_rows(missing: list[bool]) -> int:
+    """Brute-force count of the NaN runs left once the leading NaN rows are dropped."""
+    runs, before = 0, False
+    for m in missing[missing.index(False):]:
+        runs += m and not before
+        before = m
+    return runs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.booleans(), min_size=2, max_size=40).filter(lambda m: m.count(False) >= 2))
+@example([True, True, False, False, True])  # leading and trailing gaps
+@example([False, True, True, False, True, False])  # runs split by a single close
+@example([False, True, True, True, False, False])  # a gap of exactly max_interp_gap
+@example([False, True, True, True, True, False])  # one day longer
+def test_every_gap_is_repaired_once_and_present_closes_stay(missing):
+    closes = [math.nan if m else 10.0 + i for i, m in enumerate(missing)]
+    rec = repair_suspensions(_record(closes), max_interp_gap=3)
+    assert rec.n_interpolated_gaps + rec.n_forward_filled_gaps == _runs_after_leading_rows(missing)
+    lead = missing.index(False)
+    assert len(rec) == len(missing) - lead
+    for i, m in enumerate(missing):
+        if not m:
+            assert rec.close[i - lead] == closes[i]
+    assert np.all(np.isfinite(rec.close))
 
 
 def test_too_many_long_gaps_excludes():

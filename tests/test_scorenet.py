@@ -2,7 +2,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,6 +322,33 @@ def test_train_is_seeded():
     assert a.epoch_losses == b.epoch_losses
 
 
+# One epoch of a width-256 model at batch 512: below about 256 rows a weight
+# gradient's reduction rounds the same under any BLAS thread count, and this
+# run is large enough that an unchunked reduction gave other bytes at 2 threads.
+_THREAD_RUN = """
+import hashlib, sys
+import numpy as np
+from seriesdiff import ScoreNetConfig, TrainConfig, make_linear_schedule, train
+windows = np.random.default_rng(0).standard_normal((1536, 60))
+conds = [(i % 124, i % 5) for i in range(1536)]
+res = train(windows, conds, make_linear_schedule(400, 1e-4, 0.02),
+            TrainConfig(epochs=1, batch_size=512, seed=1),
+            net_config=ScoreNetConfig(input_len=60, width=256, blocks=2))
+sys.stdout.write(hashlib.sha256(res.params.values.tobytes()).hexdigest())
+"""
+
+
+def test_training_bytes_do_not_depend_on_the_blas_thread_count():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", _THREAD_RUN], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(run.stdout)
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_raises():
     rng = np.random.default_rng(13)
@@ -380,6 +411,22 @@ def test_checkpoint_rejects_tampering(tmp_path):
     bad["arrays"][name]["shape"] = [1, 1]
     path.write_text(json.dumps(bad))
     with pytest.raises(DataError):
+        load_checkpoint(path)
+
+    # one entry of an array that is not a number, or an entry that is not an array
+    for name, entry in (("cond_w2", "x"), ("in_w", None), ("out_b", [1.0])):
+        bad = json.loads(json.dumps(payload))
+        bad["arrays"][name]["data"][0] = entry
+        path.write_text(json.dumps(bad))
+        with pytest.raises(DataError, match=name):
+            load_checkpoint(path)
+    bad = json.loads(json.dumps(payload))
+    bad["arrays"]["cond_b1"] = 5
+    path.write_text(json.dumps(bad))
+    with pytest.raises(DataError, match="cond_b1"):
+        load_checkpoint(path)
+    path.write_text(json.dumps(dict(payload, arrays=5)))
+    with pytest.raises(DataError, match="arrays"):
         load_checkpoint(path)
 
     path.write_text("not json")
