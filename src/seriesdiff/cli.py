@@ -15,6 +15,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -82,8 +83,10 @@ def load_config(path: str | None) -> dict[str, object]:
             raise ParameterError(f"config key {key!r} has unsupported boolean value")
         if isinstance(default, int) and not isinstance(value, int):
             raise ParameterError(f"config key {key!r} must be an integer, got {value!r}")
-        if isinstance(default, float) and not isinstance(value, (int, float)):
-            raise ParameterError(f"config key {key!r} must be a number, got {value!r}")
+        if isinstance(default, float) and not (
+            isinstance(value, (int, float)) and math.isfinite(value)
+        ):
+            raise ParameterError(f"config key {key!r} must be a finite number, got {value!r}")
         if isinstance(default, str) and not isinstance(value, str):
             raise ParameterError(f"config key {key!r} must be a string, got {value!r}")
         config[key] = float(value) if isinstance(default, float) else value
@@ -108,9 +111,9 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def _load_model(args: argparse.Namespace) -> tuple[scorenet.ScoreNetworkParams, NoiseSchedule]:
-    """The checkpoint and the schedule saved beside it at train time (or ``--schedule``)."""
+    """The checkpoint and the schedule saved beside it at train time."""
     params = scorenet.load_checkpoint(args.checkpoint)
-    path = Path(args.schedule or Path(args.checkpoint).parent / "schedule.json")
+    path = Path(args.checkpoint).parent / "schedule.json"
     obj = dataio._read_json(path, "schedule file")
     try:
         return params, schedule_from_dict(obj)
@@ -143,12 +146,6 @@ def _parse_ratio(text: str) -> tuple[int, int]:
     return real, synth
 
 
-def _require_seed(args: argparse.Namespace) -> int:
-    if args.seed is None:
-        raise ParameterError("--seed is required for this command")
-    return int(args.seed)
-
-
 def _group(config: dict[str, object], prefix: str) -> dict[str, object]:
     """The ``prefix.*`` keys of ``config`` with the prefix stripped."""
     head = prefix + "."
@@ -161,8 +158,7 @@ def _sampler_config(config: dict[str, object], seed: int) -> samplers.SamplerCon
     return samplers.SamplerConfig(seed=seed, **fields)
 
 
-def cmd_ingest(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
+def cmd_ingest(args: argparse.Namespace, config: dict[str, object]) -> int:
     out = _out_dir(args)
     records = dataio.read_close_csv(args.csv, n_industries=config["net.n_industries"])
     windows, report = dataio.prepare_windows(
@@ -183,9 +179,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    seed = _require_seed(args)
+def cmd_train(args: argparse.Namespace, config: dict[str, object]) -> int:
     out = _out_dir(args)
     store = dataio.read_window_store(args.store)
     length = config["data.window"]
@@ -206,7 +200,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         windows,
         conditions,
         schedule,
-        scorenet.TrainConfig(seed=seed, **_group(config, "train")),
+        scorenet.TrainConfig(seed=args.seed, **_group(config, "train")),
         net_config=scorenet.ScoreNetConfig(input_len=length, **_group(config, "net")),
     )
     digest = config_digest(config)
@@ -215,7 +209,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         out / "checkpoint.json",
         meta={
             "config_digest": digest,
-            "seed": seed,
+            "seed": args.seed,
             "n_train_windows": len(train_split),
             "n_test_windows": len(test_split),
         },
@@ -245,9 +239,7 @@ def _emit_samples(
     fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def cmd_sample(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    seed = _require_seed(args)
+def cmd_sample(args: argparse.Namespace, config: dict[str, object]) -> int:
     out = _out_dir(args)
     params, schedule = _load_model(args)
     if (args.industry is None) != (args.board is None):
@@ -265,12 +257,12 @@ def cmd_sample(args: argparse.Namespace) -> int:
         board = _parse_board(args.board)
         industry_id = int(args.industry)
         condition = scorenet.encode_condition(industry_id, int(board), params)
-    cfg = _sampler_config(config, seed)
+    cfg = _sampler_config(config, args.seed)
     result = samplers.sample(params, schedule, cfg, condition)
     base = {
         "industry_id": industry_id,
         "board": board.name if board is not None else None,
-        "seed": seed,
+        "seed": args.seed,
         "config_digest": config_digest(config),
     }
     with dataio._replacing(out / "samples.jsonl") as fh:
@@ -279,9 +271,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_augment(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    seed = _require_seed(args)
+def cmd_augment(args: argparse.Namespace, config: dict[str, object]) -> int:
     out = _out_dir(args)
     params, schedule = _load_model(args)
     store = dataio.read_window_store(args.store)
@@ -294,7 +284,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
     if any(w.values.size != length for w in targets):
         raise DataError("store window length does not match the checkpoint input length")
     n_synth = (len(targets) * synth) // real
-    cfg = _sampler_config(config, seed)
+    cfg = _sampler_config(config, args.seed)
     # --use-mean draws k consecutive rows per synthetic window and averages them
     k = cfg.num_samples if args.use_mean else 1
     donors = [targets[i % len(targets)] for i in range(n_synth) for _ in range(k)]
@@ -321,7 +311,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
             "n_real_board_windows": len(targets),
             "n_synthetic": n_synth,
             "n_total": len(store) + n_synth,
-            "seed": seed,
+            "seed": args.seed,
         },
         out / "augment_manifest.json",
     )
@@ -352,8 +342,7 @@ def _equity_svg(dates: list[str], cumulative: np.ndarray) -> str:
     )
 
 
-def cmd_backtest(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
+def cmd_backtest(args: argparse.Namespace, config: dict[str, object]) -> int:
     out = _out_dir(args)
     panel = evaluate.read_panel_csv(args.panel)
     k = config["eval.top_k"]
@@ -374,7 +363,7 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_report(args: argparse.Namespace) -> int:
+def cmd_report(args: argparse.Namespace, config: dict[str, object]) -> int:
     run_dir = Path(args.run_dir)
     if not run_dir.is_dir():
         raise DataError(f"run directory {run_dir} does not exist")
@@ -411,9 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, seed: bool = False) -> None:
         p.add_argument("--config", help="JSON file of dotted config keys")
-        p.add_argument("--seed", type=int, help="random seed (required to train/sample/augment)")
+        if seed:
+            p.add_argument("--seed", type=int, required=True, help="random seed")
         p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("ingest", help="CSV of closes -> repaired, windowed store")
@@ -423,21 +413,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit the denoiser on a window store")
     p.add_argument("store", help="windows.jsonl from ingest or augment")
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sample", help="draw windows from a checkpoint")
     p.add_argument("checkpoint", help="checkpoint.json from train")
-    p.add_argument("--schedule", help="schedule JSON (default: next to the checkpoint)")
     p.add_argument("--industry", type=int, help="industry id to condition on")
     p.add_argument("--board", help="board name or id to condition on")
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("augment", help="extend a store with synthetic windows")
     p.add_argument("store", help="windows.jsonl to augment")
     p.add_argument("checkpoint", help="checkpoint.json from train")
-    p.add_argument("--schedule", help="schedule JSON (default: next to the checkpoint)")
     p.add_argument("--board", required=True, help="target board name or id")
     p.add_argument("--ratio", required=True, help="REAL:SYNTH windows, e.g. 1:1")
     p.add_argument(
@@ -450,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="average sampler.num_samples draws per synthetic window instead of one draw",
     )
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=cmd_augment)
 
     p = sub.add_parser("backtest", help="top-k rotation on a prediction panel")
@@ -461,7 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="merge a run directory's artifacts")
     p.add_argument("run_dir", help="directory holding pipeline outputs")
     p.add_argument("--config", help="JSON file of dotted config keys")
-    p.add_argument("--seed", type=int, help="unused; accepted for uniformity")
     p.add_argument("--out", help="output directory (default: the run directory)")
     p.set_defaults(func=cmd_report)
     return parser
@@ -469,10 +456,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, stream=sys.stderr, format="%(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage error (2) or --help (0)
+        return exc.code
+    try:
+        return args.func(args, load_config(args.config))
     except ParameterError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -72,7 +72,7 @@ def _check_pair(predicted: np.ndarray, realized: np.ndarray) -> tuple[np.ndarray
 def information_coefficient(predicted: np.ndarray, realized: np.ndarray) -> float:
     """Pearson correlation between scores and realized returns."""
     p, r = _check_pair(predicted, realized)
-    if np.std(p) == 0.0 or np.std(r) == 0.0:
+    if p.min() == p.max() or r.min() == r.max():  # exact: np.std of equal floats can be 1e-17
         raise DataError("correlation undefined: a vector is constant")
     return float(np.corrcoef(p, r)[0, 1])
 
@@ -236,10 +236,12 @@ def summarize_backtest(
     skipped = 0
     for d in range(len(panel.dates)):
         try:
-            ics.append(information_coefficient(panel.scores[d], panel.returns[d]))
+            ic = information_coefficient(panel.scores[d], panel.returns[d])
             rank_ics.append(rank_ic(panel.scores[d], panel.returns[d]))
         except (DataError, ParameterError):
             skipped += 1
+        else:
+            ics.append(ic)
     return {
         "n_dates": len(panel.dates),
         "n_tickers": len(panel.tickers),

@@ -296,7 +296,7 @@ class SamplerConfig:
             raise ParameterError(f"guidance must be finite, got {self.guidance}")
         if self.num_samples < 1:
             raise ParameterError(f"num_samples must be >= 1, got {self.num_samples}")
-        if self.lambda_antv < 0.0 or self.lambda_bp < 0.0:
+        if not (self.lambda_antv >= 0.0 and self.lambda_bp >= 0.0):  # NaN fails too
             raise ParameterError("correction step sizes must be >= 0")
 
 

@@ -86,6 +86,11 @@ def test_load_config_rejects_junk(tmp_path):
         load_config(str(p))
     with pytest.raises(ParameterError, match="config file"):
         load_config(str(tmp_path))  # a directory
+    for key, value in (("sampler.lambda_antv", "NaN"), ("sampler.lambda_bp", "Infinity"),
+                       ("sampler.guidance", "-Infinity"), ("data.window", "NaN")):
+        p.write_text(f'{{"{key}": {value}}}')  # Python's json reads these
+        with pytest.raises(ParameterError, match=key):
+            load_config(str(p))
 
 
 def test_config_digest_is_content_addressed():
@@ -165,6 +170,10 @@ def test_full_pipeline_and_exit_codes(tmp_path, prices_csv, fast_config):
     assert set(report) == {"ingest", "train", "augment", "loss", "backtest"}
     assert report["train"]["seed"] == 5
     assert report["loss"]["epochs"] == FAST["train.epochs"]
+    # main reads --config for every verb, report included
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json")
+    assert _run("report", run, "--config", bad) == 2
 
 
 def test_sample_flag_validation(tmp_path, prices_csv, fast_config):
@@ -193,6 +202,29 @@ def test_exit_codes_for_broken_inputs(tmp_path, fast_config):
     bad_cfg.write_text('{"no.such.key": 1}')
     assert _run("ingest", missing, "--config", bad_cfg, "--out", tmp_path / "o") == 2
     assert _run("report", tmp_path / "empty_dir") == 3
+
+
+def test_verbs_accept_only_the_flags_they_read(tmp_path, capsys):
+    # argparse rejects each of these before any file is read
+    out = ("--out", tmp_path / "o")
+    cases = [
+        (("ingest", "p.csv", "--seed", 1, *out), "unrecognized arguments: --seed"),
+        (("backtest", "panel.csv", "--seed", 1, *out), "unrecognized arguments: --seed"),
+        (("report", tmp_path, "--seed", 1), "unrecognized arguments: --seed"),
+        (("sample", "c.json", "--seed", 1, "--schedule", "X", *out),
+         "unrecognized arguments: --schedule"),
+        (("augment", "w.jsonl", "c.json", "--seed", 1, "--board", "MAIN", "--ratio", "1:1",
+          "--schedule", "X", *out), "unrecognized arguments: --schedule"),
+        (("train", "w.jsonl", *out), "required: --seed"),
+        (("sample", "c.json", *out), "required: --seed"),
+        (("augment", "w.jsonl", "c.json", "--board", "MAIN", "--ratio", "1:1", *out),
+         "required: --seed"),
+    ]
+    for argv, message in cases:
+        capsys.readouterr()
+        assert _run(*argv) == 2, argv
+        assert message in capsys.readouterr().err, argv
+    assert not (tmp_path / "o").exists()
 
 
 def test_augment_ratio_validation(tmp_path, prices_csv, fast_config):

@@ -55,6 +55,8 @@ def test_ic_matches_oracle_and_rejects_constants():
         )
     with pytest.raises(DataError):
         information_coefficient(np.ones(5), rng.standard_normal(5))
+    with pytest.raises(DataError):  # np.std of these is 1.4e-17, not 0
+        information_coefficient(np.full(7, 0.1), rng.standard_normal(7))
     with pytest.raises(ParameterError):
         information_coefficient(np.ones(5), np.ones(4))
 
@@ -203,6 +205,19 @@ def test_summarize_backtest_keys_and_skips():
     s2 = summarize_backtest(all_bad, k=1)
     assert s2["mean_ic"] is None
     assert s2["mean_rank_ic"] is None
+
+    # a constant 0.1 row is skipped for IC and Rank IC alike, so neither
+    # average keeps a value from it
+    seven = np.arange(1.0, 8.0)
+    constant_first = PredictionPanel(
+        dates=["d1", "d2"], tickers=[f"T{j}" for j in range(7)],
+        scores=np.stack([np.full(7, 0.1), seven]),
+        returns=np.stack([0.01 * seven, -0.01 * seven]),
+    )
+    s3 = summarize_backtest(constant_first, k=2)
+    assert s3["skipped_ic_dates"] == 1
+    assert s3["mean_ic"] == pytest.approx(-1.0, abs=1e-12)
+    assert s3["mean_rank_ic"] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_momentum_panel_exact_values():

@@ -228,6 +228,10 @@ def test_sampler_config_validation():
         SamplerConfig(num_samples=0)
     with pytest.raises(ParameterError):
         SamplerConfig(lambda_antv=-0.5)
+    with pytest.raises(ParameterError):
+        SamplerConfig(lambda_antv=float("nan"))
+    with pytest.raises(ParameterError):
+        SamplerConfig(lambda_bp=float("nan"))
 
 
 def test_ddpm_mode_rejects_subsequence():

@@ -325,16 +325,25 @@ def test_train_is_seeded():
 # One epoch of a width-256 model at batch 512: below about 256 rows a weight
 # gradient's reduction rounds the same under any BLAS thread count, and this
 # run is large enough that an unchunked reduction gave other bytes at 2 threads.
+# The trained model then draws 24 guided rows (three 8-row tiles), each with a
+# donor, so that smoothing and the spectral anchor run too.
 _THREAD_RUN = """
-import hashlib, sys
+import hashlib
 import numpy as np
-from seriesdiff import ScoreNetConfig, TrainConfig, make_linear_schedule, train
+from seriesdiff import (SamplerConfig, ScoreNetConfig, TrainConfig, encode_condition,
+                        make_linear_schedule, sample_rows, train)
 windows = np.random.default_rng(0).standard_normal((1536, 60))
 conds = [(i % 124, i % 5) for i in range(1536)]
-res = train(windows, conds, make_linear_schedule(400, 1e-4, 0.02),
-            TrainConfig(epochs=1, batch_size=512, seed=1),
+schedule = make_linear_schedule(400, 1e-4, 0.02)
+res = train(windows, conds, schedule, TrainConfig(epochs=1, batch_size=512, seed=1),
             net_config=ScoreNetConfig(input_len=60, width=256, blocks=2))
-sys.stdout.write(hashlib.sha256(res.params.values.tobytes()).hexdigest())
+rows = sample_rows(res.params, schedule,
+                   SamplerConfig(steps=50, guidance=7.5, lambda_antv=0.03,
+                                 lambda_bp=0.005, seed=2),
+                   [encode_condition(*c, res.params) for c in conds[:24]],
+                   sources=list(windows[:24]))
+for array in (res.params.values, rows):
+    print(hashlib.sha256(array.tobytes()).hexdigest())
 """
 
 
@@ -345,8 +354,8 @@ def test_training_bytes_do_not_depend_on_the_blas_thread_count():
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
         run = subprocess.run([sys.executable, "-c", _THREAD_RUN], env=env,
                              capture_output=True, text=True, check=True)
-        digests.append(run.stdout)
-    assert len(digests[0]) == 64 and digests[0] == digests[1]
+        digests.append(run.stdout.split())
+    assert [len(d) for d in digests[0]] == [64, 64] and digests[0] == digests[1]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
