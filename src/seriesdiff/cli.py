@@ -106,7 +106,10 @@ def _write_json(obj: dict, path: Path) -> None:
 
 def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an existing file, or a path under one
+        raise ParameterError(f"--out {out} is not a usable directory: {exc}") from None
     return out
 
 
@@ -152,12 +155,6 @@ def _group(config: dict[str, object], prefix: str) -> dict[str, object]:
     return {key[len(head):]: value for key, value in config.items() if key.startswith(head)}
 
 
-def _sampler_config(config: dict[str, object], seed: int) -> samplers.SamplerConfig:
-    fields = _group(config, "sampler")
-    fields["band"] = (fields.pop("band_low"), fields.pop("band_high"))
-    return samplers.SamplerConfig(seed=seed, **fields)
-
-
 def cmd_ingest(args: argparse.Namespace, config: dict[str, object]) -> int:
     out = _out_dir(args)
     records = dataio.read_close_csv(args.csv, n_industries=config["net.n_industries"])
@@ -182,20 +179,18 @@ def cmd_ingest(args: argparse.Namespace, config: dict[str, object]) -> int:
 def cmd_train(args: argparse.Namespace, config: dict[str, object]) -> int:
     out = _out_dir(args)
     store = dataio.read_window_store(args.store)
-    length = config["data.window"]
-    if any(w.values.size != length for w in store):
+    length, n_ind = config["data.window"], config["net.n_industries"]
+    if any(w.values.size != length or not 0 <= w.industry_id < n_ind for w in store):
         raise DataError(
-            f"store {args.store} holds windows of a different length than "
-            f"data.window={length}"
+            f"store {args.store} holds windows whose length is not data.window={length} "
+            f"or whose industry_id is outside net.n_industries [0, {n_ind})"
         )
     train_split, test_split = dataio.split_train_test(
         store, train_fraction=config["data.train_fraction"]
     )
     windows = np.stack([w.values for w in train_split])
     conditions = [w.condition for w in train_split]
-    schedule = make_linear_schedule(
-        config["schedule.steps"], config["schedule.beta_start"], config["schedule.beta_end"]
-    )
+    schedule = make_linear_schedule(**_group(config, "schedule"))
     result = scorenet.train(
         windows,
         conditions,
@@ -257,7 +252,7 @@ def cmd_sample(args: argparse.Namespace, config: dict[str, object]) -> int:
         board = _parse_board(args.board)
         industry_id = int(args.industry)
         condition = scorenet.encode_condition(industry_id, int(board), params)
-    cfg = _sampler_config(config, args.seed)
+    cfg = samplers.SamplerConfig(seed=args.seed, **_group(config, "sampler"))
     result = samplers.sample(params, schedule, cfg, condition)
     base = {
         "industry_id": industry_id,
@@ -280,11 +275,12 @@ def cmd_augment(args: argparse.Namespace, config: dict[str, object]) -> int:
     targets = [w for w in store if w.board == board and not w.synthetic]
     if not targets:
         raise DataError(f"store has no real windows on board {board.name}")
-    length = params.config.input_len
-    if any(w.values.size != length for w in targets):
-        raise DataError("store window length does not match the checkpoint input length")
+    length, n_ind = params.config.input_len, params.config.n_industries
+    if any(w.values.size != length or not 0 <= w.industry_id < n_ind for w in targets):
+        raise DataError(f"store {args.store}: a window's length or industry_id "
+                        "does not fit the checkpoint")
     n_synth = (len(targets) * synth) // real
-    cfg = _sampler_config(config, args.seed)
+    cfg = samplers.SamplerConfig(seed=args.seed, **_group(config, "sampler"))
     # --use-mean draws k consecutive rows per synthetic window and averages them
     k = cfg.num_samples if args.use_mean else 1
     donors = [targets[i % len(targets)] for i in range(n_synth) for _ in range(k)]
@@ -376,13 +372,14 @@ def cmd_report(args: argparse.Namespace, config: dict[str, object]) -> int:
     if (run_dir / "checkpoint.json").exists():
         report["train"] = scorenet.read_checkpoint_meta(run_dir / "checkpoint.json")
     loss_csv = run_dir / "loss.csv"
-    rows = loss_csv.read_text(errors="replace").splitlines()[1:] if loss_csv.exists() else []
     losses = []
-    for lineno, row in enumerate(rows, start=2):
-        try:
-            losses.append(float(row.split(",")[1]))
-        except (IndexError, ValueError):
-            raise DataError(f"{loss_csv}:{lineno}: malformed loss row {row[:40]!r}") from None
+    if loss_csv.exists():  # undecodable bytes fail below, in the row that holds them
+        with dataio._reading(loss_csv, "loss CSV", errors="replace") as fh:
+            for lineno, row in enumerate(fh.read().splitlines()[1:], start=2):
+                try:
+                    losses.append(float(row.split(",")[1]))
+                except (IndexError, ValueError):
+                    raise DataError(f"{loss_csv}:{lineno}: malformed loss row {row[:40]!r}") from None
     if losses:
         report["loss"] = {"epochs": len(losses), "first": losses[0], "last": losses[-1]}
     if not report:

@@ -334,13 +334,11 @@ _CSV_HEADER = ["date", "ticker", "close", "industry_id"]
 def _csv_rows(path: Path, header: list[str], what: str) -> Iterator[tuple[int, list[str]]]:
     """Yield (line number, stripped fields) of each non-blank row of a 4-column CSV.
 
-    Raises DataError for a missing or empty file, a header other than
+    Raises DataError for an unreadable or empty file, a header other than
     ``header``, a row without exactly 4 fields (naming its line), and a file
-    with no data rows; ``what`` names the file kind when it is missing.
+    with no data rows; ``what`` names the file kind when it cannot be read.
     """
-    if not path.exists():
-        raise DataError(f"{what} {path} does not exist")
-    with path.open(newline="") as fh:
+    with _reading(path, what) as fh:
         reader = csv.reader(fh)
         try:
             first = next(reader)
@@ -502,9 +500,19 @@ def _replacing(path: str | Path) -> Iterator[TextIO]:
         tmp.unlink(missing_ok=True)
 
 
+@contextmanager
+def _reading(path: str | Path, what: str, errors: str = "strict") -> Iterator[TextIO]:
+    """``path`` open for streaming; a failed open or decode, even mid-read, is a DataError."""
+    try:
+        with open(path, errors=errors) as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def _read_json(path: str | Path, what: str) -> dict:
     """The JSON object stored at ``path``, or a DataError naming ``what`` and the path."""
-    try:
+    try:  # whole-file read, parsed after close; parsing inside _reading ran slower
         obj = json.loads(Path(path).read_text())
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
@@ -525,11 +533,8 @@ def write_window_store(windows: list[SeriesWindow], path: str | Path) -> None:
 
 def read_window_store(path: str | Path) -> list[SeriesWindow]:
     """Read a JSON-lines window store; malformed lines raise line-numbered errors."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"window store {path} does not exist")
     windows: list[SeriesWindow] = []
-    with path.open() as fh:
+    with _reading(path, "window store") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -548,7 +553,7 @@ def read_window_store(path: str | Path) -> list[SeriesWindow]:
                         synthetic=bool(obj.get("synthetic", False)),
                     )
                 )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed window record: {exc}") from exc
     if not windows:
         raise DataError(f"window store {path} is empty")

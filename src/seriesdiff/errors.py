@@ -2,8 +2,8 @@
 
 The CLI maps these onto process exit codes (see cli.main): configuration
 problems exit 2, data problems exit 3, numeric failures exit 4.  Library code
-raises them directly; nothing in here should ever be caught and swallowed
-inside the library itself.
+raises them and swallows none, except that ``evaluate.summarize_backtest``
+catches the error of a date whose correlation is undefined and counts it.
 """
 
 from __future__ import annotations

@@ -47,21 +47,17 @@ class AntvConfig:
 
     window : half-width k of the neighborhood; center i couples to indices
         within distance k, clamped to the series bounds.
-    alpha : overall penalty strength.
     sigma : width of the Gaussian similarity kernel on value differences.
-    rate : step size of one correction sweep.
+    rate : step size of one correction sweep, and so its whole strength.
     """
 
     window: int
-    alpha: float
     sigma: float
     rate: float
 
     def __post_init__(self) -> None:
         if self.window < 1:
             raise ParameterError(f"window must be >= 1, got {self.window}")
-        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
-            raise ParameterError(f"alpha must be positive, got {self.alpha}")
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
             raise ParameterError(f"sigma must be positive, got {self.sigma}")
         if not (self.rate > 0.0 and math.isfinite(self.rate)):
@@ -86,7 +82,7 @@ def _check_series(x: np.ndarray, ndims: tuple[int, ...] = (1,)) -> np.ndarray:
 def antv_loss(x: np.ndarray, cfg: AntvConfig) -> float:
     """Weighted total variation over clamped neighborhoods.
 
-    loss = alpha * sum_i sum_{j in win(i)} |x_j - x_i| * w(i, j), where
+    loss = sum_i sum_{j in win(i)} |x_j - x_i| * w(i, j), where
     win(i) covers indices within ``cfg.window`` of i (inclusive, clamped).
     Every unordered pair within range is counted once per endpoint.
     """
@@ -100,7 +96,7 @@ def antv_loss(x: np.ndarray, cfg: AntvConfig) -> float:
         hi = min(n - 1, i + k)
         d = x[lo : hi + 1] - x[i]
         total += float(np.sum(np.abs(d) * np.exp(-(d * d) / two_s2)))
-    return cfg.alpha * total
+    return total
 
 
 def antv_step(x: np.ndarray, cfg: AntvConfig) -> np.ndarray:
@@ -110,12 +106,12 @@ def antv_step(x: np.ndarray, cfg: AntvConfig) -> np.ndarray:
     Centers are visited left to right.  Each center moves against the frozen
     partial gradient of its own neighborhood terms,
 
-        x_i <- x_i - rate * ( -alpha * sum_j sign(x_j - x_i) * w(i, j) ),
+        x_i <- x_i + rate * sum_j sign(x_j - x_i) * w(i, j),
 
-    with sign(0) = 0, and updates already applied within the sweep are
-    visible to later centers.  The Gaussian weights are treated as constants
-    for the step (their derivative is deliberately not applied here; see
-    ``antv_exact_grad`` for the full gradient).
+    with sign(0) = 0; ``rate`` alone sets the sweep's strength.  Updates
+    already applied within the sweep are visible to later centers.  The
+    Gaussian weights are constants for the step (their derivative is
+    deliberately not applied here; see ``antv_exact_grad``).
     """
     x = _check_series(x, (1, 2)).copy()
     n = x.shape[-1]
@@ -126,8 +122,7 @@ def antv_step(x: np.ndarray, cfg: AntvConfig) -> np.ndarray:
         hi = min(n - 1, i + k)
         d = x[..., lo : hi + 1] - x[..., i, None]
         w = np.exp(-(d * d) / two_s2)
-        grad_i = -cfg.alpha * np.sum(np.sign(d) * w, axis=-1)
-        x[..., i] -= cfg.rate * grad_i
+        x[..., i] += cfg.rate * np.sum(np.sign(d) * w, axis=-1)
     return x
 
 
@@ -155,7 +150,7 @@ def antv_exact_grad(x: np.ndarray, cfg: AntvConfig) -> np.ndarray:
             dd = w * (np.sign(d) - abs(d) * d / s2)
             grad[j] += dd
             grad[i] -= dd
-    return cfg.alpha * grad
+    return grad
 
 
 @dataclass(frozen=True)

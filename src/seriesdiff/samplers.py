@@ -263,12 +263,12 @@ class SamplerConfig:
     guidance : classifier-free guidance weight omega.
     num_samples : how many windows ``sample`` draws; ``sample_rows`` draws
         one per condition and does not read it.
-    lambda_antv : smoothing step size applied after each denoising step (the
-        sweep's strength, at kernel weight alpha = 1); 0 disables.
+    lambda_antv : smoothing step size applied after each denoising step, and
+        so the sweep's whole strength; 0 disables.
     lambda_bp : spectral-anchor step size, used only on rows with a donor
         window; 0 disables; below 1/L, or the anchor diverges.
     antv_window/antv_sigma : smoothing shape parameters.
-    band : (low, high) frequency band of the spectral anchor.
+    band_low/band_high : inclusive frequency band of the spectral anchor.
     seed : base seed; row i of ``sample_rows`` runs on the i-th spawned child
         stream.
     """
@@ -282,7 +282,8 @@ class SamplerConfig:
     lambda_bp: float = 0.0
     antv_window: int = 3
     antv_sigma: float = 1.0
-    band: tuple[int, int] = (1, 10)
+    band_low: int = 1
+    band_high: int = 10
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -362,11 +363,8 @@ def _reverse(
         x[i] = perturb_to_level(src, jumps[0][0], schedule, rng)
     antv_cfg = None
     if cfg.lambda_antv > 0.0:
-        # the sweep moves by rate * alpha * (sign sum): lambda_antv alone sets its strength
-        antv_cfg = AntvConfig(
-            window=cfg.antv_window, alpha=1.0, sigma=cfg.antv_sigma, rate=cfg.lambda_antv
-        )
-    band = BandSpec(int(cfg.band[0]), int(cfg.band[1])) if anchored else None
+        antv_cfg = AntvConfig(window=cfg.antv_window, sigma=cfg.antv_sigma, rate=cfg.lambda_antv)
+    band = BandSpec(cfg.band_low, cfg.band_high) if anchored else None
     refs = np.array([sources[i] for i in anchored], dtype=np.float64)
     for t_cur, t_prev, sigma in jumps:
         eps_hat = guided_eps(params, x, t_cur, conditions, cfg.guidance)

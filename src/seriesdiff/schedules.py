@@ -115,21 +115,21 @@ def schedule_from_json(text: str) -> NoiseSchedule:
 
 
 def make_linear_schedule(
-    T: int, beta_start: float = 1e-4, beta_end: float = 0.02
+    steps: int, beta_start: float = 1e-4, beta_end: float = 0.02
 ) -> NoiseSchedule:
-    """Beta ladder linearly interpolated from ``beta_start`` to ``beta_end``.
+    """Beta ladder of ``steps`` values, linear from ``beta_start`` to ``beta_end``.
 
-    Requires ``T >= 1`` and ``0 < beta_start <= beta_end < 1``.  With a single
-    step the ladder degenerates to ``[beta_start]``.
+    Requires ``steps >= 1`` and ``0 < beta_start <= beta_end < 1``.  With a
+    single step the ladder degenerates to ``[beta_start]``.
     """
-    if T < 1:
-        raise ParameterError(f"T must be >= 1, got {T}")
+    if steps < 1:
+        raise ParameterError(f"steps must be >= 1, got {steps}")
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ParameterError(
             f"need 0 < beta_start <= beta_end < 1, got ({beta_start}, {beta_end})"
         )
-    beta = np.linspace(beta_start, beta_end, T, dtype=np.float64)
-    return NoiseSchedule(T=T, beta=beta)
+    beta = np.linspace(beta_start, beta_end, steps, dtype=np.float64)
+    return NoiseSchedule(T=steps, beta=beta)
 
 
 @dataclass(frozen=True)

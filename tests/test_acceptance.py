@@ -192,12 +192,12 @@ def test_criterion_5_smoothing_trace_gradient_descent():
         # worked two-point example, traced by hand through both updates
         traced = antv_step(
             np.array([0.0, 1.0]),
-            AntvConfig(window=1, alpha=1.0, sigma=1.0, rate=0.1),
+            AntvConfig(window=1, sigma=1.0, rate=0.1),
         )
         assert np.max(np.abs(traced - np.array([0.06065307, 0.9356727166416]))) <= 1e-6
 
         # exact-mode gradient against central differences on short series
-        grad_cfg = AntvConfig(window=2, alpha=1.0, sigma=1.0, rate=1e-3)
+        grad_cfg = AntvConfig(window=2, sigma=1.0, rate=1e-3)
         rng = default_rng(5)
         for _ in range(100):
             x = rng.standard_normal(8)
@@ -207,7 +207,7 @@ def test_criterion_5_smoothing_trace_gradient_descent():
 
         # the sweep is not exact gradient descent, but at a small rate it
         # still lowers the loss on almost every random series
-        step_cfg = AntvConfig(window=1, alpha=1.0, sigma=1.0, rate=1e-3)
+        step_cfg = AntvConfig(window=1, sigma=1.0, rate=1e-3)
         rng = default_rng(2024)
         wins = sum(
             antv_loss(antv_step(x, step_cfg), step_cfg) < antv_loss(x, step_cfg)

@@ -353,6 +353,10 @@ def test_report_corrupt_artifact_is_a_data_error(tmp_path, prices_csv, panel_csv
     for row in (b"1,abc", b"1,\xff"):
         (run / "loss.csv").write_bytes(b"epoch,loss\n" + row + b"\n")
         assert "loss.csv:2" in _data_error(capsys, "report", run)
+    (run / "loss.csv").unlink()
+    (run / "loss.csv").mkdir()
+    assert "loss.csv" in _data_error(capsys, "report", run)
+    (run / "loss.csv").rmdir()
     checkpoint = json.loads((run / "checkpoint.json").read_text())
     (run / "checkpoint.json").write_text(json.dumps(dict(checkpoint, meta=[1])))
     assert "checkpoint.json" in _data_error(capsys, "report", run)
@@ -377,3 +381,66 @@ def test_sample_with_a_corrupt_model_is_a_data_error(tmp_path, prices_csv, capsy
     checkpoint["config"]["width"] = 0
     (run / "checkpoint.json").write_text(json.dumps(checkpoint))
     assert "checkpoint.json" in _data_error(capsys, *argv)
+
+
+def test_unreadable_inputs_are_data_errors(tmp_path, prices_csv, panel_csv, capsys):
+    # a directory, or a file holding a byte that is not UTF-8, in place of each input
+    run, config = _untrained_run(tmp_path, prices_csv)
+    opts = ("--config", config, "--out", tmp_path / "o")
+    verbs = [
+        (prices_csv, lambda p: ("ingest", p, *opts)),
+        (run / "windows.jsonl", lambda p: ("train", p, "--seed", 1, *opts)),
+        (run / "windows.jsonl", lambda p: ("augment", p, run / "checkpoint.json", "--seed", 1,
+                                           "--board", "MAIN", "--ratio", "1:1", *opts)),
+        (panel_csv, lambda p: ("backtest", p, *opts)),
+    ]
+    bad = tmp_path / "bad"
+    for good, argv in verbs:
+        bad.write_bytes(Path(good).read_bytes() + b"\xff\n")
+        assert str(bad) in _data_error(capsys, *argv(bad))
+        bad.unlink()
+        bad.mkdir()
+        assert str(bad) in _data_error(capsys, *argv(bad))
+        bad.rmdir()
+
+
+def test_store_industry_ids_outside_the_net_are_data_errors(tmp_path, prices_csv, capsys):
+    run, config = _untrained_run(tmp_path, prices_csv)
+    lines = (run / "windows.jsonl").read_text().splitlines(keepends=True)
+    first = json.loads(lines[0])
+    store = tmp_path / "ids.jsonl"
+    for industry_id in (124, -1):  # net.n_industries is 124 in the config and the checkpoint
+        store.write_text(json.dumps(dict(first, industry_id=industry_id)) + "\n"
+                         + "".join(lines[1:]))
+        assert "ids.jsonl" in _data_error(capsys, "train", store, "--config", config,
+                                          "--seed", 1, "--out", tmp_path / "o")
+        assert "ids.jsonl" in _data_error(capsys, "augment", store, run / "checkpoint.json",
+                                          "--config", config, "--seed", 1, "--board",
+                                          first["board"], "--ratio", "1:1", "--out",
+                                          tmp_path / "o")
+
+
+def test_out_that_is_not_a_directory_is_a_flag_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    verbs = [("ingest", "p.csv"), ("train", "w.jsonl", "--seed", 1),
+             ("sample", "c.json", "--seed", 1), ("backtest", "panel.csv"), ("report", tmp_path),
+             ("augment", "w.jsonl", "c.json", "--seed", 1, "--board", "MAIN", "--ratio", "1:1")]
+    for out in (blocker, blocker / "sub"):
+        for argv in verbs:
+            capsys.readouterr()
+            assert _run(*argv, "--out", out) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error: --out") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_sampler_state_is_a_numeric_error(tmp_path, prices_csv, capsys):
+    run, _ = _untrained_run(tmp_path, prices_csv)
+    config = tmp_path / "strong.json"
+    config.write_text(json.dumps(dict(FAST, **{"sampler.lambda_antv": 1e308})))
+    capsys.readouterr()
+    assert _run("sample", run / "checkpoint.json", "--config", config, "--seed", 2,
+                "--industry", 7, "--board", "STAR", "--out", tmp_path / "s") == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error:") and err.count("\n") == 1

@@ -356,3 +356,14 @@ def test_window_store_errors(tmp_path):
     path.write_text("not json\n")
     with pytest.raises(DataError, match=":1:"):
         read_window_store(path)
+    window = SeriesWindow("600000", "2021-01-04", np.zeros(3), 0.0, 1.0, 7, Board.MAIN)
+    write_window_store([window], path)
+    line = path.read_text()
+    path.write_text(line.replace('"industry_id": 7', '"industry_id": Infinity'))
+    with pytest.raises(DataError, match=":1:"):
+        read_window_store(path)  # int() of an infinite id overflows
+    path.write_bytes(line.encode() + b"\xff\n")
+    with pytest.raises(DataError, match="window store"):
+        read_window_store(path)  # not UTF-8
+    with pytest.raises(DataError, match="window store"):
+        read_window_store(tmp_path)  # a directory

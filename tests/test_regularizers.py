@@ -24,7 +24,7 @@ from seriesdiff.oracles import finite_diff_grad
 from seriesdiff.regularizers import band_mask
 
 
-CFG = AntvConfig(window=1, alpha=1.0, sigma=1.0, rate=0.1)
+CFG = AntvConfig(window=1, sigma=1.0, rate=0.1)
 
 
 def test_weight_is_a_gaussian_kernel():
@@ -71,7 +71,7 @@ def test_step_preserves_input():
 
 def test_exact_grad_matches_finite_differences():
     rng = np.random.default_rng(42)
-    cfg = AntvConfig(window=2, alpha=0.7, sigma=0.8, rate=0.05)
+    cfg = AntvConfig(window=2, sigma=0.8, rate=0.05)
     for _ in range(20):
         x = rng.standard_normal(8)
         got = antv_exact_grad(x, cfg)
@@ -82,7 +82,7 @@ def test_exact_grad_matches_finite_differences():
 
 def test_sweep_descends_on_rough_series():
     rng = np.random.default_rng(7)
-    cfg = AntvConfig(window=3, alpha=1.0, sigma=1.0, rate=1e-3)
+    cfg = AntvConfig(window=3, sigma=1.0, rate=1e-3)
     wins = 0
     for _ in range(200):
         x = rng.standard_normal(24)
@@ -93,13 +93,11 @@ def test_sweep_descends_on_rough_series():
 
 def test_antv_config_validation():
     with pytest.raises(ParameterError):
-        AntvConfig(window=0, alpha=1.0, sigma=1.0, rate=0.1)
+        AntvConfig(window=0, sigma=1.0, rate=0.1)
     with pytest.raises(ParameterError):
-        AntvConfig(window=1, alpha=-1.0, sigma=1.0, rate=0.1)
+        AntvConfig(window=1, sigma=0.0, rate=0.1)
     with pytest.raises(ParameterError):
-        AntvConfig(window=1, alpha=1.0, sigma=0.0, rate=0.1)
-    with pytest.raises(ParameterError):
-        AntvConfig(window=1, alpha=1.0, sigma=1.0, rate=-0.1)
+        AntvConfig(window=1, sigma=1.0, rate=-0.1)
 
 
 def test_band_mask_is_symmetric_in_frequency():
@@ -182,7 +180,7 @@ def test_batched_corrections_match_rows():
     rng = np.random.default_rng(5)
     x = 0.7 * rng.standard_normal((87, 60))
     ref = rng.standard_normal((87, 60))
-    cfg = AntvConfig(window=3, alpha=1.0, sigma=1.0, rate=0.03)
+    cfg = AntvConfig(window=3, sigma=1.0, rate=0.03)
     band = BandSpec(1, 10)
     smoothed = antv_step(x, cfg)
     anchored = bp_grad_step(x, ref, band, 0.005)

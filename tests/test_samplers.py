@@ -178,6 +178,18 @@ def test_ddim_sigma_budget_enforced():
         ddim_step(x, 6, 4, eps, sch, 0.1, rng=None)  # noise needs a generator
 
 
+def test_ddim_step_adds_sigma_times_the_next_normal_draw():
+    sch = make_linear_schedule(10, 1e-3, 0.1)
+    rng = np.random.default_rng(8)
+    x, eps = rng.standard_normal(5), rng.standard_normal(5)
+    # at sigma 0 the step is its mean and needs no generator
+    assert np.array_equal(ddim_step(x, 6, 4, eps, sch), ddim_mean(x, 6, 4, eps, sch))
+    sigma = 0.1
+    z = np.random.default_rng(9).standard_normal(5)
+    got = ddim_step(x, 6, 4, eps, sch, sigma, rng=np.random.default_rng(9))
+    assert np.array_equal(got, ddim_mean(x, 6, 4, eps, sch, sigma) + sigma * z)
+
+
 def test_langevin_matches_analytic_target_loosely():
     spec = GaussianSpec(mean=0.0, var=1.0)
     ladder = make_sigma_ladder(0.01, 1.0, 10)
@@ -260,7 +272,7 @@ def test_sample_rows_gives_each_row_its_stream_condition_and_donor():
     sources = [np.cumsum(rng.standard_normal(3)) for _ in range(3)]
     conds = [encode_condition(i, 0, params) for i in range(3)]
     cfg = SamplerConfig(mode="ddim", steps=6, eta=0.5, guidance=1.0, lambda_bp=0.01,
-                        band=(0, 1), seed=13)
+                        band_low=0, band_high=1, seed=13)
     rows = sample_rows(params, sch, cfg, conds, sources=sources)
     streams = np.random.SeedSequence(13).spawn(3)
     for i in range(3):
@@ -305,7 +317,7 @@ def test_smoothing_and_anchor_hooks_change_the_draw():
     anchored = sample_one(
         params, sch,
         SamplerConfig(mode="ddim", steps=6, guidance=0.0, seed=7,
-                      lambda_bp=0.01, band=(0, 1)),
+                      lambda_bp=0.01, band_low=0, band_high=1),
         None, np.random.default_rng(7), source=source,
     )
     assert not np.array_equal(plain, smoothed)
@@ -316,7 +328,7 @@ def test_source_window_shape_checked():
     params = _noisy_params(10)
     sch = make_linear_schedule(12, 1e-3, 0.1)
     cfg = SamplerConfig(mode="ddim", steps=6, guidance=0.0,
-                        lambda_bp=0.01, band=(0, 1))
+                        lambda_bp=0.01, band_low=0, band_high=1)
     with pytest.raises(ParameterError, match="row 0"):
         sample_one(params, sch, cfg, None, np.random.default_rng(0), source=np.ones(5))
     with pytest.raises(ParameterError, match="row 0"):
@@ -333,7 +345,7 @@ def test_sample_rows_matches_sample_one_across_tile_boundaries():
     sch = make_linear_schedule(12, 1e-3, 0.1)
     rng = np.random.default_rng(4)
     cfg = SamplerConfig(mode="ddim", steps=6, eta=0.5, guidance=2.0, lambda_antv=0.05,
-                        antv_window=1, lambda_bp=0.1, band=(0, 1), seed=21)
+                        antv_window=1, lambda_bp=0.1, band_low=0, band_high=1, seed=21)
     for n in (1, 7, 8, 9, 17):
         conds = [encode_condition(i % 3, i % 5, params) for i in range(n)]
         sources = [None if i % 3 == 1 else np.cumsum(rng.standard_normal(3)) for i in range(n)]
@@ -367,7 +379,7 @@ def test_spectral_anchor_rate_must_contract():
     params = _noisy_params(14)
     sch = make_linear_schedule(12, 1e-3, 0.1)
     source = np.array([0.3, -0.1, 0.5])
-    cfg = SamplerConfig(mode="ddim", steps=6, guidance=0.0, band=(0, 1),
+    cfg = SamplerConfig(mode="ddim", steps=6, guidance=0.0, band_low=0, band_high=1,
                         lambda_bp=1.0 / 3.0, seed=2)
     with pytest.raises(ParameterError, match="1/L"):
         sample_one(params, sch, cfg, None, np.random.default_rng(0), source=source)

@@ -120,33 +120,34 @@ def test_distinct_conditions_distinct_predictions():
 
 
 def test_dsm_gradient_matches_finite_differences():
-    sch = make_linear_schedule(7, 1e-3, 0.3)
-    rng = np.random.default_rng(4)
-    params = init_params(TINY, rng)
-    params = params.with_values(params.values + 0.1 * rng.standard_normal(params.n_params))
-    windows = rng.standard_normal((5, 2))
-    conds = [(0, 0), None, (2, 3), (1, 1), None]
+    for activation in ("silu", "relu"):
+        sch = make_linear_schedule(7, 1e-3, 0.3)
+        rng = np.random.default_rng(4)
+        params = init_params(replace(TINY, activation=activation), rng)
+        params = params.with_values(params.values + 0.1 * rng.standard_normal(params.n_params))
+        windows = rng.standard_normal((5, 2))
+        conds = [(0, 0), None, (2, 3), (1, 1), None]
 
-    seed = 99
-    _, grad = dsm_loss(params, windows, conds, sch, np.random.default_rng(seed),
-                       weighting="elbo", p_uncond=0.4)
+        seed = 99
+        _, grad = dsm_loss(params, windows, conds, sch, np.random.default_rng(seed),
+                           weighting="elbo", p_uncond=0.4)
 
-    def f(v: np.ndarray) -> float:
-        # identical rng stream per evaluation: same t, noise, dropout draws
-        loss, _ = dsm_loss(params.with_values(v), windows, conds, sch,
-                           np.random.default_rng(seed), weighting="elbo", p_uncond=0.4)
-        return loss
+        def f(v: np.ndarray) -> float:
+            # identical rng stream per evaluation: same t, noise, dropout draws
+            loss, _ = dsm_loss(params.with_values(v), windows, conds, sch,
+                               np.random.default_rng(seed), weighting="elbo", p_uncond=0.4)
+            return loss
 
-    h = 1e-6
-    base = params.values
-    fd = np.empty_like(grad)
-    for i in range(base.size):
-        up, dn = base.copy(), base.copy()
-        up[i] += h
-        dn[i] -= h
-        fd[i] = (f(up) - f(dn)) / (2.0 * h)
-    denom = max(1.0, float(np.max(np.abs(fd))))
-    assert float(np.max(np.abs(grad - fd))) / denom < 1e-6
+        h = 1e-6
+        base = params.values
+        fd = np.empty_like(grad)
+        for i in range(base.size):
+            up, dn = base.copy(), base.copy()
+            up[i] += h
+            dn[i] -= h
+            fd[i] = (f(up) - f(dn)) / (2.0 * h)
+        denom = max(1.0, float(np.max(np.abs(fd))))
+        assert float(np.max(np.abs(grad - fd))) / denom < 1e-6, activation
 
 
 def test_vjp_matches_finite_differences():
