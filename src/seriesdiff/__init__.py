@@ -19,7 +19,6 @@ from .schedules import (
     make_linear_schedule,
     make_sigma_ladder,
     schedule_from_dict,
-    schedule_from_json,
 )
 from .scorenet import (
     ConditionVector,

@@ -105,11 +105,11 @@ def _write_json(obj: dict, path: Path) -> None:
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
+    """``--out``, checked before any input is read; its first artifact write creates it."""
     out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # an existing file, or a path under one
-        raise ParameterError(f"--out {out} is not a usable directory: {exc}") from None
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():  # an existing file, or a path under one
+        raise ParameterError(f"--out {out} is not a usable directory: {existing} is a file")
     return out
 
 
@@ -178,13 +178,8 @@ def cmd_ingest(args: argparse.Namespace, config: dict[str, object]) -> int:
 
 def cmd_train(args: argparse.Namespace, config: dict[str, object]) -> int:
     out = _out_dir(args)
-    store = dataio.read_window_store(args.store)
-    length, n_ind = config["data.window"], config["net.n_industries"]
-    if any(w.values.size != length or not 0 <= w.industry_id < n_ind for w in store):
-        raise DataError(
-            f"store {args.store} holds windows whose length is not data.window={length} "
-            f"or whose industry_id is outside net.n_industries [0, {n_ind})"
-        )
+    length = config["data.window"]
+    store = dataio.read_window_store(args.store, length, config["net.n_industries"])
     train_split, test_split = dataio.split_train_test(
         store, train_fraction=config["data.train_fraction"]
     )
@@ -237,25 +232,12 @@ def _emit_samples(
 def cmd_sample(args: argparse.Namespace, config: dict[str, object]) -> int:
     out = _out_dir(args)
     params, schedule = _load_model(args)
-    if (args.industry is None) != (args.board is None):
-        raise ParameterError("--industry and --board must be given together")
-    if args.industry is None:
-        if config["sampler.guidance"] != 0.0:
-            raise ParameterError(
-                "unconditional sampling needs sampler.guidance = 0; "
-                "pass --industry/--board to sample a condition"
-            )
-        condition = None
-        industry_id: int | None = None
-        board: dataio.Board | None = None
-    else:
-        board = _parse_board(args.board)
-        industry_id = int(args.industry)
-        condition = scorenet.encode_condition(industry_id, int(board), params)
+    board = None if args.board is None else _parse_board(args.board)
+    condition = scorenet.encode_condition(args.industry, board, params)
     cfg = samplers.SamplerConfig(seed=args.seed, **_group(config, "sampler"))
     result = samplers.sample(params, schedule, cfg, condition)
     base = {
-        "industry_id": industry_id,
+        "industry_id": args.industry,
         "board": board.name if board is not None else None,
         "seed": args.seed,
         "config_digest": config_digest(config),
@@ -269,16 +251,13 @@ def cmd_sample(args: argparse.Namespace, config: dict[str, object]) -> int:
 def cmd_augment(args: argparse.Namespace, config: dict[str, object]) -> int:
     out = _out_dir(args)
     params, schedule = _load_model(args)
-    store = dataio.read_window_store(args.store)
+    length = params.config.input_len
+    store = dataio.read_window_store(args.store, length, params.config.n_industries)
     board = _parse_board(args.board)
     real, synth = _parse_ratio(args.ratio)
     targets = [w for w in store if w.board == board and not w.synthetic]
     if not targets:
         raise DataError(f"store has no real windows on board {board.name}")
-    length, n_ind = params.config.input_len, params.config.n_industries
-    if any(w.values.size != length or not 0 <= w.industry_id < n_ind for w in targets):
-        raise DataError(f"store {args.store}: a window's length or industry_id "
-                        "does not fit the checkpoint")
     n_synth = (len(targets) * synth) // real
     cfg = samplers.SamplerConfig(seed=args.seed, **_group(config, "sampler"))
     # --use-mean draws k consecutive rows per synthetic window and averages them
@@ -457,8 +436,9 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse's usage error (2) or --help (0)
         return exc.code
-    try:
-        return args.func(args, load_config(args.config))
+    try:  # every non-finite result raises NumericError, so numpy's warnings add nothing
+        with np.errstate(all="ignore"):
+            return args.func(args, load_config(args.config))
     except ParameterError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -487,17 +487,22 @@ def _window_to_obj(w: SeriesWindow) -> dict:
 def _replacing(path: str | Path) -> Iterator[TextIO]:
     """A text file opened on a sibling temporary that replaces ``path`` on success.
 
-    If the write fails the temporary is removed and ``path`` is left as it
-    was, so a reader never sees a half-written file.
+    The directory is made here, so it appears with its first file.  If the
+    write fails the temporary is removed and ``path`` is left as it was, so a
+    reader never sees a half-written file; an ``OSError`` is a DataError.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with tmp.open("w") as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            with tmp.open("w") as fh:
+                yield fh
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 @contextmanager
@@ -507,7 +512,8 @@ def _reading(path: str | Path, what: str, errors: str = "strict") -> Iterator[Te
         with open(path, errors=errors) as fh:
             yield fh
     except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+        reason = getattr(exc, "strerror", None) or exc  # an OSError's text repeats the path
+        raise DataError(f"cannot read {what} {path}: {reason}") from exc
 
 
 def _read_json(path: str | Path, what: str) -> dict:
@@ -515,7 +521,8 @@ def _read_json(path: str | Path, what: str) -> dict:
     try:  # whole-file read, parsed after close; parsing inside _reading ran slower
         obj = json.loads(Path(path).read_text())
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+        reason = getattr(exc, "strerror", None) or exc  # an OSError's text repeats the path
+        raise DataError(f"cannot read {what} {path}: {reason}") from exc
     if not isinstance(obj, dict):
         raise DataError(f"{what} {path} does not hold a JSON object")
     return obj
@@ -531,8 +538,9 @@ def write_window_store(windows: list[SeriesWindow], path: str | Path) -> None:
             fh.write(json.dumps(_window_to_obj(w), sort_keys=True) + "\n")
 
 
-def read_window_store(path: str | Path) -> list[SeriesWindow]:
-    """Read a JSON-lines window store; malformed lines raise line-numbered errors."""
+def read_window_store(path: str | Path, length: int, n_industries: int) -> list[SeriesWindow]:
+    """Read a JSON-lines window store; malformed lines raise line-numbered errors,
+    as do windows not ``length`` long or with an industry id outside ``[0, n_industries)``."""
     windows: list[SeriesWindow] = []
     with _reading(path, "window store") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -541,20 +549,24 @@ def read_window_store(path: str | Path) -> list[SeriesWindow]:
                 continue
             try:
                 obj = json.loads(line)
-                windows.append(
-                    SeriesWindow(
-                        ticker=obj["ticker"],
-                        start_date=obj["start_date"],
-                        values=np.asarray(obj["values"], dtype=np.float64),
-                        mean=float(obj["mean"]),
-                        scale=float(obj["scale"]),
-                        industry_id=int(obj["industry_id"]),
-                        board=Board[obj["board"]],
-                        synthetic=bool(obj.get("synthetic", False)),
-                    )
+                w = SeriesWindow(
+                    ticker=obj["ticker"],
+                    start_date=obj["start_date"],
+                    values=np.asarray(obj["values"], dtype=np.float64),
+                    mean=float(obj["mean"]),
+                    scale=float(obj["scale"]),
+                    industry_id=int(obj["industry_id"]),
+                    board=Board[obj["board"]],
+                    synthetic=bool(obj.get("synthetic", False)),
                 )
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed window record: {exc}") from exc
+            if w.values.size != length or not 0 <= w.industry_id < n_industries:
+                raise DataError(
+                    f"{path}:{lineno}: window of length {w.values.size} and industry_id "
+                    f"{w.industry_id}; expected {length} and an id in [0, {n_industries})"
+                )
+            windows.append(w)
     if not windows:
         raise DataError(f"window store {path} is empty")
     return windows

@@ -73,7 +73,8 @@ def guided_eps(
     if omega == 0.0:
         return predict_eps(params, x_t, t, [None] * B)
     if any(c is None or c.is_null for c in cond):
-        raise ParameterError("guidance weight is nonzero but the condition is NULL")
+        raise ParameterError(f"guidance weight {omega} needs a condition to guide toward: "
+                             "give one (--industry and --board) or set sampler.guidance to 0")
     if omega == 1.0:
         return predict_eps(params, x_t, t, cond)
     eps = predict_eps(params, np.concatenate([x_t, x_t]), t, list(cond) + [None] * B)

@@ -31,7 +31,6 @@ __all__ = [
     "make_sigma_ladder",
     "forward_perturb",
     "schedule_from_dict",
-    "schedule_from_json",
 ]
 
 
@@ -104,14 +103,6 @@ def schedule_from_dict(obj: dict) -> NoiseSchedule:
     except (KeyError, TypeError, ValueError) as exc:
         raise ParameterError(f"malformed schedule object: {exc}") from exc
     return NoiseSchedule(T=T, beta=beta)
-
-
-def schedule_from_json(text: str) -> NoiseSchedule:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"schedule JSON does not parse: {exc}") from exc
-    return schedule_from_dict(obj)
 
 
 def make_linear_schedule(

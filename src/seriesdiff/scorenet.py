@@ -258,7 +258,8 @@ def encode_condition(
     must be used with the parameters that made it.
     """
     if (industry_id is None) != (board_id is None):
-        raise ParameterError("industry_id and board_id must be both set or both None")
+        raise ParameterError("a condition needs an industry and a board: give both "
+                             "(--industry with --board) or neither")
     ids = None if industry_id is None else (industry_id, board_id)
     cenc, _ = _encode_batch(params, *_condition_arrays([ids], params.config))
     return ConditionVector(industry_id, board_id, cenc[0])

@@ -31,6 +31,8 @@ FAST = {
     "sampler.num_samples": 2,
     "eval.top_k": 3,
 }
+# what a store must fit under FAST: read_window_store's length and industry count
+FIT = (FAST["data.window"], DEFAULT_CONFIG["net.n_industries"])
 
 
 @pytest.fixture
@@ -104,7 +106,7 @@ def test_config_digest_is_content_addressed():
 def test_ingest_writes_store_and_manifest(tmp_path, prices_csv, fast_config):
     out = tmp_path / "run"
     assert _run("ingest", prices_csv, "--config", fast_config, "--out", out) == 0
-    store = read_window_store(out / "windows.jsonl")
+    store = read_window_store(out / "windows.jsonl", *FIT)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["n_windows"] == len(store)
     # 180 days - 5 IPO head = 175 -> (175-30)//20+1 = 8 windows per ticker
@@ -145,9 +147,9 @@ def test_full_pipeline_and_exit_codes(tmp_path, prices_csv, fast_config):
              "--seed", 11, "--board", "MAIN", "--ratio", "1:1", "--out", run)
         == 0
     )
-    augmented = read_window_store(run / "augmented.jsonl")
+    augmented = read_window_store(run / "augmented.jsonl", *FIT)
     am = json.loads((run / "augment_manifest.json").read_text())
-    n_main = sum(1 for w in read_window_store(run / "windows.jsonl")
+    n_main = sum(1 for w in read_window_store(run / "windows.jsonl", *FIT)
                  if w.board.name == "MAIN")
     assert am["n_synthetic"] == n_main
     assert len(augmented) == am["n_total"]
@@ -195,9 +197,11 @@ def test_sample_flag_validation(tmp_path, prices_csv, fast_config):
     assert _run("sample", ckpt, "--config", uncond, "--seed", 2, "--out", run) == 0
 
 
-def test_exit_codes_for_broken_inputs(tmp_path, fast_config):
+def test_exit_codes_for_broken_inputs(tmp_path, fast_config, capsys):
     missing = tmp_path / "nope.csv"
-    assert _run("ingest", missing, "--config", fast_config, "--out", tmp_path / "o") == 3
+    err = _data_error(capsys, "ingest", missing, "--config", fast_config, "--out", tmp_path / "o")
+    assert err.count(str(missing)) == 1
+    assert not (tmp_path / "o").exists()  # --out appears with its first artifact
     bad_cfg = tmp_path / "bad.json"
     bad_cfg.write_text('{"no.such.key": 1}')
     assert _run("ingest", missing, "--config", bad_cfg, "--out", tmp_path / "o") == 2
@@ -259,7 +263,7 @@ def _augment(run, fast_config, out, board, ratio, *flags) -> list:
     assert _run("augment", run / "windows.jsonl", run / "checkpoint.json",
                 "--config", fast_config, "--seed", 4, "--board", board,
                 "--ratio", ratio, *flags, "--out", out) == 0
-    return [w for w in read_window_store(out / "augmented.jsonl") if w.synthetic]
+    return [w for w in read_window_store(out / "augmented.jsonl", *FIT) if w.synthetic]
 
 
 def test_augment_is_byte_identical_and_prefix_stable(tmp_path, prices_csv, fast_config):
@@ -277,11 +281,19 @@ def test_augment_is_byte_identical_and_prefix_stable(tmp_path, prices_csv, fast_
         assert np.array_equal(x.values, y.values)
 
 
-def test_failed_artifact_write_keeps_the_old_file(tmp_path, prices_csv, fast_config, monkeypatch):
+def test_failed_artifact_write_keeps_the_old_file(tmp_path, prices_csv, fast_config, monkeypatch,
+                                                  capsys):
     run = _trained_run(tmp_path, prices_csv, fast_config)
-    out = tmp_path / "sampled"
+    taken = tmp_path / "taken"  # a directory where the artifact goes
+    (taken / "samples.jsonl").mkdir(parents=True)
     argv = ("sample", run / "checkpoint.json", "--config", fast_config, "--seed", 2,
-            "--industry", 7, "--board", "STAR", "--out", out)
+            "--industry", 7, "--board", "STAR", "--out")
+    err = _data_error(capsys, *argv, taken)
+    assert err.startswith(f"data error: cannot write {taken / 'samples.jsonl'}: ")
+    assert [p.name for p in taken.iterdir()] == ["samples.jsonl"]
+
+    out = tmp_path / "sampled"
+    argv = (*argv, out)
     assert _run(*argv) == 0
     before = (out / "samples.jsonl").read_bytes()
 
@@ -397,10 +409,10 @@ def test_unreadable_inputs_are_data_errors(tmp_path, prices_csv, panel_csv, caps
     bad = tmp_path / "bad"
     for good, argv in verbs:
         bad.write_bytes(Path(good).read_bytes() + b"\xff\n")
-        assert str(bad) in _data_error(capsys, *argv(bad))
+        assert _data_error(capsys, *argv(bad)).count(str(bad)) == 1
         bad.unlink()
         bad.mkdir()
-        assert str(bad) in _data_error(capsys, *argv(bad))
+        assert _data_error(capsys, *argv(bad)).count(str(bad)) == 1
         bad.rmdir()
 
 
@@ -409,15 +421,19 @@ def test_store_industry_ids_outside_the_net_are_data_errors(tmp_path, prices_csv
     lines = (run / "windows.jsonl").read_text().splitlines(keepends=True)
     first = json.loads(lines[0])
     store = tmp_path / "ids.jsonl"
-    for industry_id in (124, -1):  # net.n_industries is 124 in the config and the checkpoint
+    # augment checks the whole store it copies, not only the windows of its board
+    other = "BSE" if first["board"] != "BSE" else "MAIN"
+    for industry_id in (124, -1, 500):  # net.n_industries is 124 in config and checkpoint
         store.write_text(json.dumps(dict(first, industry_id=industry_id)) + "\n"
                          + "".join(lines[1:]))
-        assert "ids.jsonl" in _data_error(capsys, "train", store, "--config", config,
-                                          "--seed", 1, "--out", tmp_path / "o")
-        assert "ids.jsonl" in _data_error(capsys, "augment", store, run / "checkpoint.json",
-                                          "--config", config, "--seed", 1, "--board",
-                                          first["board"], "--ratio", "1:1", "--out",
-                                          tmp_path / "o")
+        assert "ids.jsonl:1:" in _data_error(capsys, "train", store, "--config", config,
+                                             "--seed", 1, "--out", tmp_path / "o")
+        for board in (first["board"], other):
+            assert "ids.jsonl:1:" in _data_error(capsys, "augment", store,
+                                                 run / "checkpoint.json", "--config", config,
+                                                 "--seed", 1, "--board", board, "--ratio",
+                                                 "1:1", "--out", tmp_path / "o")
+        assert not (tmp_path / "o").exists()
 
 
 def test_out_that_is_not_a_directory_is_a_flag_error(tmp_path, capsys):
@@ -434,7 +450,8 @@ def test_out_that_is_not_a_directory_is_a_flag_error(tmp_path, capsys):
             assert err.startswith("configuration error: --out") and err.count("\n") == 1
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+# numpy's warnings must not reach stderr ahead of the one typed line
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_sampler_state_is_a_numeric_error(tmp_path, prices_csv, capsys):
     run, _ = _untrained_run(tmp_path, prices_csv)
     config = tmp_path / "strong.json"

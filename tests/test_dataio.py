@@ -288,7 +288,7 @@ def test_window_store_overwrite_is_atomic(tmp_path):
     with pytest.raises(AttributeError):
         write_window_store([windows[0], object()], path)
     assert path.read_bytes() == before
-    assert len(read_window_store(path)) == len(windows)
+    assert len(read_window_store(path, 60, 124)) == len(windows)
     assert [p.name for p in tmp_path.iterdir()] == ["windows.jsonl"]
 
 
@@ -332,7 +332,7 @@ def test_window_store_round_trip(tmp_path):
     )
     path = tmp_path / "windows.jsonl"
     write_window_store(windows, path)
-    back = read_window_store(path)
+    back = read_window_store(path, 60, 124)
     assert len(back) == len(windows)
     for a, b in zip(windows, back):
         assert a.ticker == b.ticker
@@ -346,24 +346,28 @@ def test_window_store_round_trip(tmp_path):
 def test_window_store_errors(tmp_path):
     path = tmp_path / "windows.jsonl"
     with pytest.raises(DataError):
-        read_window_store(path)  # missing file
+        read_window_store(path, 3, 124)  # missing file
     path.write_text("")
     with pytest.raises(DataError):
-        read_window_store(path)  # empty store
+        read_window_store(path, 3, 124)  # empty store
     path.write_text('{"ticker": "600000"}\n')
     with pytest.raises(DataError, match=":1:"):
-        read_window_store(path)
+        read_window_store(path, 3, 124)
     path.write_text("not json\n")
     with pytest.raises(DataError, match=":1:"):
-        read_window_store(path)
+        read_window_store(path, 3, 124)
     window = SeriesWindow("600000", "2021-01-04", np.zeros(3), 0.0, 1.0, 7, Board.MAIN)
     write_window_store([window], path)
+    with pytest.raises(DataError, match=":1: window of length 3 "):
+        read_window_store(path, 4, 124)  # a store cut for another window length
+    with pytest.raises(DataError, match=":1: .* industry_id 7;"):
+        read_window_store(path, 3, 7)  # an id the net has no embedding for
     line = path.read_text()
     path.write_text(line.replace('"industry_id": 7', '"industry_id": Infinity'))
     with pytest.raises(DataError, match=":1:"):
-        read_window_store(path)  # int() of an infinite id overflows
+        read_window_store(path, 3, 124)  # int() of an infinite id overflows
     path.write_bytes(line.encode() + b"\xff\n")
     with pytest.raises(DataError, match="window store"):
-        read_window_store(path)  # not UTF-8
+        read_window_store(path, 3, 124)  # not UTF-8
     with pytest.raises(DataError, match="window store"):
-        read_window_store(tmp_path)  # a directory
+        read_window_store(tmp_path, 3, 124)  # a directory
