@@ -19,6 +19,7 @@ import csv
 import enum
 import json
 import math
+import operator
 import os
 from collections import Counter
 from contextlib import contextmanager
@@ -27,6 +28,7 @@ from pathlib import Path
 from typing import Iterator, TextIO
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, ParameterError
 
@@ -113,7 +115,7 @@ class StockRecord:
             raise DataError(
                 f"record {self.ticker}: dates and closes must be equal-length 1-D"
             )
-        if any(self.dates[i] >= self.dates[i + 1] for i in range(len(self.dates) - 1)):
+        if not all(map(operator.lt, self.dates, self.dates[1:])):
             raise DataError(f"record {self.ticker}: dates must be strictly increasing")
 
     def __len__(self) -> int:
@@ -246,22 +248,23 @@ class SeriesWindow:
         return self.industry_id, int(self.board)
 
 
-def normalize_window(raw_closes: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
-    """Z-score the log prices of one window.
+def normalize_window(raw_closes: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Z-score the log prices of one (L,) window, or of each row of an (n, L) stack.
 
-    Returns (values, (mean, scale)) where mean is the average log price and
-    scale the population standard deviation floored at ``STD_FLOOR``, so a
-    constant window maps to all zeros instead of dividing by zero.
+    Returns (values, (mean, scale)): the average log price and the population
+    standard deviation floored at ``STD_FLOOR`` (a constant window maps to zeros),
+    as floats for a window and as (n,) arrays, bit-equal to row calls, for a stack.
     """
     raw = np.asarray(raw_closes, dtype=np.float64)
-    if raw.ndim != 1 or raw.size == 0:
+    if raw.ndim not in (1, 2) or raw.size == 0:
         raise DataError("window must be a non-empty 1-D array")
     if not np.all(np.isfinite(raw)) or np.any(raw <= 0.0):
         raise DataError("window closes must be finite and positive")
     logs = np.log(raw)
-    mu = float(logs.mean())
-    scale = max(float(logs.std()), STD_FLOOR)
-    return (logs - mu) / scale, (mu, scale)
+    mu = logs.mean(axis=-1, keepdims=True)
+    scale = np.maximum(logs.std(axis=-1, keepdims=True), STD_FLOOR)
+    stats = (float(mu[0]), float(scale[0])) if raw.ndim == 1 else (mu[:, 0], scale[:, 0])
+    return (logs - mu) / scale, stats
 
 
 def denormalize_window(values: np.ndarray, stats: tuple[float, float]) -> np.ndarray:
@@ -279,28 +282,18 @@ def make_windows(record: StockRecord, length: int = 60, step: int = 20) -> list[
         raise ParameterError(f"window length must be >= 2, got {length}")
     if step < 1:
         raise ParameterError(f"step must be >= 1, got {step}")
-    n = len(record)
-    if n < length:
+    if len(record) < length:
         raise DataError(
-            f"record {record.ticker}: {n} rows are fewer than the window length {length}"
+            f"record {record.ticker}: {len(record)} rows are fewer than the window length {length}"
         )
     if not np.all(np.isfinite(record.close)):
         raise DataError(f"record {record.ticker}: unrepaired gaps remain")
-    out: list[SeriesWindow] = []
-    for offset in range(0, n - length + 1, step):
-        values, (mu, scale) = normalize_window(record.close[offset : offset + length])
-        out.append(
-            SeriesWindow(
-                ticker=record.ticker,
-                start_date=record.dates[offset],
-                values=values,
-                mean=mu,
-                scale=scale,
-                industry_id=record.industry_id,
-                board=record.board,
-            )
-        )
-    return out
+    values, (mu, scale) = normalize_window(sliding_window_view(record.close, length)[::step])
+    # zip stops at the last window; dates[::step] may run past it
+    return [
+        SeriesWindow(record.ticker, date, row, m, s, record.industry_id, record.board)
+        for date, row, m, s in zip(record.dates[::step], values, mu.tolist(), scale.tolist())
+    ]
 
 
 def split_train_test(
@@ -334,9 +327,9 @@ _CSV_HEADER = ["date", "ticker", "close", "industry_id"]
 def _csv_rows(path: Path, header: list[str], what: str) -> Iterator[tuple[int, list[str]]]:
     """Yield (line number, stripped fields) of each non-blank row of a 4-column CSV.
 
-    Raises DataError for an unreadable or empty file, a header other than
-    ``header``, a row without exactly 4 fields (naming its line), and a file
-    with no data rows; ``what`` names the file kind when it cannot be read.
+    Raises DataError for an unreadable (``what`` names the kind) or empty file, a
+    header other than ``header`` (both start ``date,ticker``), a row without exactly 4
+    fields or with an empty date or ticker (naming its line), and no data rows.
     """
     with _reading(path, what) as fh:
         reader = csv.reader(fh)
@@ -353,6 +346,8 @@ def _csv_rows(path: Path, header: list[str], what: str) -> Iterator[tuple[int, l
                 continue
             if len(fields) != 4:
                 raise DataError(f"{path}:{lineno}: expected 4 fields, got {len(fields)}")
+            if not fields[0] or not fields[1]:
+                raise DataError(f"{path}:{lineno}: empty date or ticker")
             n_rows += 1
             yield lineno, fields
     if not n_rows:
@@ -370,8 +365,6 @@ def read_close_csv(path: str | Path, n_industries: int = 124) -> list[StockRecor
     path = Path(path)
     rows: dict[str, list[tuple[str, float, int]]] = {}
     for lineno, (date, ticker, close_s, industry_s) in _csv_rows(path, _CSV_HEADER, "close CSV"):
-        if not date or not ticker:
-            raise DataError(f"{path}:{lineno}: empty date or ticker")
         if close_s:
             try:
                 close = float(close_s)
@@ -549,16 +542,19 @@ def read_window_store(path: str | Path, length: int, n_industries: int) -> list[
                 continue
             try:
                 obj = json.loads(line)
-                w = SeriesWindow(
-                    ticker=obj["ticker"],
-                    start_date=obj["start_date"],
-                    values=np.asarray(obj["values"], dtype=np.float64),
-                    mean=float(obj["mean"]),
-                    scale=float(obj["scale"]),
-                    industry_id=int(obj["industry_id"]),
-                    board=Board[obj["board"]],
-                    synthetic=bool(obj.get("synthetic", False)),
-                )
+                ticker, start, iid = obj["ticker"], obj["start_date"], obj["industry_id"]
+                values, synthetic = np.asarray(obj["values"]), obj.get("synthetic", False)
+                if (
+                    (type(ticker), type(start), type(iid), type(synthetic)) != (str, str, int, bool)
+                    or not {type(obj["mean"]), type(obj["scale"])} <= {int, float}
+                    or values.dtype.kind not in "if"
+                ):
+                    raise TypeError(
+                        "ticker and start_date must be strings, mean, scale and values numbers, "
+                        "industry_id an integer and synthetic true or false"
+                    )
+                mean, scale, board = float(obj["mean"]), float(obj["scale"]), Board[obj["board"]]
+                w = SeriesWindow(ticker, start, values, mean, scale, iid, board, synthetic)
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed window record: {exc}") from exc
             if w.values.size != length or not 0 <= w.industry_id < n_industries:

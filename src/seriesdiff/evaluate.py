@@ -145,8 +145,10 @@ def read_panel_csv(path: str | Path) -> PredictionPanel:
     for lineno, (date, ticker, score_s, ret_s) in _csv_rows(path, header, "panel CSV"):
         try:
             score, ret = float(score_s), float(ret_s)
+            if not (math.isfinite(score) and math.isfinite(ret)):
+                raise ValueError
         except ValueError:
-            raise DataError(f"{path}:{lineno}: score/return must be numbers") from None
+            raise DataError(f"{path}:{lineno}: score and return must be finite numbers") from None
         if (date, ticker) in cells:
             raise DataError(f"{path}:{lineno}: duplicate cell ({date}, {ticker})")
         cells[(date, ticker)] = (score, ret)

@@ -1,12 +1,15 @@
 """Board rules, suspension repair, windowing, and the JSONL store."""
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from seriesdiff import (
     Board,
@@ -26,6 +29,7 @@ from seriesdiff import (
     split_train_test,
     write_window_store,
 )
+from seriesdiff.dataio import STD_FLOOR
 from conftest import FIXTURE_TICKERS, trading_days
 
 
@@ -68,14 +72,18 @@ def _record(closes, ticker="600000", industry=3, start="2021-01-04"):
 
 
 def test_record_requires_increasing_dates():
-    with pytest.raises(DataError):
-        StockRecord(
-            ticker="600000",
-            dates=["2021-01-05", "2021-01-04"],
-            close=np.array([1.0, 2.0]),
-            industry_id=0,
-            board=Board.MAIN,
-        )
+    for dates in (["2021-01-05", "2021-01-04"], ["2021-01-04", "2021-01-04"]):
+        with pytest.raises(DataError, match="dates must be strictly increasing"):
+            StockRecord(
+                ticker="600000",
+                dates=dates,
+                close=np.array([1.0, 2.0]),
+                industry_id=0,
+                board=Board.MAIN,
+            )
+    rec = _record([1.0, 2.0, 3.0])
+    with pytest.raises(DataError, match="dates must be strictly increasing"):
+        replace(rec, dates=rec.dates[::-1])  # replace re-runs the check
 
 
 def test_short_interior_gap_is_interpolated():
@@ -180,6 +188,32 @@ def test_normalize_constant_window_uses_floor():
     assert mu == pytest.approx(math.log(7.0), abs=1e-15)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    length=st.integers(2, 300),
+    step=st.integers(1, 61),
+    n_windows=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    flat=st.booleans(),
+)
+@example(length=2, step=1, n_windows=3, seed=0, flat=True)
+@example(length=300, step=61, n_windows=6, seed=1, flat=True)
+def test_batched_normalize_rows_equal_single_windows_bitwise(length, step, n_windows, seed, flat):
+    rng = np.random.default_rng(seed)
+    close = 50.0 * np.exp(np.cumsum(0.02 * rng.standard_normal(length + (n_windows - 1) * step)))
+    if flat:  # a constant first window, whose scale is the floor
+        close[:length] = close[0]
+    values, (mu, scale) = normalize_window(sliding_window_view(close, length)[::step])
+    assert values.shape == (n_windows, length)
+    assert mu.shape == scale.shape == (n_windows,)
+    for i in range(n_windows):
+        row, (row_mu, row_scale) = normalize_window(close[i * step : i * step + length])
+        assert values[i].tobytes() == row.tobytes()
+        assert mu[i].tobytes() == np.float64(row_mu).tobytes()
+        assert scale[i].tobytes() == np.float64(row_scale).tobytes()
+    assert not flat or scale[0] == STD_FLOOR
+
+
 def test_normalize_requires_positive_closes():
     with pytest.raises(DataError):
         normalize_window(np.array([1.0, -2.0, 3.0]))
@@ -265,6 +299,10 @@ def test_read_close_csv_line_numbered_errors(tmp_path):
     p.write_text("date,ticker,close,industry_id\n2021-01-04,600000,3.0,124\n")
     with pytest.raises(DataError, match="industry"):
         read_close_csv(p)
+    for row in (",600000,3.0,1", "2021-01-04,,3.0,1"):
+        p.write_text(f"date,ticker,close,industry_id\n{row}\n")
+        with pytest.raises(DataError, match=":2: empty date or ticker"):
+            read_close_csv(p)
 
 
 def test_duplicate_date_error_is_bounded(tmp_path):
@@ -365,7 +403,20 @@ def test_window_store_errors(tmp_path):
     line = path.read_text()
     path.write_text(line.replace('"industry_id": 7', '"industry_id": Infinity'))
     with pytest.raises(DataError, match=":1:"):
-        read_window_store(path, 3, 124)  # int() of an infinite id overflows
+        read_window_store(path, 3, 124)  # an infinite id is not an integer
+    for key, bad in (
+        ("ticker", 5),
+        ("start_date", 20200101),
+        ("industry_id", 3.9),
+        ("industry_id", True),
+        ("mean", "0.5"),
+        ("scale", False),
+        ("synthetic", "false"),
+        ("values", ["0", "0", "0"]),
+    ):  # each a JSON type its field does not take
+        path.write_text(json.dumps({**json.loads(line), key: bad}) + "\n")
+        with pytest.raises(DataError, match=f":1: malformed window record: .*{key}"):
+            read_window_store(path, 3, 124)
     path.write_bytes(line.encode() + b"\xff\n")
     with pytest.raises(DataError, match="window store"):
         read_window_store(path, 3, 124)  # not UTF-8

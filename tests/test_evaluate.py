@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -143,6 +144,20 @@ def test_read_panel_csv(tmp_path, panel_csv):
     )
     with pytest.raises(DataError, match="duplicate"):
         read_panel_csv(p)
+
+
+def test_read_panel_csv_names_the_line_of_a_bad_cell(tmp_path):
+    p = tmp_path / "panel.csv"
+    for row, reason in (
+        ("2022-01-01,,0.1,0.0", "empty date or ticker"),
+        (",B,0.1,0.0", "empty date or ticker"),
+        ("2022-01-01,B,x,0.0", "finite numbers"),
+        ("2022-01-01,B,nan,0.0", "finite numbers"),
+        ("2022-01-01,B,0.1,1e400", "finite numbers"),
+    ):
+        p.write_text(f"date,ticker,score,realized_return\n2022-01-01,A,0.5,0.01\n{row}\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}:3: .*{reason}"):
+            read_panel_csv(p)
 
 
 def test_backtest_hand_example():
