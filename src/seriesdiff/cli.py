@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import logging
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,10 +30,17 @@ from .schedules import NoiseSchedule, make_linear_schedule, schedule_from_dict
 
 __all__ = ["main", "DEFAULT_CONFIG"]
 
+
+def _defaults(prefix: str, target: Callable[..., object], **chosen: object) -> dict[str, object]:
+    """``target``'s keyword defaults as ``prefix.*`` keys, with ``chosen`` over them."""
+    kept = {p.name: p.default for p in inspect.signature(target).parameters.values()
+            if p.default is not p.empty and p.name not in ("seed", "n_boards")}
+    return {f"{prefix}.{name}": value for name, value in {**kept, **chosen}.items()}
+
+
+# not settings: seed (--seed sets it), n_boards (the Board width); data and eval map by hand
 DEFAULT_CONFIG: dict[str, object] = {
-    "schedule.steps": 400,
-    "schedule.beta_start": 1e-4,
-    "schedule.beta_end": 0.02,
+    **_defaults("schedule", make_linear_schedule, steps=400),
     "data.window": 60,
     "data.step": 20,
     "data.ipo_head_days": 5,
@@ -39,29 +48,10 @@ DEFAULT_CONFIG: dict[str, object] = {
     "data.max_long_gaps": 3,
     "data.max_gap_days": 60,
     "data.train_fraction": 0.8,
-    "net.width": 64,
-    "net.blocks": 4,
-    "net.time_dim": 32,
-    "net.embed_dim": 16,
-    "net.cond_hidden": 128,
-    "net.n_industries": 124,
-    "net.activation": "silu",
-    "train.epochs": 20,
-    "train.batch_size": 64,
-    "train.learning_rate": 1e-3,
-    "train.p_uncond": 0.1,
-    "train.weighting": "elbo",
-    "sampler.mode": "ddim",
-    "sampler.steps": 50,
-    "sampler.eta": 0.0,
-    "sampler.guidance": 7.5,
-    "sampler.num_samples": 4,
-    "sampler.lambda_antv": 0.03,
-    "sampler.lambda_bp": 0.005,
-    "sampler.antv_window": 3,
-    "sampler.antv_sigma": 1.0,
-    "sampler.band_low": 1,
-    "sampler.band_high": 10,
+    **_defaults("net", scorenet.ScoreNetConfig),
+    **_defaults("train", scorenet.TrainConfig, epochs=20),
+    **_defaults("sampler", samplers.SamplerConfig, steps=50, num_samples=4,
+                lambda_antv=0.03, lambda_bp=0.005),
     "eval.top_k": 20,
 }
 
@@ -79,7 +69,7 @@ def load_config(path: str | None) -> dict[str, object]:
         if key not in DEFAULT_CONFIG:
             raise ParameterError(f"unknown config key {key!r}")
         default = DEFAULT_CONFIG[key]
-        if isinstance(default, bool) or isinstance(value, bool):
+        if isinstance(value, bool):
             raise ParameterError(f"config key {key!r} has unsupported boolean value")
         if isinstance(default, int) and not isinstance(value, int):
             raise ParameterError(f"config key {key!r} must be an integer, got {value!r}")
@@ -357,6 +347,8 @@ def cmd_report(args: argparse.Namespace, config: dict[str, object]) -> int:
             for lineno, row in enumerate(fh.read().splitlines()[1:], start=2):
                 try:
                     losses.append(float(row.split(",")[1]))
+                    if not math.isfinite(losses[-1]):  # report.json is strict JSON
+                        raise ValueError
                 except (IndexError, ValueError):
                     raise DataError(f"{loss_csv}:{lineno}: malformed loss row {row[:40]!r}") from None
     if losses:
@@ -430,6 +422,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(kind: str, exc: Exception, code: int) -> int:
+    """Print ``kind: exc`` as one stderr line of at most 500 characters, each line break
+    shown as ``\\n`` or ``\\r``, and return ``code``; a longer line ends in ``[clipped]``."""
+    line = f"{kind}: {exc}".replace("\r", "\\r").replace("\n", "\\n")
+    print(line if len(line) <= 500 else line[:490] + " [clipped]", file=sys.stderr)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, stream=sys.stderr, format="%(message)s")
     try:
@@ -440,14 +440,11 @@ def main(argv: list[str] | None = None) -> int:
         with np.errstate(all="ignore"):
             return args.func(args, load_config(args.config))
     except ParameterError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+        return _fail("configuration error", exc, 2)
     except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
+        return _fail("data error", exc, 3)
     except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 4
+        return _fail("numeric error", exc, 4)
 
 
 if __name__ == "__main__":

@@ -242,6 +242,8 @@ class SeriesWindow:
             raise DataError(f"window {self.ticker}@{self.start_date} has non-finite values")
         if not (self.scale > 0.0 and math.isfinite(self.scale)):
             raise DataError(f"window scale must be positive, got {self.scale}")
+        if not math.isfinite(self.mean):
+            raise DataError(f"window mean must be finite, got {self.mean}")
 
     @property
     def condition(self) -> tuple[int, int]:

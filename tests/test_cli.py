@@ -59,9 +59,11 @@ def test_readme_config_table_lists_exactly_the_default_keys():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     listed = []
     for group, keys in re.findall(r"^\| ([a-z]+) \| (.+) \|$", readme, flags=re.M):
-        listed += [f"{group}.{key}" for key in re.findall(r"`([a-z_]+)` \(", keys)]
-    assert len(listed) == len(set(listed))
-    assert set(listed) == set(DEFAULT_CONFIG)
+        listed += [(f"{group}.{key}", json.loads(value))
+                   for key, value in re.findall(r"`([a-z_]+)` \(([^;)]*)", keys)]
+    assert len(listed) == len(dict(listed))
+    assert dict(listed) == DEFAULT_CONFIG  # the listed defaults too, each of its type
+    assert all(type(value) is type(DEFAULT_CONFIG[key]) for key, value in listed)
 
 
 def test_load_config_rejects_junk(tmp_path):
@@ -362,7 +364,7 @@ def test_report_corrupt_artifact_is_a_data_error(tmp_path, prices_csv, panel_csv
         (run / name).write_text(good[: len(good) // 2])
         assert name in _data_error(capsys, "report", run)
         (run / name).write_text(good)
-    for row in (b"1,abc", b"1,\xff"):
+    for row in (b"1,abc", b"1,\xff", b"1,nan", b"1,inf"):
         (run / "loss.csv").write_bytes(b"epoch,loss\n" + row + b"\n")
         assert "loss.csv:2" in _data_error(capsys, "report", run)
     (run / "loss.csv").unlink()
@@ -434,6 +436,36 @@ def test_store_industry_ids_outside_the_net_are_data_errors(tmp_path, prices_csv
                                                  "--seed", 1, "--board", board, "--ratio",
                                                  "1:1", "--out", tmp_path / "o")
         assert not (tmp_path / "o").exists()
+
+
+LONG = "x" * 5000
+WINDOW = {"ticker": "600000", "start_date": "2021-01-04", "values": [0.0] * 30, "mean": 0.0,
+          "scale": 1.0, "industry_id": 7, "board": "MAIN", "synthetic": False}
+
+
+@pytest.mark.parametrize("verb, text", [
+    ("ingest", f"date,ticker,close,industry_id\n2021-01-04,600000,{LONG},7"),
+    ("ingest", f"date,ticker,close,industry_id\n2021-01-04,600000,10.5,{LONG}"),
+    ("ingest", f"date,ticker,close,industry_id\n2021-01-04,{'6' * 5000},10.5,7"),
+    ("config", json.dumps({"data.window": LONG})),
+    ("config", json.dumps({LONG: 1})),
+    ("train", json.dumps(dict(WINDOW, board=LONG))),
+    ("train", json.dumps(dict(WINDOW, industry_id=int("9" * 400)))),
+    ("train", json.dumps(dict(WINDOW, ticker="600\n000", values=[float("nan")] * 30))),
+    ("backtest", 'date,ticker,score,realized_return\n' + '2022-03-01,"60\n01",0.1,0.01\n' * 2),
+], ids=["close", "industry", "ticker", "config-value", "config-key", "store-board",
+        "store-industry-id", "store-ticker-newline", "panel-ticker-newline"])
+def test_each_typed_error_is_one_bounded_line(tmp_path, fast_config, capsys, verb, text):
+    # long cells, keys and ids, and line breaks in tickers, all reach the message
+    path = tmp_path / "input"
+    path.write_text(text + "\n")
+    argv = {"train": ("train", path, "--seed", 1), "backtest": ("backtest", path)}
+    config = path if verb == "config" else fast_config
+    capsys.readouterr()
+    code = _run(*argv.get(verb, ("ingest", path)), "--config", config, "--out", tmp_path / "o")
+    err = capsys.readouterr().err
+    assert code == (2 if verb == "config" else 3)
+    assert err.count("\n") == 1 and "\r" not in err and len(err.rstrip("\n")) <= 500
 
 
 def test_out_that_is_not_a_directory_is_a_flag_error(tmp_path, capsys):

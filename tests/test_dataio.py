@@ -413,7 +413,9 @@ def test_window_store_errors(tmp_path):
         ("scale", False),
         ("synthetic", "false"),
         ("values", ["0", "0", "0"]),
-    ):  # each a JSON type its field does not take
+        ("mean", math.inf),
+        ("mean", math.nan),
+    ):  # each a JSON value its field does not take
         path.write_text(json.dumps({**json.loads(line), key: bad}) + "\n")
         with pytest.raises(DataError, match=f":1: malformed window record: .*{key}"):
             read_window_store(path, 3, 124)
