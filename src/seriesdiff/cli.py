@@ -21,6 +21,7 @@ import sys
 from collections.abc import Callable
 from dataclasses import replace
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -240,32 +241,31 @@ def cmd_sample(args: argparse.Namespace, config: dict[str, object]) -> int:
 
 def cmd_augment(args: argparse.Namespace, config: dict[str, object]) -> int:
     out = _out_dir(args)
-    params, schedule = _load_model(args)
-    length = params.config.input_len
-    store = dataio.read_window_store(args.store, length, params.config.n_industries)
     board = _parse_board(args.board)
     real, synth = _parse_ratio(args.ratio)
-    targets = [w for w in store if w.board == board and not w.synthetic]
-    if not targets:
-        raise DataError(f"store has no real windows on board {board.name}")
-    n_synth = (len(targets) * synth) // real
-    cfg = samplers.SamplerConfig(seed=args.seed, **_group(config, "sampler"))
-    # --use-mean draws k consecutive rows per synthetic window and averages them
-    k = cfg.num_samples if args.use_mean else 1
-    donors = [targets[i % len(targets)] for i in range(n_synth) for _ in range(k)]
-    rows = samplers.sample_rows(
-        params,
-        schedule,
-        cfg,
-        [scorenet.encode_condition(w.industry_id, int(w.board), params) for w in donors],
-        sources=[w.values for w in donors] if args.transfer else None,
-    )
-    values = rows.reshape(n_synth, k, length).mean(axis=1)
-    synthetic = [
-        replace(w, values=v, mean=0.0, scale=1.0, synthetic=True)
-        for w, v in zip(donors[::k], values)
-    ]
-    dataio.write_window_store(list(store) + synthetic, out / "augmented.jsonl")
+    params, schedule = _load_model(args)
+    length = params.config.input_len
+    # augmented.jsonl is the store's lines as checked, then the synthetic windows' lines
+    with dataio._replacing(out / "augmented.jsonl") as fh:
+        store = dataio.read_window_store(args.store, length, params.config.n_industries, copy=fh)
+        targets = [w for w in store if w.board == board and not w.synthetic]
+        if not targets:
+            raise DataError(f"store has no real windows on board {board.name}")
+        n_synth = (len(targets) * synth) // real
+        cfg = samplers.SamplerConfig(seed=args.seed, **_group(config, "sampler"))
+        # --use-mean draws k consecutive rows per synthetic window and averages them
+        k = cfg.num_samples if args.use_mean else 1
+        donors = [targets[i % len(targets)] for i in range(n_synth) for _ in range(k)]
+        rows = samplers.sample_rows(
+            params,
+            schedule,
+            cfg,
+            [scorenet.encode_condition(w.industry_id, int(w.board), params) for w in donors],
+            sources=[w.values for w in donors] if args.transfer else None,
+        )
+        values = rows.reshape(n_synth, k, length).mean(axis=1)
+        for w, v in zip(donors[::k], values):
+            fh.write(dataio._window_line(replace(w, values=v, mean=0.0, scale=1.0, synthetic=True)))
     _write_json(
         {
             "config_digest": config_digest(config),
@@ -361,8 +361,13 @@ def cmd_report(args: argparse.Namespace, config: dict[str, object]) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:  # a usage error is one typed line, as in main
+        raise ParameterError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="seriesdiff",
         description="Synthesize conditioned price windows and measure their value",
     )
@@ -432,13 +437,12 @@ def _fail(kind: str, exc: Exception, code: int) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, stream=sys.stderr, format="%(message)s")
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse's usage error (2) or --help (0)
-        return exc.code
     try:  # every non-finite result raises NumericError, so numpy's warnings add nothing
+        args = build_parser().parse_args(argv)
         with np.errstate(all="ignore"):
             return args.func(args, load_config(args.config))
+    except SystemExit as exc:  # --help
+        return exc.code
     except ParameterError as exc:
         return _fail("configuration error", exc, 2)
     except DataError as exc:

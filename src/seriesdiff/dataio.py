@@ -22,7 +22,7 @@ import math
 import operator
 import os
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator, TextIO
@@ -465,8 +465,8 @@ def prepare_windows(
     return windows, report
 
 
-def _window_to_obj(w: SeriesWindow) -> dict:
-    return {
+def _window_line(w: SeriesWindow) -> str:
+    return json.dumps({
         "ticker": w.ticker,
         "start_date": w.start_date,
         "values": w.values.tolist(),
@@ -475,7 +475,7 @@ def _window_to_obj(w: SeriesWindow) -> dict:
         "industry_id": int(w.industry_id),
         "board": w.board.name,
         "synthetic": bool(w.synthetic),
-    }
+    }, sort_keys=True) + "\n"
 
 
 @contextmanager
@@ -483,11 +483,13 @@ def _replacing(path: str | Path) -> Iterator[TextIO]:
     """A text file opened on a sibling temporary that replaces ``path`` on success.
 
     The directory is made here, so it appears with its first file.  If the
-    write fails the temporary is removed and ``path`` is left as it was, so a
-    reader never sees a half-written file; an ``OSError`` is a DataError.
+    write fails the temporary and the directories made here are removed and
+    ``path`` is left as it was, so a reader never sees a half-written file and
+    a failed run leaves no new directory; an ``OSError`` is a DataError.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    made = [d for d in (path.parent, *path.parent.parents) if not d.exists()]  # deepest first
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         try:
@@ -498,6 +500,10 @@ def _replacing(path: str | Path) -> Iterator[TextIO]:
             tmp.unlink(missing_ok=True)
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:  # a failed write's new directories go; after a success the first rmdir fails
+        with suppress(OSError):
+            for d in made:
+                d.rmdir()
 
 
 @contextmanager
@@ -530,12 +536,14 @@ def write_window_store(windows: list[SeriesWindow], path: str | Path) -> None:
     """
     with _replacing(path) as fh:
         for w in windows:
-            fh.write(json.dumps(_window_to_obj(w), sort_keys=True) + "\n")
+            fh.write(_window_line(w))
 
 
-def read_window_store(path: str | Path, length: int, n_industries: int) -> list[SeriesWindow]:
+def read_window_store(path: str | Path, length: int, n_industries: int,
+                      copy: TextIO | None = None) -> list[SeriesWindow]:
     """Read a JSON-lines window store; malformed lines raise line-numbered errors,
-    as do windows not ``length`` long or with an industry id outside ``[0, n_industries)``."""
+    as do windows not ``length`` long or with an industry id outside ``[0, n_industries)``.
+    Each line that passes is written to ``copy``, if given, stripped and newline-ended."""
     windows: list[SeriesWindow] = []
     with _reading(path, "window store") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -565,6 +573,8 @@ def read_window_store(path: str | Path, length: int, n_industries: int) -> list[
                     f"{w.industry_id}; expected {length} and an id in [0, {n_industries})"
                 )
             windows.append(w)
+            if copy is not None:
+                copy.write(line + "\n")
     if not windows:
         raise DataError(f"window store {path} is empty")
     return windows

@@ -290,13 +290,13 @@ def _encode_batch(
 
 
 def _forward(
-    params: ScoreNetworkParams, x: np.ndarray, t: np.ndarray, cenc: np.ndarray
+    params: ScoreNetworkParams, x: np.ndarray, t: np.ndarray, cenc: np.ndarray, keep: bool = True
 ) -> tuple[np.ndarray, tuple]:
     """Batched forward pass; x (..., L), t (...), cenc (..., cond_dim) encodings,
     with leading axes (B,) or (n_tiles, _TILE).
 
     Returns the output and the activations ``_backward`` reads:
-    (x, temb, cenc, [(z, a1, v) per block], h) with h the last trunk state.
+    (x, temb, cenc, [(z, a1, v) per block, or None without ``keep``], h), h the last trunk state.
     """
     cfg = params.config
     kind = cfg.activation
@@ -308,7 +308,7 @@ def _forward(
         a1 = z @ params.view(f"blk{i}_w1").T + params.view(f"blk{i}_b1")
         v = _act(a1, kind)
         h = h + v @ params.view(f"blk{i}_w2").T + params.view(f"blk{i}_b2")
-        blocks.append((z, a1, v))
+        blocks.append((z, a1, v) if keep else None)
     out = h @ params.view("out_w").T + params.view("out_b")
     return out, (x, temb, cenc, blocks, h)
 
@@ -415,7 +415,7 @@ def predict_eps(
     if any(e.shape != (cond_dim,) for e in enc):
         raise ParameterError(f"a condition encoding is not of shape ({cond_dim},)")
     cenc = np.array(enc).reshape(len(x), cond_dim)
-    tiled = _forward(params, _tiles(x), _tiles(np.full(len(x), t)), _tiles(cenc))[0]
+    tiled = _forward(params, _tiles(x), _tiles(np.full(len(x), t)), _tiles(cenc), keep=False)[0]
     out = tiled.reshape(-1, x.shape[1])[: len(x)]
     check_finite_rows(out, f"network output at t={t}")
     return out[0] if single else out

@@ -10,7 +10,7 @@ import pytest
 
 from seriesdiff import cli
 from seriesdiff.cli import DEFAULT_CONFIG, config_digest, load_config, main
-from seriesdiff import read_window_store
+from seriesdiff import NumericError, read_window_store
 from conftest import write_panel_csv, write_prices_csv
 
 # small but honest settings so train/sample stay fast
@@ -438,6 +438,65 @@ def test_store_industry_ids_outside_the_net_are_data_errors(tmp_path, prices_csv
         assert not (tmp_path / "o").exists()
 
 
+def _augment_argv(store, run, config, out, ratio="1:1"):
+    return ("augment", store, run / "checkpoint.json", "--config", config, "--seed", 1,
+            "--board", "MAIN", "--ratio", ratio, "--out", out)
+
+
+def test_augment_copies_the_store_lines_as_read(tmp_path, prices_csv):
+    # augmented.jsonl starts with the store's non-blank lines, stripped, not re-encoded
+    run, config = _untrained_run(tmp_path, prices_csv)
+    lines = (run / "windows.jsonl").read_text().splitlines()
+    first, second, third = (json.loads(line) for line in lines[:3])
+    given = [
+        json.dumps(dict(reversed(first.items()))),  # keys in another order
+        json.dumps(dict(second, mean=1)),  # an integer mean
+        json.dumps({k: v for k, v in third.items() if k != "synthetic"}),
+        "   " + lines[3] + " \t",
+        "",
+        *lines[4:],
+    ]
+    store = tmp_path / "hand.jsonl"
+    store.write_text("\n".join(given))  # and no final newline
+    out = tmp_path / "aug"
+    assert _run(*_augment_argv(store, run, config, out)) == 0
+    text = (out / "augmented.jsonl").read_text()
+    assert text.startswith("".join(line.strip() + "\n" for line in given if line.strip()))
+    n_total = json.loads((out / "augment_manifest.json").read_text())["n_total"]
+    assert text.endswith("\n") and text.count("\n") == n_total
+
+
+def test_failed_augment_leaves_the_old_output(tmp_path, prices_csv, capsys):
+    run, config = _untrained_run(tmp_path, prices_csv)
+    store = tmp_path / "bad.jsonl"
+    lines = (run / "windows.jsonl").read_text().splitlines(keepends=True)
+    store.write_text("".join(lines) + '{"ticker": "600000"')  # the last line is cut short
+    out = tmp_path / "prev"
+    out.mkdir()
+    (out / "augmented.jsonl").write_bytes(b"old\n")
+    err = _data_error(capsys, *_augment_argv(store, run, config, out))
+    assert f"bad.jsonl:{len(lines) + 1}: malformed window record" in err
+    assert (out / "augmented.jsonl").read_bytes() == b"old\n"
+    assert [p.name for p in out.iterdir()] == ["augmented.jsonl"]  # no temporary left
+
+
+def test_failed_augment_leaves_no_new_out(tmp_path, prices_csv, monkeypatch, capsys):
+    run, config = _untrained_run(tmp_path, prices_csv)
+    store = tmp_path / "bad.jsonl"
+    store.write_text((run / "windows.jsonl").read_text() + "not json\n")
+    out = tmp_path / "a" / "b" / "c"
+    assert _run(*_augment_argv(run / "windows.jsonl", run, config, out, ratio="1:x")) == 2
+    assert "bad.jsonl:" in _data_error(capsys, *_augment_argv(store, run, config, out))
+    assert not (tmp_path / "a").exists()
+
+    def fails(*args, **kwargs):
+        raise NumericError("sampler state is non-finite")
+
+    monkeypatch.setattr(cli.samplers, "sample_rows", fails)
+    assert _run(*_augment_argv(run / "windows.jsonl", run, config, out)) == 4
+    assert not (tmp_path / "a").exists()
+
+
 LONG = "x" * 5000
 WINDOW = {"ticker": "600000", "start_date": "2021-01-04", "values": [0.0] * 30, "mean": 0.0,
           "scale": 1.0, "industry_id": 7, "board": "MAIN", "synthetic": False}
@@ -453,18 +512,21 @@ WINDOW = {"ticker": "600000", "start_date": "2021-01-04", "values": [0.0] * 30, 
     ("train", json.dumps(dict(WINDOW, industry_id=int("9" * 400)))),
     ("train", json.dumps(dict(WINDOW, ticker="600\n000", values=[float("nan")] * 30))),
     ("backtest", 'date,ticker,score,realized_return\n' + '2022-03-01,"60\n01",0.1,0.01\n' * 2),
+    ("usage", ""),
 ], ids=["close", "industry", "ticker", "config-value", "config-key", "store-board",
-        "store-industry-id", "store-ticker-newline", "panel-ticker-newline"])
+        "store-industry-id", "store-ticker-newline", "panel-ticker-newline",
+        "unrecognized-argument"])
 def test_each_typed_error_is_one_bounded_line(tmp_path, fast_config, capsys, verb, text):
     # long cells, keys and ids, and line breaks in tickers, all reach the message
     path = tmp_path / "input"
     path.write_text(text + "\n")
-    argv = {"train": ("train", path, "--seed", 1), "backtest": ("backtest", path)}
+    argv = {"train": ("train", path, "--seed", 1), "backtest": ("backtest", path),
+            "usage": ("ingest", path, LONG)}
     config = path if verb == "config" else fast_config
     capsys.readouterr()
     code = _run(*argv.get(verb, ("ingest", path)), "--config", config, "--out", tmp_path / "o")
     err = capsys.readouterr().err
-    assert code == (2 if verb == "config" else 3)
+    assert code == (2 if verb in ("config", "usage") else 3)
     assert err.count("\n") == 1 and "\r" not in err and len(err.rstrip("\n")) <= 500
 
 

@@ -29,7 +29,7 @@ from seriesdiff import (
     split_train_test,
     write_window_store,
 )
-from seriesdiff.dataio import STD_FLOOR
+from seriesdiff.dataio import STD_FLOOR, _replacing
 from conftest import FIXTURE_TICKERS, trading_days
 
 
@@ -328,6 +328,23 @@ def test_window_store_overwrite_is_atomic(tmp_path):
     assert path.read_bytes() == before
     assert len(read_window_store(path, 60, 124)) == len(windows)
     assert [p.name for p in tmp_path.iterdir()] == ["windows.jsonl"]
+
+
+def test_replacing_removes_the_directories_it_made_when_the_body_raises(tmp_path):
+    parent = tmp_path / "kept"
+    parent.mkdir()
+    target = parent / "a" / "b" / "f.txt"
+    with pytest.raises(KeyError, match="body"):
+        with _replacing(target) as fh:
+            fh.write("half")
+            raise KeyError("body")
+    assert list(tmp_path.iterdir()) == [parent] and list(parent.iterdir()) == []
+    # a made directory that gained another entry stays, and the body's error still propagates
+    with pytest.raises(KeyError, match="body"):
+        with _replacing(target):
+            (parent / "a" / "other").write_text("")
+            raise KeyError("body")
+    assert [p.name for p in (parent / "a").iterdir()] == ["other"]
 
 
 def test_prepare_windows_report(prices_csv):
