@@ -24,6 +24,7 @@ import os
 from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
+from itertools import compress
 from pathlib import Path
 from typing import Iterator, TextIO
 
@@ -323,92 +324,103 @@ def split_train_test(
     return train, test
 
 
-_CSV_HEADER = ["date", "ticker", "close", "industry_id"]
+def _csv_columns(path: Path, header: list[str], what: str) -> tuple:
+    """One pass over a 4-column CSV: ``(lines, (dates, codes), (tickers, codes), col3, col4)``.
 
-
-def _csv_rows(path: Path, header: list[str], what: str) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line number, stripped fields) of each non-blank row of a 4-column CSV.
-
-    Raises DataError for an unreadable (``what`` names the kind) or empty file, a
-    header other than ``header`` (both start ``date,ticker``), a row without exactly 4
-    fields or with an empty date or ticker (naming its line), and no data rows.
+    Dates and tickers are sorted distinct stripped values and each row's index into them, the
+    other columns raw cells; blank rows are skipped and ``lines`` numbers the rest.  Raises
+    DataError for an unreadable or empty file, a header other than ``header``, no data rows,
+    and the first row without 4 fields or with an empty date or ticker, naming its line.
     """
+    cols: tuple[list[str], ...] = ([], [], [], [])
+    memos: tuple[dict[str, str], ...] = ({}, {})  # one string per distinct date and ticker
+    short = None
     with _reading(path, what) as fh:
         reader = csv.reader(fh)
-        try:
-            first = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
+        first = next(reader, None)
+        if first is None:
+            raise DataError(f"{path}: file is empty")
         if [h.strip() for h in first] != header:
             raise DataError(f"{path}: expected header {','.join(header)}")
-        n_rows = 0
-        for lineno, row in enumerate(reader, start=2):
-            fields = [cell.strip() for cell in row]
-            if not any(fields):
-                continue
-            if len(fields) != 4:
-                raise DataError(f"{path}:{lineno}: expected 4 fields, got {len(fields)}")
-            if not fields[0] or not fields[1]:
-                raise DataError(f"{path}:{lineno}: empty date or ticker")
-            n_rows += 1
-            yield lineno, fields
-    if not n_rows:
+        add_d, add_t, add_x, add_y = (c.append for c in cols)
+        key_d, key_t = (m.setdefault for m in memos)
+        for row in reader:
+            if len(row) != 4:
+                if "".join(row).strip():  # named once the keys of the rows before it pass
+                    short = len(row)
+                    break
+                row = ["", "", "", ""]  # a blank row keeps its place: index + 2 is the line
+            d, t, x, y = row
+            add_d(key_d(d, d)), add_t(key_t(t, t)), add_x(x), add_y(y)
+    keys = []
+    for memo, col in zip(memos, cols):
+        index = {name: i for i, name in enumerate(sorted({raw.strip() for raw in memo} - {""}))}
+        lookup = {raw: index.get(raw.strip(), -1) for raw in memo}  # -1: an empty key
+        keys.append((list(index), np.fromiter(map(lookup.__getitem__, col), np.intp, len(col))))
+    (dates, d_code), (tickers, t_code) = keys
+    for i in np.flatnonzero((d_code < 0) | (t_code < 0)).tolist():
+        if d_code[i] >= 0 or t_code[i] >= 0 or cols[2][i].strip() or cols[3][i].strip():
+            raise DataError(f"{path}:{i + 2}: empty date or ticker")
+    if short is not None:
+        raise DataError(f"{path}:{len(cols[0]) + 2}: expected 4 fields, got {short}")
+    keep = d_code >= 0  # every row with an empty key is blank by now
+    lines = np.flatnonzero(keep) + 2
+    if not lines.size:
         raise DataError(f"{path}: no data rows")
+    if not keep.all():  # drop the blank rows
+        d_code, t_code = d_code[keep], t_code[keep]
+        cols = tuple(list(compress(c, keep)) for c in cols)
+    return lines, (dates, d_code), (tickers, t_code), cols[2], cols[3]
 
 
 def read_close_csv(path: str | Path, n_industries: int = 124) -> list[StockRecord]:
     """Parse the long-format close CSV into per-ticker records.
 
-    Rows may arrive in any order; they are grouped by ticker and sorted by
-    date.  An empty close field marks a suspension day.  If a ticker's
-    industry changes across rows, the latest row wins (reclassifications
-    apply retroactively).  Malformed rows raise line-numbered errors.
+    Rows may arrive in any order; they are grouped by ticker and sorted by date.  An empty
+    close field marks a suspension day.  A ticker's industry is the one on its latest-dated
+    row, wherever that row sits in the file (reclassifications apply retroactively).
+    Malformed rows raise line-numbered errors.
     """
     path = Path(path)
-    rows: dict[str, list[tuple[str, float, int]]] = {}
-    for lineno, (date, ticker, close_s, industry_s) in _csv_rows(path, _CSV_HEADER, "close CSV"):
-        if close_s:
-            try:
-                close = float(close_s)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: close {close_s!r} is not a number") from None
-            if not math.isfinite(close) or close <= 0.0:
-                raise DataError(f"{path}:{lineno}: close must be positive, got {close_s}")
-        else:
-            close = math.nan
+    lines, (dates, d_code), (tickers, t_code), close_s, industry_s = _csv_columns(
+        path, ["date", "ticker", "close", "industry_id"], "close CSV"
+    )
+    close_s = list(map(str.strip, close_s))
+    n = len(close_s)
+    try:
+        close = np.fromiter((float(c) if c else math.nan for c in close_s), np.float64, n)
+        industry = np.fromiter(map(int, industry_s), np.int64, n)
+        positive = np.greater(close, 0.0, out=np.zeros(n, dtype=bool), where=np.isfinite(close))
+        bad = ~(positive | [not c for c in close_s]) | (industry < 0) | (industry >= n_industries)
+    except (ValueError, OverflowError):  # a cell that does not parse: check every row in order
+        bad = np.ones(n, dtype=bool)
+    for i in np.flatnonzero(bad).tolist():  # stops at the first bad row, also when parsing failed
+        at, cell, ind = f"{path}:{lines[i]}", close_s[i], industry_s[i].strip()
         try:
-            industry = int(industry_s)
+            value = float(cell) if cell else 1.0
         except ValueError:
-            raise DataError(
-                f"{path}:{lineno}: industry_id {industry_s!r} is not an integer"
-            ) from None
-        if not 0 <= industry < n_industries:
-            raise DataError(
-                f"{path}:{lineno}: industry_id {industry} outside [0, {n_industries})"
-            )
-        rows.setdefault(ticker, []).append((date, close, industry))
-
+            raise DataError(f"{at}: close {cell!r} is not a number") from None
+        if not (math.isfinite(value) and value > 0.0):
+            raise DataError(f"{at}: close must be positive, got {cell}")
+        try:
+            industry_i = int(ind)
+        except ValueError:
+            raise DataError(f"{at}: industry_id {ind!r} is not an integer") from None
+        if not 0 <= industry_i < n_industries:
+            raise DataError(f"{at}: industry_id {industry_i} outside [0, {n_industries})")
+    order = np.lexsort((d_code, t_code))
+    d_code, t_code, close, industry = d_code[order], t_code[order], close[order], industry[order]
+    repeat = np.r_[False, (d_code[1:] == d_code[:-1]) & (t_code[1:] == t_code[:-1])]
+    bounds = np.searchsorted(t_code, np.arange(len(tickers) + 1)).tolist()
+    day = np.array(dates, dtype=object)
     records: list[StockRecord] = []
-    for ticker in sorted(rows):
-        entries = sorted(rows[ticker], key=lambda e: e[0])
-        dates = [e[0] for e in entries]
-        dupes = sorted({d for i, d in enumerate(dates[:-1]) if d == dates[i + 1]})
-        if dupes:  # name a few, so one bad ticker cannot flood the message
-            raise DataError(
-                f"{path}: ticker {ticker} has {len(dupes)} duplicate dates, "
-                f"first {', '.join(dupes[:5])}"
-            )
-        close = np.array([e[1] for e in entries], dtype=np.float64)
-        industry = entries[-1][2]
-        records.append(
-            StockRecord(
-                ticker=ticker,
-                dates=dates,
-                close=close,
-                industry_id=industry,
-                board=classify_board(ticker),
-            )
-        )
+    for ticker, a, b in zip(tickers, bounds, bounds[1:]):
+        if repeat[a:b].any():  # name a few, so one bad ticker cannot flood the message
+            dupes = day[np.unique(d_code[a:b][repeat[a:b]])].tolist()
+            raise DataError(f"{path}: ticker {ticker} has {len(dupes)} duplicate dates, "
+                            f"first {', '.join(dupes[:5])}")
+        dates_j, industry_j = day[d_code[a:b]].tolist(), int(industry[b - 1])
+        records.append(StockRecord(ticker, dates_j, close[a:b], industry_j, classify_board(ticker)))
     return records
 
 
@@ -493,7 +505,7 @@ def _replacing(path: str | Path) -> Iterator[TextIO]:
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         try:
-            with tmp.open("w") as fh:
+            with tmp.open("w", encoding="utf-8") as fh:
                 yield fh
             os.replace(tmp, path)
         finally:
@@ -510,7 +522,7 @@ def _replacing(path: str | Path) -> Iterator[TextIO]:
 def _reading(path: str | Path, what: str, errors: str = "strict") -> Iterator[TextIO]:
     """``path`` open for streaming; a failed open or decode, even mid-read, is a DataError."""
     try:
-        with open(path, errors=errors) as fh:
+        with open(path, encoding="utf-8", errors=errors) as fh:
             yield fh
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc  # an OSError's text repeats the path
@@ -520,7 +532,7 @@ def _reading(path: str | Path, what: str, errors: str = "strict") -> Iterator[Te
 def _read_json(path: str | Path, what: str) -> dict:
     """The JSON object stored at ``path``, or a DataError naming ``what`` and the path."""
     try:  # whole-file read, parsed after close; parsing inside _reading ran slower
-        obj = json.loads(Path(path).read_text())
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc  # an OSError's text repeats the path
         raise DataError(f"cannot read {what} {path}: {reason}") from exc

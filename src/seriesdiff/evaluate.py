@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import StockRecord, _csv_rows
+from .dataio import StockRecord, _csv_columns
 from .errors import DataError, ParameterError
 
 __all__ = [
@@ -140,32 +140,36 @@ def read_panel_csv(path: str | Path) -> PredictionPanel:
     The grid must be complete: every date needs a row for every ticker.
     """
     path = Path(path)
-    cells: dict[tuple[str, str], tuple[float, float]] = {}
-    header = ["date", "ticker", "score", "realized_return"]
-    for lineno, (date, ticker, score_s, ret_s) in _csv_rows(path, header, "panel CSV"):
+    lines, (dates, d_code), (tickers, t_code), score_s, ret_s = _csv_columns(
+        path, ["date", "ticker", "score", "realized_return"], "panel CSV"
+    )
+    n, D, N = len(score_s), len(dates), len(tickers)
+    cell = d_code * N + t_code
+    counts = np.bincount(cell, minlength=D * N)
+    try:
+        scores = np.fromiter(map(float, score_s), np.float64, n)
+        returns = np.fromiter(map(float, ret_s), np.float64, n)
+        bad = (counts[cell] > 1) | ~(np.isfinite(scores) & np.isfinite(returns))
+    except ValueError:  # a cell that is no number: check every row in order
+        bad = np.ones(n, dtype=bool)
+    held: set[int] = set()
+    for i in np.flatnonzero(bad).tolist():  # stops at the first bad row, also when parsing failed
         try:
-            score, ret = float(score_s), float(ret_s)
-            if not (math.isfinite(score) and math.isfinite(ret)):
+            if not (math.isfinite(float(score_s[i])) and math.isfinite(float(ret_s[i]))):
                 raise ValueError
         except ValueError:
-            raise DataError(f"{path}:{lineno}: score and return must be finite numbers") from None
-        if (date, ticker) in cells:
-            raise DataError(f"{path}:{lineno}: duplicate cell ({date}, {ticker})")
-        cells[(date, ticker)] = (score, ret)
-    dates = sorted({d for d, _ in cells})
-    tickers = sorted({t for _, t in cells})
-    D, N = len(dates), len(tickers)
-    # cells are unique, so the grid is full exactly when there are D * N of them
-    if len(cells) != D * N:
-        d, t = next((d, t) for d in dates for t in tickers if (d, t) not in cells)
-        raise DataError(f"{path}: missing cell for ({d}, {t}); the grid must be full")
-    row = {d: i for i, d in enumerate(dates)}
-    col = {t: j for j, t in enumerate(tickers)}
-    scores, returns = np.empty((2, D, N))
-    for (d, t), (score, ret) in cells.items():
-        i, j = row[d], col[t]
-        scores[i, j], returns[i, j] = score, ret
-    return PredictionPanel(dates=dates, tickers=tickers, scores=scores, returns=returns)
+            raise DataError(f"{path}:{lines[i]}: score and return must be finite numbers") from None
+        if cell[i] in held:
+            d, t = dates[d_code[i]], tickers[t_code[i]]
+            raise DataError(f"{path}:{lines[i]}: duplicate cell ({d}, {t})")
+        held.add(cell[i])
+    if n != D * N:  # cells are unique, so the grid is full exactly when it holds D * N rows
+        d, t = divmod(int(np.argmin(counts)), N)
+        raise DataError(f"{path}: missing cell for ({dates[d]}, {tickers[t]}); "
+                        "the grid must be full")
+    grid = np.empty((2, D * N))
+    grid[:, cell] = scores, returns
+    return PredictionPanel(dates, tickers, *grid.reshape(2, D, N))
 
 
 @dataclass(frozen=True)
@@ -270,15 +274,12 @@ def momentum_panel(
         raise ParameterError("lookback and horizon must be >= 1")
     if not records:
         raise DataError("no records given")
-    by_date: list[dict[str, float]] = []
-    shared: set[str] | None = None
+    lookups = []
     for rec in records:
         if not np.all(np.isfinite(rec.close)):
             raise DataError(f"record {rec.ticker}: unrepaired gaps remain")
-        lookup = dict(zip(rec.dates, rec.close.tolist()))
-        by_date.append(lookup)
-        shared = set(lookup) if shared is None else shared & set(lookup)
-    dates = sorted(shared or set())
+        lookups.append(dict(zip(rec.dates, rec.close.tolist())))
+    dates = sorted(set.intersection(*map(set, lookups)))
     usable = dates[lookback : len(dates) - horizon]
     if not usable:
         raise DataError(
@@ -287,20 +288,7 @@ def momentum_panel(
     tickers = [rec.ticker for rec in records]
     if len(set(tickers)) != len(tickers):
         raise DataError("duplicate tickers across records")
-    scores = np.empty((len(usable), len(records)))
-    returns = np.empty((len(usable), len(records)))
-    for i, date in enumerate(usable):
-        di = lookback + i
-        for j, lookup in enumerate(by_date):
-            now = lookup[date]
-            past = lookup[dates[di - lookback]]
-            future = lookup[dates[di + horizon]]
-            scores[i, j] = (now - past) / past
-            returns[i, j] = (future - now) / now
     order = np.argsort(tickers, kind="stable")
-    return PredictionPanel(
-        dates=usable,
-        tickers=[tickers[j] for j in order],
-        scores=scores[:, order],
-        returns=returns[:, order],
-    )
+    grid = np.array([[lookups[j][d] for j in order] for d in dates])  # shared dates x tickers
+    past, now, future = grid[:-lookback - horizon], grid[lookback:-horizon], grid[lookback + horizon:]
+    return PredictionPanel(usable, sorted(tickers), (now - past) / past, (future - now) / now)

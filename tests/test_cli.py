@@ -2,7 +2,10 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -416,6 +419,19 @@ def test_unreadable_inputs_are_data_errors(tmp_path, prices_csv, panel_csv, caps
         bad.mkdir()
         assert _data_error(capsys, *argv(bad)).count(str(bad)) == 1
         bad.rmdir()
+
+
+def test_ingest_and_backtest_open_every_file_as_utf8(tmp_path, prices_csv, panel_csv,
+                                                     fast_config):
+    # an open() that leaves the encoding to the locale warns under warn_default_encoding,
+    # and the warning filter turns that into a failed run
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    for verb, path in (("ingest", prices_csv), ("backtest", panel_csv)):
+        argv = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                "-m", "seriesdiff.cli", verb, path, "--config", fast_config,
+                "--out", tmp_path / "run"]
+        done = subprocess.run(argv, env=env, capture_output=True, timeout=300)
+        assert done.returncode == 0, done.stderr.decode(errors="replace")
 
 
 def test_store_industry_ids_outside_the_net_are_data_errors(tmp_path, prices_csv, capsys):
