@@ -317,8 +317,8 @@ def cmd_backtest(args: argparse.Namespace, config: dict[str, object]) -> int:
     _write_json(summary, out / "summary.json")
     with dataio._replacing(out / "backtest.csv") as fh:
         fh.write("date,daily_return,cumulative_rr\n")
-        for d, date in enumerate(result.dates):
-            fh.write(f"{date},{result.daily_returns[d]!r},{result.cumulative[d]!r}\n")
+        rows = zip(result.dates, result.daily_returns.tolist(), result.cumulative.tolist())
+        fh.writelines(f"{date},{r!r},{c!r}\n" for date, r, c in rows)
     with dataio._replacing(out / "equity.svg") as fh:
         fh.write(_equity_svg(result.dates, result.cumulative))
     print(

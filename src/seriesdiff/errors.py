@@ -2,8 +2,7 @@
 
 The CLI maps these onto process exit codes (see cli.main): configuration
 problems exit 2, data problems exit 3, numeric failures exit 4.  Library code
-raises them and swallows none, except that ``evaluate.summarize_backtest``
-catches the error of a date whose correlation is undefined and counts it.
+raises them and swallows none.
 """
 
 from __future__ import annotations

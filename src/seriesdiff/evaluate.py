@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import StockRecord, _csv_columns
-from .errors import DataError, ParameterError
+from .errors import DataError, NumericError, ParameterError
 
 __all__ = [
     "return_ratio",
@@ -57,31 +57,46 @@ def log_return(closes: np.ndarray, horizon: int) -> float:
     return float(math.log(closes[horizon] / closes[0]))
 
 
-def _check_pair(predicted: np.ndarray, realized: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    p = np.asarray(predicted, dtype=np.float64)
-    r = np.asarray(realized, dtype=np.float64)
+def _pair(predicted: np.ndarray, realized: np.ndarray, undefined: str) -> np.ndarray:
+    """The checked pair as one (2, N) stack; ``undefined`` is the error for a constant vector."""
+    p, r = (np.asarray(v, dtype=np.float64) for v in (predicted, realized))
     if p.ndim != 1 or p.shape != r.shape:
         raise ParameterError("predicted and realized must be equal-length 1-D vectors")
     if p.size < 2:
         raise ParameterError("need at least 2 entries")
-    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(r))):
+    pair = np.stack([p, r])
+    if not np.all(np.isfinite(pair)):
         raise DataError("inputs contain non-finite values")
-    return p, r
+    if np.any(pair.min(axis=1) == pair.max(axis=1)):  # exact: np.std of equal floats can be 1e-17
+        raise DataError(undefined)
+    return pair
+
+
+def _corr_rows(pairs: np.ndarray) -> np.ndarray:
+    """Pearson correlation of each (2, N) pair of the (..., 2, N) stack ``pairs``, computed
+    as np.corrcoef computes one pair; N >= 2 unless the stack is empty."""
+    x = pairs - pairs.mean(axis=-1, keepdims=True)
+    c = x @ x.swapaxes(-1, -2) * (1.0 / max(x.shape[-1] - 1, 1))
+    s = np.sqrt(c[..., [0, 1], [0, 1]])
+    r = np.clip(c[..., 0, 1] / s[..., 0] / s[..., 1], -1.0, 1.0)
+    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(r))):  # an infinite variance gives r = 0
+        raise NumericError("a correlation is non-finite: its values overflow or underflow float64")
+    return r
 
 
 def information_coefficient(predicted: np.ndarray, realized: np.ndarray) -> float:
     """Pearson correlation between scores and realized returns."""
-    p, r = _check_pair(predicted, realized)
-    if p.min() == p.max() or r.min() == r.max():  # exact: np.std of equal floats can be 1e-17
-        raise DataError("correlation undefined: a vector is constant")
-    return float(np.corrcoef(p, r)[0, 1])
+    pair = _pair(predicted, realized, "correlation undefined: a vector is constant")
+    return float(_corr_rows(pair))
 
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing the average of their positions."""
-    _, inverse, counts = np.unique(v, return_inverse=True, return_counts=True)
-    # a tie group ending at 1-based position c with n members averages to c - (n - 1) / 2
-    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+    """1-based ranks along the last axis, ties sharing the average of their positions."""
+    # a stable sort places a tie group's members in order, the sort of the reversed row in
+    # reverse order, so each member's two positions sum to twice the group's mean position
+    twice = np.argsort(np.argsort(v, axis=-1, kind="stable"), axis=-1)
+    twice += np.argsort(np.argsort(v[..., ::-1], axis=-1, kind="stable"), axis=-1)[..., ::-1]
+    return twice / 2.0 + 1.0
 
 
 def rank_ic(predicted: np.ndarray, realized: np.ndarray) -> float:
@@ -91,12 +106,8 @@ def rank_ic(predicted: np.ndarray, realized: np.ndarray) -> float:
     shortcut; with ties the rank-correlation definition used here is the one
     that stays correct.
     """
-    p, r = _check_pair(predicted, realized)
-    rp = _average_ranks(p)
-    rr = _average_ranks(r)
-    if np.std(rp) == 0.0 or np.std(rr) == 0.0:
-        raise DataError("rank correlation undefined: a vector is fully tied")
-    return float(np.corrcoef(rp, rr)[0, 1])
+    pair = _pair(predicted, realized, "rank correlation undefined: a vector is fully tied")
+    return float(_corr_rows(_average_ranks(pair)))
 
 
 @dataclass(frozen=True)
@@ -201,25 +212,21 @@ def topk_dropk_backtest(panel: PredictionPanel, k: int = 20) -> BacktestResult:
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     tickers = np.asarray(panel.tickers)
-    n_hold = min(k, len(panel.tickers))
-    holdings: list[list[str]] = []
-    daily = np.empty(len(panel.dates), dtype=np.float64)
-    for d in range(len(panel.dates)):
-        # lexsort's last key is primary: score descending, then ticker ascending.
-        order = np.lexsort((tickers, -panel.scores[d]))
-        held_idx = order[:n_hold]
-        holdings.append([str(t) for t in tickers[held_idx]])
-        daily[d] = float(np.mean(panel.returns[d, held_idx]))
+    # lexsort's last key is primary: score descending, then ticker ascending, on every date
+    held = np.lexsort((np.broadcast_to(tickers, panel.scores.shape), -panel.scores))[:, :k]
+    daily = np.take_along_axis(panel.returns, held, axis=-1).mean(axis=-1)
     cumulative = np.cumprod(1.0 + daily) - 1.0
-    turnover = 0
-    for d in range(1, len(holdings)):
-        turnover += len(set(holdings[d - 1]) - set(holdings[d]))
+    bad = np.flatnonzero(~np.isfinite(cumulative))
+    if bad.size:
+        raise NumericError(f"compounded return is non-finite from {panel.dates[bad[0]]} on")
+    in_top = np.zeros(panel.scores.shape, dtype=bool)
+    np.put_along_axis(in_top, held, True, axis=-1)
     return BacktestResult(
         dates=list(panel.dates),
-        holdings=holdings,
+        holdings=tickers[held].tolist(),
         daily_returns=daily,
         cumulative=cumulative,
-        turnover=turnover,
+        turnover=int(np.count_nonzero(in_top[:-1] & ~in_top[1:])),
     )
 
 
@@ -229,35 +236,26 @@ def summarize_backtest(
     """Backtest plus per-date IC / Rank IC averages, as one flat summary dict.
 
     ``result`` is ``topk_dropk_backtest(panel, k)`` when the caller already
-    holds it; otherwise the backtest runs here.  Dates where a correlation is
-    undefined (constant scores or returns for IC, fully tied vectors for
-    Rank IC) are skipped and counted instead of poisoning the averages; with
-    a 1-name universe every date is skipped and the averages are reported as
-    None.
+    holds it; otherwise the backtest runs here.  A date whose scores or
+    returns are constant, where both correlations are undefined, is skipped
+    and counted instead of poisoning the averages; with a 1-name universe
+    every date is skipped and the averages are reported as None.
     """
     if result is None:
         result = topk_dropk_backtest(panel, k=k)
-    ics: list[float] = []
-    rank_ics: list[float] = []
-    skipped = 0
-    for d in range(len(panel.dates)):
-        try:
-            ic = information_coefficient(panel.scores[d], panel.returns[d])
-            rank_ics.append(rank_ic(panel.scores[d], panel.returns[d]))
-        except (DataError, ParameterError):
-            skipped += 1
-        else:
-            ics.append(ic)
+    pairs = np.stack([panel.scores, panel.returns], axis=1)  # (D, 2, N)
+    pairs = pairs[np.all(pairs.min(axis=-1) < pairs.max(axis=-1), axis=-1)]
+    ics, rank_ics = _corr_rows(pairs), _corr_rows(_average_ranks(pairs))
     return {
         "n_dates": len(panel.dates),
         "n_tickers": len(panel.tickers),
         "top_k": k,
         "cumulative_rr": result.cumulative_return,
         "mean_daily_return": float(np.mean(result.daily_returns)),
-        "mean_ic": float(np.mean(ics)) if ics else None,
-        "mean_rank_ic": float(np.mean(rank_ics)) if rank_ics else None,
+        "mean_ic": float(np.mean(ics)) if ics.size else None,
+        "mean_rank_ic": float(np.mean(rank_ics)) if rank_ics.size else None,
         "turnover": result.turnover,
-        "skipped_ic_dates": skipped,
+        "skipped_ic_dates": len(panel.dates) - len(pairs),
     }
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from seriesdiff import cli
 from seriesdiff.cli import DEFAULT_CONFIG, config_digest, load_config, main
-from seriesdiff import NumericError, read_window_store
+from seriesdiff import NumericError, read_panel_csv, read_window_store, topk_dropk_backtest
 from conftest import write_panel_csv, write_prices_csv
 
 # small but honest settings so train/sample stay fast
@@ -169,7 +169,13 @@ def test_full_pipeline_and_exit_codes(tmp_path, prices_csv, fast_config):
     assert _run("backtest", panel, "--config", fast_config, "--out", run) == 0
     summary = json.loads((run / "summary.json").read_text())
     assert summary["top_k"] == 3
-    assert (run / "backtest.csv").read_text().startswith("date,daily_return,cumulative_rr")
+    # every data cell is a plain decimal number equal to the backtest's own value
+    result = topk_dropk_backtest(read_panel_csv(panel), k=FAST["eval.top_k"])
+    rows = [line.split(",") for line in (run / "backtest.csv").read_text().splitlines()]
+    assert rows[0] == ["date", "daily_return", "cumulative_rr"]
+    assert [r[0] for r in rows[1:]] == result.dates
+    assert [float(r[1]) for r in rows[1:]] == result.daily_returns.tolist()
+    assert [float(r[2]) for r in rows[1:]] == result.cumulative.tolist()
     assert (run / "equity.svg").read_text().startswith("<svg")
 
     assert _run("report", run) == 0
@@ -571,3 +577,21 @@ def test_non_finite_sampler_state_is_a_numeric_error(tmp_path, prices_csv, capsy
                 "--industry", 7, "--board", "STAR", "--out", tmp_path / "s") == 4
     err = capsys.readouterr().err
     assert err.startswith("numeric error:") and err.count("\n") == 1
+
+
+# returns of 1e200 compound past the float range over 3 dates; on one date the squares of
+# their spread overflow the variance of the correlation
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dates, text", [
+    (3, "compounded return is non-finite from 2022-03-02 on"),
+    (1, "a correlation is non-finite"),
+], ids=["compounded-return", "correlation"])
+def test_overflowing_panel_is_a_numeric_error(tmp_path, fast_config, capsys, dates, text):
+    panel = tmp_path / "panel.csv"
+    panel.write_text("date,ticker,score,realized_return\n" + "".join(
+        f"2022-03-0{d + 1},T{j},{j},{j + 1}e200\n" for d in range(dates) for j in range(4)))
+    capsys.readouterr()
+    assert _run("backtest", panel, "--config", fast_config, "--out", tmp_path / "o" / "p") == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"numeric error: {text}") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()

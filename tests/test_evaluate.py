@@ -184,19 +184,33 @@ def test_backtest_hand_example():
 
 def test_backtest_matches_reference_on_randoms():
     rng = np.random.default_rng(3)
-    for _ in range(20):
-        nd, nt = 4, 7
+    for trial in range(80):
+        nd, nt, k = 4, 7, (1, 3, 7, 9)[trial % 4]
         dates = [f"d{i}" for i in range(nd)]
         tickers = [f"T{j:02d}" for j in range(nt)]
         scores = np.round(rng.standard_normal((nd, nt)), 1)
         returns = 0.02 * rng.standard_normal((nd, nt))
+        if trial >= 20:  # some score or return rows constant
+            scores[rng.random(nd) < 0.3] = 0.1
+            returns[rng.random(nd) < 0.3] = 0.01
         panel = PredictionPanel(dates=dates, tickers=tickers,
                                 scores=scores, returns=returns)
-        got = topk_dropk_backtest(panel, k=3)
-        holdings, daily, cum = reference_topk_backtest(dates, tickers, scores, returns, 3)
+        got = topk_dropk_backtest(panel, k=k)
+        holdings, daily, cum = reference_topk_backtest(dates, tickers, scores, returns, k)
         assert got.holdings == holdings
         assert np.max(np.abs(np.asarray(got.daily_returns) - daily)) < 1e-12
         assert got.cumulative_return == pytest.approx(cum, abs=1e-12)
+        assert got.turnover == sum(len(set(a) - set(b)) for a, b in zip(holdings, holdings[1:]))
+
+        s = summarize_backtest(panel, k=k, result=got)
+        kept = [d for d in range(nd) if np.ptp(scores[d]) > 0 and np.ptp(returns[d]) > 0]
+        assert s["skipped_ic_dates"] == nd - len(kept)
+        for key, oracle in (("mean_ic", pearson_direct), ("mean_rank_ic", spearman_direct)):
+            if not kept:
+                assert s[key] is None
+                continue
+            want = np.mean([oracle(scores[d], returns[d]) for d in kept])
+            assert s[key] == pytest.approx(want, abs=1e-12)
 
 
 def test_summarize_backtest_keys_and_skips():
@@ -220,6 +234,16 @@ def test_summarize_backtest_keys_and_skips():
     s2 = summarize_backtest(all_bad, k=1)
     assert s2["mean_ic"] is None
     assert s2["mean_rank_ic"] is None
+
+    # a 1-name universe skips every date, also with k above the universe
+    one_name = PredictionPanel(
+        dates=["d1", "d2", "d3"], tickers=["A"],
+        scores=np.array([[1.0], [2.0], [3.0]]), returns=np.array([[0.01], [-0.02], [0.03]]),
+    )
+    s1 = summarize_backtest(one_name, k=5)
+    assert (s1["mean_ic"], s1["mean_rank_ic"], s1["skipped_ic_dates"]) == (None, None, 3)
+    assert (s1["turnover"], s1["top_k"]) == (0, 5)
+    assert s1["mean_daily_return"] == pytest.approx(0.02 / 3, abs=1e-15)
 
     # a constant 0.1 row is skipped for IC and Rank IC alike, so neither
     # average keeps a value from it
