@@ -29,7 +29,7 @@ import numpy as np
 from .errors import NumericError, ParameterError, check_finite_rows
 from .regularizers import AntvConfig, BandSpec, antv_step, bp_grad_step
 from .schedules import NoiseSchedule, SigmaLadder, forward_perturb
-from .scorenet import ConditionVector, ScoreNetworkParams, predict_eps
+from .scorenet import ConditionVector, ScoreNetworkParams, _Prepared, predict_eps
 
 __all__ = [
     "SamplerConfig",
@@ -59,26 +59,33 @@ def guided_eps(
     """Classifier-free guided noise prediction.
 
     Returns omega * eps(x, t, cond) + (1 - omega) * eps(x, t, NULL) for one
-    (L,) window and condition, or a (B, L) batch with one condition per row,
-    whose rows and NULL twins go through one ``predict_eps`` call.  The
-    omega = 0 and omega = 1 endpoints evaluate the network once on the rows
-    as given and return that result unchanged.  A NULL condition with
-    omega != 0 is rejected: there is nothing to guide toward.
+    (L,) window and condition, or a (B, L) batch with B conditions or their
+    ``_guidance`` value; the rows and their NULL twins go through one
+    ``predict_eps`` call.  The omega = 0 and omega = 1 endpoints evaluate the
+    network once on the rows as given and return that result unchanged.  A
+    NULL condition with omega != 0 is rejected: nothing to guide toward.
     """
     if not math.isfinite(omega):
         raise ParameterError(f"omega must be finite, got {omega}")
     if np.ndim(x_t) == 1:
         return guided_eps(params, np.asarray(x_t)[None], t, [cond], omega)[0]
     B = len(x_t)
-    if omega == 0.0:
-        return predict_eps(params, x_t, t, [None] * B)
-    if any(c is None or c.is_null for c in cond):
+    prep = cond if isinstance(cond, _Prepared) else _guidance(params, cond, B, omega)
+    if omega in (0.0, 1.0):
+        return predict_eps(params, x_t, t, prep)
+    eps = predict_eps(params, np.concatenate([x_t, x_t]), t, prep)
+    return omega * eps[:B] + (1.0 - omega) * eps[B:]
+
+
+def _guidance(params: ScoreNetworkParams, cond: Sequence, B: int, omega: float) -> _Prepared:
+    """The checked conditions of B rows at weight omega, with NULL twins unless omega is 0 or 1."""
+    n = len(cond) if isinstance(cond, Sequence) else "no sequence"
+    if n != B:
+        raise ParameterError(f"{B} windows need {B} conditions, got {n}")
+    if omega != 0.0 and any(c is None or c.is_null for c in cond):
         raise ParameterError(f"guidance weight {omega} needs a condition to guide toward: "
                              "give one (--industry and --board) or set sampler.guidance to 0")
-    if omega == 1.0:
-        return predict_eps(params, x_t, t, cond)
-    eps = predict_eps(params, np.concatenate([x_t, x_t]), t, list(cond) + [None] * B)
-    return omega * eps[:B] + (1.0 - omega) * eps[B:]
+    return _Prepared(params, [None] * B if omega == 0.0 else list(cond) + [None] * B * (omega != 1.0))
 
 
 def ddpm_mean(
@@ -345,12 +352,11 @@ def _reverse(
     """
     L = params.config.input_len
     jumps = _jumps(schedule, cfg)
+    guide = _guidance(params, conditions, len(conditions), cfg.guidance)
     anchored = [i for i, src in enumerate(sources) if src is not None]
     if anchored and cfg.lambda_bp >= 1.0 / L:
-        raise ParameterError(
-            f"lambda_bp={cfg.lambda_bp} must be below 1/L = {1.0 / L:.6g} (L={L}), "
-            "or the spectral anchor diverges"
-        )
+        raise ParameterError(f"lambda_bp={cfg.lambda_bp} must be below 1/L = {1.0 / L:.6g} "
+                             f"(L={L}), or the spectral anchor diverges")
     x = np.empty((len(conditions), L))
     for i, (src, rng) in enumerate(zip(sources, rngs)):
         if src is None:
@@ -368,7 +374,7 @@ def _reverse(
     band = BandSpec(cfg.band_low, cfg.band_high) if anchored else None
     refs = np.array([sources[i] for i in anchored], dtype=np.float64)
     for t_cur, t_prev, sigma in jumps:
-        eps_hat = guided_eps(params, x, t_cur, conditions, cfg.guidance)
+        eps_hat = guided_eps(params, x, t_cur, guide, cfg.guidance)
         x = ddim_mean(x, t_cur, t_prev, eps_hat, schedule, sigma)
         if sigma > 0.0:
             x = x + sigma * np.array([rng.standard_normal(L) for rng in rngs])

@@ -210,16 +210,15 @@ def init_params(cfg: ScoreNetConfig, rng: np.random.Generator) -> ScoreNetworkPa
     return ScoreNetworkParams(config=cfg, values=np.concatenate(chunks))
 
 
-def _act(z: np.ndarray, kind: str) -> np.ndarray:
+def _act(z: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray | None]:
     if kind == "silu":
         sig = 0.5 * (1.0 + np.tanh(0.5 * z))
-        return z * sig
-    return np.maximum(z, 0.0)
+        return z * sig, sig
+    return np.maximum(z, 0.0), None
 
 
-def _act_grad(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "silu":
-        sig = 0.5 * (1.0 + np.tanh(0.5 * z))
+def _act_grad(z: np.ndarray, sig: np.ndarray | None) -> np.ndarray:
+    if sig is not None:
         return sig * (1.0 + z * (1.0 - sig))
     return (z > 0.0).astype(np.float64)
 
@@ -272,7 +271,7 @@ def _encode_batch(
 
     iid/bid use -1 for the NULL condition, which encodes as the zero vector.
     The MLP runs on the conditioned rows only (zero rows if all are NULL);
-    its activations come back as (rows, mask, e, a1, h1, a2, h2).
+    its activations come back as (rows, mask, e, a1, s1, h1, a2, s2, h2), s the sigmoids.
     """
     cfg = params.config
     kind = cfg.activation
@@ -280,37 +279,39 @@ def _encode_batch(
     rows = iid[mask]
     e = params.view("embed")[rows]
     a1 = e @ params.view("cond_w1").T + params.view("cond_b1")
-    h1 = _act(a1, kind)
+    h1, s1 = _act(a1, kind)
     a2 = h1 @ params.view("cond_w2").T + params.view("cond_b2")
-    h2 = _act(a2, kind)
+    h2, s2 = _act(a2, kind)
     cenc = np.zeros((iid.shape[0], cfg.cond_dim), dtype=np.float64)
     cenc[mask, : cfg.embed_dim] = h2 @ params.view("cond_w3").T + params.view("cond_b3")
     cenc[mask, cfg.embed_dim + bid[mask]] = 1.0
-    return cenc, (rows, mask, e, a1, h1, a2, h2)
+    return cenc, (rows, mask, e, a1, s1, h1, a2, s2, h2)
 
 
 def _forward(
-    params: ScoreNetworkParams, x: np.ndarray, t: np.ndarray, cenc: np.ndarray, keep: bool = True
+    params: ScoreNetworkParams, x: np.ndarray, t: int | np.ndarray, cterms: list, keep: bool = True
 ) -> tuple[np.ndarray, tuple]:
-    """Batched forward pass; x (..., L), t (...), cenc (..., cond_dim) encodings,
-    with leading axes (B,) or (n_tiles, _TILE).
+    """Batched forward pass; x (..., L) and ``_cond_terms`` cterms with leading axes
+    (B,) or (n_tiles, _TILE), and t (B,) steps or one step, embedded on one tile for every tile.
 
     Returns the output and the activations ``_backward`` reads:
-    (x, temb, cenc, [(z, a1, v) per block, or None without ``keep``], h), h the last trunk state.
+    (x, temb, [(z, a1, s, v) per block, or None without ``keep``], h), h the last trunk state.
     """
-    cfg = params.config
-    kind = cfg.activation
-    temb = time_embedding(t.ravel(), cfg.time_dim).reshape(t.shape + (cfg.time_dim,))
+    temb = time_embedding(np.full(_TILE, t) if np.ndim(t) == 0 else t, params.config.time_dim)
     h = x @ params.view("in_w").T + params.view("in_b")
     blocks = []
-    for i in range(cfg.blocks):
-        z = h + temb @ params.view(f"blk{i}_time_w").T + cenc @ params.view(f"blk{i}_cond_w").T
+    for i, cterm in enumerate(cterms):
+        z = h + temb @ params.view(f"blk{i}_time_w").T + cterm
         a1 = z @ params.view(f"blk{i}_w1").T + params.view(f"blk{i}_b1")
-        v = _act(a1, kind)
+        v, s = _act(a1, params.config.activation)
         h = h + v @ params.view(f"blk{i}_w2").T + params.view(f"blk{i}_b2")
-        blocks.append((z, a1, v) if keep else None)
+        blocks.append((z, a1, s, v) if keep else None)
     out = h @ params.view("out_w").T + params.view("out_b")
-    return out, (x, temb, cenc, blocks, h)
+    return out, (x, temb, blocks, h)
+
+
+def _cond_terms(params: ScoreNetworkParams, cenc: np.ndarray) -> list[np.ndarray]:
+    return [cenc @ params.view(f"blk{i}_cond_w").T for i in range(params.config.blocks)]
 
 
 def _dense_grad(g, w: str, b: str | None, d: np.ndarray, a: np.ndarray) -> None:
@@ -327,27 +328,26 @@ def _dense_grad(g, w: str, b: str | None, d: np.ndarray, a: np.ndarray) -> None:
 
 
 def _backward(
-    params: ScoreNetworkParams, acts: tuple, mlp: tuple, dout: np.ndarray
+    params: ScoreNetworkParams, acts: tuple, cenc: np.ndarray, mlp: tuple, dout: np.ndarray
 ) -> np.ndarray:
     """Reverse-mode gradient of <dout, output> with respect to the flat vector.
 
-    ``acts`` comes from ``_forward`` and ``mlp`` from the ``_encode_batch``
-    that made its encodings.
+    ``acts`` comes from ``_forward``, and ``cenc`` and ``mlp`` from the
+    ``_encode_batch`` that made its condition terms.
     """
     cfg = params.config
-    kind = cfg.activation
     grad = np.zeros_like(params.values)
     g = params.with_values(grad).view  # views write into grad
-    x, temb, cenc, blocks, h = acts
+    x, temb, blocks, h = acts
 
     _dense_grad(g, "out_w", "out_b", dout, h)
     dh = dout @ params.view("out_w")
     dcenc = np.zeros_like(cenc)
     for i in reversed(range(cfg.blocks)):
-        z, a1, v = blocks[i]
+        z, a1, s, v = blocks[i]
         _dense_grad(g, f"blk{i}_w2", f"blk{i}_b2", dh, v)
         dv = dh @ params.view(f"blk{i}_w2")
-        da1 = dv * _act_grad(a1, kind)
+        da1 = dv * _act_grad(a1, s)
         _dense_grad(g, f"blk{i}_w1", f"blk{i}_b1", da1, z)
         dz = da1 @ params.view(f"blk{i}_w1")
         _dense_grad(g, f"blk{i}_time_w", None, dz, temb)
@@ -356,12 +356,12 @@ def _backward(
         dh = dh + dz
     _dense_grad(g, "in_w", "in_b", dh, x)
 
-    rows, mask, e, a1, h1, a2, h2 = mlp
+    rows, mask, e, a1, s1, h1, a2, s2, h2 = mlp
     dh3 = dcenc[mask, : cfg.embed_dim]
     _dense_grad(g, "cond_w3", "cond_b3", dh3, h2)
-    da2 = (dh3 @ params.view("cond_w3")) * _act_grad(a2, kind)
+    da2 = (dh3 @ params.view("cond_w3")) * _act_grad(a2, s2)
     _dense_grad(g, "cond_w2", "cond_b2", da2, h1)
-    da1 = (da2 @ params.view("cond_w2")) * _act_grad(a1, kind)
+    da1 = (da2 @ params.view("cond_w2")) * _act_grad(a1, s1)
     _dense_grad(g, "cond_w1", "cond_b1", da1, e)
     de = da1 @ params.view("cond_w1")
     np.add.at(g("embed"), rows, de)
@@ -387,9 +387,21 @@ _TILE = 8
 
 
 def _tiles(a: np.ndarray) -> np.ndarray:
-    """The rows of ``a`` zero-padded to whole tiles, as (n_tiles, _TILE, ...)."""
-    padded = np.pad(a, [(0, -len(a) % _TILE)] + [(0, 0)] * (a.ndim - 1))
-    return padded.reshape((len(padded) // _TILE, _TILE) + a.shape[1:])
+    """The rows of ``a`` and zero rows up to whole tiles, as (n_tiles, _TILE, ...)."""
+    padded = np.concatenate([a, np.zeros((-len(a) % _TILE,) + a.shape[1:])])
+    return padded.reshape((-1, _TILE) + a.shape[1:])
+
+
+class _Prepared:
+    """Conditions made ready once for many ``predict_eps`` calls: each block's term on their tiles."""
+
+    def __init__(self, params: ScoreNetworkParams, conds: Sequence[ConditionVector | None]):
+        cond_dim = params.config.cond_dim
+        enc = [np.zeros(cond_dim) if c is None else c.encoded for c in conds]
+        if any(e.shape != (cond_dim,) for e in enc):
+            raise ParameterError(f"a condition encoding is not of shape ({cond_dim},)")
+        self.rows = len(enc)
+        self.terms = _cond_terms(params, _tiles(np.array(enc).reshape(len(enc), cond_dim)))
 
 
 def predict_eps(
@@ -401,22 +413,18 @@ def predict_eps(
     """Predicted noise for corrupted windows at step t (None = NULL condition).
 
     ``x_t`` is one (L,) window with one condition, or a (B, L) batch with a
-    sequence of B conditions; row i does not depend on the other rows.  The
-    trunk reads each ``cond.encoded`` as given.  The implied score is
-    -predict_eps(...) / sqrt(1 - alpha_bar_t).
+    sequence of B conditions or their ``_Prepared`` value; row i does not
+    depend on the other rows.  The trunk reads each ``cond.encoded`` as
+    given.  The implied score is -predict_eps(...) / sqrt(1 - alpha_bar_t).
     """
     single = np.ndim(x_t) == 1
     (x,) = _rows(params, t, x_t)
-    conds = [cond] if single else cond
-    if not isinstance(conds, Sequence) or len(conds) != len(x):
+    prep = [cond] if single else cond
+    if isinstance(prep, Sequence) and len(prep) == len(x):
+        prep = _Prepared(params, prep)
+    if not isinstance(prep, _Prepared) or prep.rows != len(x):
         raise ParameterError(f"{len(x)} windows need a sequence of {len(x)} conditions")
-    cond_dim = params.config.cond_dim
-    enc = [np.zeros(cond_dim) if c is None else c.encoded for c in conds]
-    if any(e.shape != (cond_dim,) for e in enc):
-        raise ParameterError(f"a condition encoding is not of shape ({cond_dim},)")
-    cenc = np.array(enc).reshape(len(x), cond_dim)
-    tiled = _forward(params, _tiles(x), _tiles(np.full(len(x), t)), _tiles(cenc), keep=False)[0]
-    out = tiled.reshape(-1, x.shape[1])[: len(x)]
+    out = _forward(params, _tiles(x), t, prep.terms, keep=False)[0].reshape(-1, x.shape[1])[: len(x)]
     check_finite_rows(out, f"network output at t={t}")
     return out[0] if single else out
 
@@ -438,10 +446,9 @@ def predict_eps_vjp(
         raise ParameterError(f"predict_eps_vjp takes one window, got shape {np.shape(x_t)}")
     x, cot = (_tiles(r)[0] for r in _rows(params, t, x_t, cotangent))
     ids = None if cond is None or cond.is_null else (cond.industry_id, cond.board_id)
-    pad = [None] * (_TILE - 1)
-    cenc, mlp = _encode_batch(params, *_condition_arrays([ids] + pad, params.config))
-    out, acts = _forward(params, x, _tiles(np.array([t]))[0], cenc)
-    return out[0], _backward(params, acts, mlp, cot)
+    cenc, mlp = _encode_batch(params, *_condition_arrays([ids] + [None] * (_TILE - 1), params.config))
+    out, acts = _forward(params, x, t, _cond_terms(params, cenc))
+    return out[0], _backward(params, acts, cenc, mlp, cot)
 
 
 def condition_dropout(
@@ -541,12 +548,11 @@ def dsm_loss(
     ab = schedule.alpha_bar[t - 1]
     x_t = np.sqrt(ab)[:, None] * windows + np.sqrt(1.0 - ab)[:, None] * eps
     cenc, mlp = _encode_batch(params, iid, bid)
-    pred, acts = _forward(params, x_t, t, cenc)
+    pred, acts = _forward(params, x_t, t, _cond_terms(params, cenc))
     w = (1.0 - ab) if weighting == "elbo" else np.ones(B)
     loss = dsm_residual_loss(pred, eps, w)
     dout = (2.0 / B) * w[:, None] * (pred - eps)
-    grad = _backward(params, acts, mlp, dout)
-    return loss, grad
+    return loss, _backward(params, acts, cenc, mlp, dout)
 
 
 @dataclass(frozen=True)

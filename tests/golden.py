@@ -1,0 +1,116 @@
+"""Golden outputs: the bytes and numbers of today's sampler draws, and how to rebuild them.
+
+``tests/golden.json`` records, for each case below, the sha256 of the output
+array's little-endian float64 bytes and the numbers themselves, together
+with the environment they were recorded under and the tolerance at which
+``tests/test_golden.py`` compares the numbers.  The numbers are compared
+always; the sha256 values only where the environment matches, since another
+numpy or BLAS build may round differently.
+
+A change that moves these outputs on purpose reruns this script and says so
+in CHANGES.md; the file is never edited by hand, and a stated tolerance is
+never widened.  Run from the root of a checkout:
+
+    PYTHONPATH=src python tests/golden.py
+"""
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import json
+import platform
+from pathlib import Path
+
+import numpy as np
+
+from seriesdiff import (
+    SamplerConfig,
+    ScoreNetConfig,
+    encode_condition,
+    init_params,
+    make_linear_schedule,
+    sample_rows,
+)
+
+GOLDEN = Path(__file__).with_name("golden.json")
+
+# Absolute tolerance per case group.  For sample_rows: the largest change of
+# any drawn number when every weight of a case's network moves by one ulp up
+# or down, measured when the file was first recorded (4.6e-14 over all cases,
+# numpy 2.4.6, OpenBLAS 0.3.31 SkylakeX), rounded up to a power of ten.
+TOLERANCE = {"sample_rows": 1e-13}
+
+
+def environment() -> dict:
+    """What the recorded bytes depend on: numpy, the BLAS build and kernel, the machine."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 prints instead of returning
+        blas = {}
+    core = None  # the kernel OpenBLAS picked for this CPU, when numpy bundles one
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                       "openblas_get_corename"):
+            fn = getattr(handle, symbol, None)
+            if fn is not None and core is None:
+                fn.argtypes, fn.restype = [], ctypes.c_char_p
+                core = fn().decode()
+    return {
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "blas_core": core,
+        "machine": platform.machine(),
+    }
+
+
+def _network(activation: str, seed: int):
+    cfg = ScoreNetConfig(input_len=6, width=8, blocks=2, time_dim=4, embed_dim=3,
+                         cond_hidden=5, n_industries=4, activation=activation)
+    rng = np.random.default_rng(seed)
+    params = init_params(cfg, rng)
+    # every weight non-zero, so no layer is the zero map of a fresh network
+    return params.with_values(params.values + 0.3 * rng.standard_normal(params.n_params))
+
+
+def sampler_cases() -> dict[str, np.ndarray]:
+    """Each golden ``sample_rows`` draw by name, as a (rows, L) array."""
+    schedule = make_linear_schedule(20, 1e-3, 0.2)
+    silu = _network("silu", 7)
+    conds = [encode_condition(i % 4, i % 5, silu) for i in range(9)]
+    donors = np.cumsum(np.random.default_rng(8).standard_normal((9, 6)), axis=1)
+    sources = [None if i % 3 == 1 else donors[i] for i in range(9)]
+    ddim = SamplerConfig(mode="ddim", steps=7, eta=0.5, guidance=3.0, lambda_antv=0.05,
+                         antv_window=1, lambda_bp=0.05, band_low=0, band_high=2, seed=11)
+    relu = _network("relu", 9)
+    return {
+        "ddpm_guided": sample_rows(silu, schedule, SamplerConfig(mode="ddpm", guidance=2.0, seed=3),
+                                   conds),
+        "ddim_donors_smoothing_anchor": sample_rows(silu, schedule, ddim, conds, sources),
+        "ddim_relu_unconditional": sample_rows(
+            relu, schedule, SamplerConfig(mode="ddim", steps=5, eta=1.0, guidance=0.0, seed=4),
+            [None] * 3),
+    }
+
+
+def digest(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
+
+
+def record() -> dict:
+    return {
+        "about": "sample_rows draws on small seeded networks; rebuilt by "
+                 "`PYTHONPATH=src python tests/golden.py`, never edited by hand",
+        "environment": environment(),
+        "tolerance": TOLERANCE,
+        "sample_rows": {
+            name: {"sha256": digest(rows), "values": rows.tolist()}
+            for name, rows in sampler_cases().items()
+        },
+    }
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(record(), indent=1) + "\n")
+    print(f"wrote {GOLDEN}")

@@ -32,6 +32,7 @@ from seriesdiff import (
     sample_one,
     sample_rows,
 )
+from seriesdiff import samplers
 from seriesdiff.errors import check_finite_rows
 from seriesdiff.oracles import GaussianSpec, ve_perturbed_gaussian_score
 
@@ -370,6 +371,38 @@ def test_guided_eps_batch_matches_rows():
                 assert np.array_equal(got[i], guided_eps(params, x[i], 4, conds[i], omega))
     with pytest.raises(ParameterError):
         guided_eps(params, x[:2], 4, [conds[0], None], 7.5)
+
+
+def test_guided_eps_checks_the_number_of_conditions():
+    # 5 rows with 3 or 7 conditions: omega 0 used to ignore them, and other
+    # weights named the doubled counts of the rows and their NULL twins
+    params = _noisy_params(16)
+    x = np.random.default_rng(6).standard_normal((5, 3))
+    for n in (3, 7):
+        conds = [encode_condition(i % 3, i % 5, params) for i in range(n)]
+        for omega in (0.0, 1.0, 7.5):
+            with pytest.raises(ParameterError, match=f"^5 windows need 5 conditions, got {n}$"):
+                guided_eps(params, x, 4, conds, omega)
+    with pytest.raises(ParameterError, match="^5 windows need 5 conditions, got no sequence$"):
+        guided_eps(params, x, 4, None, 0.0)
+
+
+def test_guidance_without_a_condition_fails_before_any_step(monkeypatch):
+    params = _noisy_params(17)
+    sch = make_linear_schedule(12, 1e-3, 0.1)
+    cfg = SamplerConfig(mode="ddim", steps=6, guidance=7.5, seed=5)
+
+    def step(*args, **kwargs):
+        raise AssertionError("a reverse step ran")
+
+    monkeypatch.setattr(samplers, "guided_eps", step)
+    monkeypatch.setattr(samplers, "predict_eps", step)
+    cond, null = encode_condition(1, 2, params), encode_condition(None, None, params)
+    for conds in ([cond, None, cond], [null]):
+        with pytest.raises(ParameterError, match="needs a condition to guide toward"):
+            sample_rows(params, sch, cfg, conds)
+    with pytest.raises(ParameterError, match="needs a condition to guide toward"):
+        sample_one(params, sch, cfg, None, np.random.default_rng(0), source=np.ones(3))
 
 
 def test_spectral_anchor_rate_must_contract():

@@ -28,6 +28,7 @@ from seriesdiff import (
     train,
 )
 from seriesdiff.scorenet import (
+    _Prepared,
     condition_dropout,
     dsm_residual_loss,
     predict_eps_vjp,
@@ -475,6 +476,29 @@ def test_predict_eps_batch_matches_rows():
         predict_eps(params, x, 3, conds[:-1])  # one condition short
     with pytest.raises(ParameterError):
         predict_eps(params, x, 3, None)  # a batch needs one condition per row
+
+
+@pytest.mark.parametrize("activation", ["silu", "relu"])
+def test_predict_eps_with_prepared_conditions_matches_per_row_calls(activation):
+    # the reverse loop prepares its conditions once and reuses them every step;
+    # each row must still be its own one-row call, bit for bit, across tile boundaries
+    cfg = ScoreNetConfig(input_len=12, width=32, blocks=2, time_dim=8, embed_dim=4,
+                         cond_hidden=8, n_industries=3, activation=activation)
+    rng = np.random.default_rng(20)
+    params = init_params(cfg, rng)
+    params = params.with_values(params.values + 0.3 * rng.standard_normal(params.n_params))
+    for n in (1, 7, 8, 9, 48):
+        x = rng.standard_normal((n, 12))
+        conds = [None if i % 4 == 0 else encode_condition(i % 3, i % 5, params)
+                 for i in range(n)]
+        prepared = _Prepared(params, conds)
+        for t in (1, 37):
+            got = predict_eps(params, x, t, prepared)
+            assert np.array_equal(got, predict_eps(params, x, t, conds)), (n, t)
+            for i in range(n):
+                assert np.array_equal(got[i], predict_eps(params, x[i], t, conds[i])), (n, t, i)
+    with pytest.raises(ParameterError, match="47 windows need a sequence of 47 conditions"):
+        predict_eps(params, x[:-1], 3, prepared)  # prepared for one row more
 
 
 def test_checkpoint_with_an_invalid_config_is_a_data_error(tmp_path):
