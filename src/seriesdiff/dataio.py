@@ -24,7 +24,7 @@ import os
 from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
-from itertools import compress
+from itertools import islice
 from pathlib import Path
 from typing import Iterator, TextIO
 
@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 STD_FLOOR = 1e-8
+_CHUNK = 16_384  # CSV rows whose number cells are parsed together before their text is dropped
 
 
 class Board(enum.IntEnum):
@@ -324,17 +325,32 @@ def split_train_test(
     return train, test
 
 
-def _csv_columns(path: Path, header: list[str], what: str) -> tuple:
-    """One pass over a 4-column CSV: ``(lines, (dates, codes), (tickers, codes), col3, col4)``.
+def _numbers(convert, cells: list[str], dtype, reject) -> np.ndarray:
+    """``convert`` of each cell as one array, ``reject`` where it raises."""
+    try:
+        return np.fromiter(map(convert, cells), dtype, len(cells))
+    except (ValueError, OverflowError):  # a cell that does not parse: the chunk a cell at a time
+        out = np.full(len(cells), reject, dtype)
+        for i, cell in enumerate(cells):
+            with suppress(ValueError, OverflowError):
+                out[i] = convert(cell)
+        return out
 
-    Dates and tickers are sorted distinct stripped values and each row's index into them, the
-    other columns raw cells; blank rows are skipped and ``lines`` numbers the rest.  Raises
-    DataError for an unreadable or empty file, a header other than ``header``, no data rows,
-    and the first row without 4 fields or with an empty date or ticker, naming its line.
+
+def _csv_columns(path: Path, header: list[str], what: str, parse) -> tuple:
+    """One pass over a 4-column CSV: ``lines, (dates, codes), (tickers, codes), numbers, bad, held``.
+
+    Dates and tickers are sorted distinct stripped values and each row's index into them.  The
+    other two columns are parsed per ``_CHUNK`` rows as they stream in: ``parse(cells3, cells4)``
+    gives a chunk's number arrays and a mask of the rows breaking a rule, which must flag a row
+    with both cells empty.  Only flagged rows keep their text: ``held`` maps each one's line to
+    its two cells.  Blank rows are skipped and ``lines`` numbers the rest.  Raises DataError for
+    an unreadable or empty file, a header other than ``header``, no data rows, and the first row
+    without 4 fields or with an empty date or ticker, naming its line, before any number rule.
     """
-    cols: tuple[list[str], ...] = ([], [], [], [])
+    keys: tuple[list[str], ...] = ([], [])
     memos: tuple[dict[str, str], ...] = ({}, {})  # one string per distinct date and ticker
-    short = None
+    chunks, held, short = [], {}, None
     with _reading(path, what) as fh:
         reader = csv.reader(fh)
         first = next(reader, None)
@@ -342,35 +358,41 @@ def _csv_columns(path: Path, header: list[str], what: str) -> tuple:
             raise DataError(f"{path}: file is empty")
         if [h.strip() for h in first] != header:
             raise DataError(f"{path}: expected header {','.join(header)}")
-        add_d, add_t, add_x, add_y = (c.append for c in cols)
+        add_d, add_t = (k.append for k in keys)
         key_d, key_t = (m.setdefault for m in memos)
-        for row in reader:
-            if len(row) != 4:
-                if "".join(row).strip():  # named once the keys of the rows before it pass
-                    short = len(row)
-                    break
-                row = ["", "", "", ""]  # a blank row keeps its place: index + 2 is the line
-            d, t, x, y = row
-            add_d(key_d(d, d)), add_t(key_t(t, t)), add_x(x), add_y(y)
-    keys = []
-    for memo, col in zip(memos, cols):
+        while short is None and len(keys[0]) == _CHUNK * len(chunks):  # until a short chunk
+            add_x, add_y = (xs := []).append, (ys := []).append
+            for row in islice(reader, _CHUNK):
+                if len(row) != 4:
+                    if "".join(row).strip():  # named once the keys of the rows before it pass
+                        short = len(row)
+                        break
+                    row = ["", "", "", ""]  # a blank row keeps its place: index + 2 is the line
+                d, t, x, y = row
+                add_d(key_d(d, d)), add_t(key_t(t, t)), add_x(x), add_y(y)
+            chunks.append(parse(xs, ys))
+            line = len(keys[0]) - len(xs) + 2
+            held.update((line + i, (xs[i], ys[i])) for i in np.flatnonzero(chunks[-1][-1]).tolist())
+    codes = []
+    for memo, col in zip(memos, keys):
         index = {name: i for i, name in enumerate(sorted({raw.strip() for raw in memo} - {""}))}
         lookup = {raw: index.get(raw.strip(), -1) for raw in memo}  # -1: an empty key
-        keys.append((list(index), np.fromiter(map(lookup.__getitem__, col), np.intp, len(col))))
-    (dates, d_code), (tickers, t_code) = keys
-    for i in np.flatnonzero((d_code < 0) | (t_code < 0)).tolist():
-        if d_code[i] >= 0 or t_code[i] >= 0 or cols[2][i].strip() or cols[3][i].strip():
+        codes.append((list(index), np.fromiter(map(lookup.__getitem__, col), np.intp, len(col))))
+        col.clear()  # its strings go before the next column's codes are made
+    (dates, d_code), (tickers, t_code) = codes
+    for i in np.flatnonzero((d_code < 0) | (t_code < 0)).tolist():  # an unflagged row is not blank
+        if d_code[i] >= 0 or t_code[i] >= 0 or "".join(held.get(i + 2, "?")).strip():
             raise DataError(f"{path}:{i + 2}: empty date or ticker")
     if short is not None:
-        raise DataError(f"{path}:{len(cols[0]) + 2}: expected 4 fields, got {short}")
+        raise DataError(f"{path}:{len(d_code) + 2}: expected 4 fields, got {short}")
     keep = d_code >= 0  # every row with an empty key is blank by now
     lines = np.flatnonzero(keep) + 2
     if not lines.size:
         raise DataError(f"{path}: no data rows")
+    *numbers, bad = (np.concatenate(c) for c in zip(*chunks))
     if not keep.all():  # drop the blank rows
-        d_code, t_code = d_code[keep], t_code[keep]
-        cols = tuple(list(compress(c, keep)) for c in cols)
-    return lines, (dates, d_code), (tickers, t_code), cols[2], cols[3]
+        d_code, t_code, bad, *numbers = (a[keep] for a in (d_code, t_code, bad, *numbers))
+    return lines, (dates, d_code), (tickers, t_code), numbers, bad, held
 
 
 def read_close_csv(path: str | Path, n_industries: int = 124) -> list[StockRecord]:
@@ -382,20 +404,20 @@ def read_close_csv(path: str | Path, n_industries: int = 124) -> list[StockRecor
     Malformed rows raise line-numbered errors.
     """
     path = Path(path)
-    lines, (dates, d_code), (tickers, t_code), close_s, industry_s = _csv_columns(
-        path, ["date", "ticker", "close", "industry_id"], "close CSV"
+
+    def parse(close_s: list[str], industry_s: list[str]) -> tuple:
+        close = _numbers(float, [c or "nan" for c in close_s], np.float64, math.nan)
+        industry = _numbers(int, industry_s, np.int64, -1)
+        bad = (industry < 0) | (industry >= n_industries)
+        for i in np.flatnonzero(~(np.isfinite(close) & (close > 0.0))).tolist():
+            bad[i] |= bool(close_s[i].strip())  # an empty close marks a suspension day
+        return close, industry, bad
+
+    lines, (dates, d_code), (tickers, t_code), (close, industry), bad, held = _csv_columns(
+        path, ["date", "ticker", "close", "industry_id"], "close CSV", parse
     )
-    close_s = list(map(str.strip, close_s))
-    n = len(close_s)
-    try:
-        close = np.fromiter((float(c) if c else math.nan for c in close_s), np.float64, n)
-        industry = np.fromiter(map(int, industry_s), np.int64, n)
-        positive = np.greater(close, 0.0, out=np.zeros(n, dtype=bool), where=np.isfinite(close))
-        bad = ~(positive | [not c for c in close_s]) | (industry < 0) | (industry >= n_industries)
-    except (ValueError, OverflowError):  # a cell that does not parse: check every row in order
-        bad = np.ones(n, dtype=bool)
-    for i in np.flatnonzero(bad).tolist():  # stops at the first bad row, also when parsing failed
-        at, cell, ind = f"{path}:{lines[i]}", close_s[i], industry_s[i].strip()
+    for i in np.flatnonzero(bad).tolist():  # stops at the first bad row
+        at, (cell, ind) = f"{path}:{lines[i]}", map(str.strip, held[lines[i]])
         try:
             value = float(cell) if cell else 1.0
         except ValueError:
@@ -440,8 +462,7 @@ def prepare_windows(
     """
     windows: list[SeriesWindow] = []
     skipped: list[dict] = []
-    n_interp = 0
-    n_ffill = 0
+    n_interp = n_ffill = 0
     for record in sorted(records, key=lambda r: r.ticker):
         repaired = repair_suspensions(
             record,

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import StockRecord, _csv_columns
+from .dataio import StockRecord, _csv_columns, _numbers
 from .errors import DataError, NumericError, ParameterError
 
 __all__ = [
@@ -145,41 +145,37 @@ class PredictionPanel:
         object.__setattr__(self, "returns", returns)
 
 
+def _panel_cells(score_s: list[str], ret_s: list[str]) -> tuple:
+    """A chunk's scores and returns, and a mask of the rows where one is not a finite number."""
+    scores, returns = (_numbers(float, c, np.float64, math.nan) for c in (score_s, ret_s))
+    return scores, returns, ~(np.isfinite(scores) & np.isfinite(returns))
+
+
 def read_panel_csv(path: str | Path) -> PredictionPanel:
     """Load a panel from long-format CSV (date, ticker, score, realized_return).
 
     The grid must be complete: every date needs a row for every ticker.
     """
     path = Path(path)
-    lines, (dates, d_code), (tickers, t_code), score_s, ret_s = _csv_columns(
-        path, ["date", "ticker", "score", "realized_return"], "panel CSV"
+    lines, (dates, d_code), (tickers, t_code), (scores, returns), bad, _ = _csv_columns(
+        path, ["date", "ticker", "score", "realized_return"], "panel CSV", _panel_cells
     )
-    n, D, N = len(score_s), len(dates), len(tickers)
+    n, D, N = len(scores), len(dates), len(tickers)
     cell = d_code * N + t_code
     counts = np.bincount(cell, minlength=D * N)
-    try:
-        scores = np.fromiter(map(float, score_s), np.float64, n)
-        returns = np.fromiter(map(float, ret_s), np.float64, n)
-        bad = (counts[cell] > 1) | ~(np.isfinite(scores) & np.isfinite(returns))
-    except ValueError:  # a cell that is no number: check every row in order
-        bad = np.ones(n, dtype=bool)
     held: set[int] = set()
-    for i in np.flatnonzero(bad).tolist():  # stops at the first bad row, also when parsing failed
-        try:
-            if not (math.isfinite(float(score_s[i])) and math.isfinite(float(ret_s[i]))):
-                raise ValueError
-        except ValueError:
-            raise DataError(f"{path}:{lines[i]}: score and return must be finite numbers") from None
+    for i in np.flatnonzero(bad | (counts > 1)[cell]).tolist():  # stops at the first bad row
+        if bad[i]:
+            raise DataError(f"{path}:{lines[i]}: score and return must be finite numbers")
         if cell[i] in held:
             d, t = dates[d_code[i]], tickers[t_code[i]]
             raise DataError(f"{path}:{lines[i]}: duplicate cell ({d}, {t})")
         held.add(cell[i])
     if n != D * N:  # cells are unique, so the grid is full exactly when it holds D * N rows
         d, t = divmod(int(np.argmin(counts)), N)
-        raise DataError(f"{path}: missing cell for ({dates[d]}, {tickers[t]}); "
-                        "the grid must be full")
+        raise DataError(f"{path}: missing cell for ({dates[d]}, {tickers[t]}); the grid must be full")
     grid = np.empty((2, D * N))
-    grid[:, cell] = scores, returns
+    grid[0, cell], grid[1, cell] = scores, returns  # no (2, n) stack of the two first
     return PredictionPanel(dates, tickers, *grid.reshape(2, D, N))
 
 

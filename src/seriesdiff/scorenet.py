@@ -26,6 +26,7 @@ import json
 import logging
 import math
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
 
@@ -157,18 +158,14 @@ class ScoreNetworkParams:
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
-        offsets: dict[str, tuple[int, int, tuple[int, ...]]] = {}
-        pos = 0
-        for name, shape in _param_layout(self.config):
-            size = math.prod(shape)
-            offsets[name] = (pos, pos + size, shape)
-            pos += size
-        if values.ndim != 1 or values.shape[0] != pos:
+        layout = _param_layout(self.config)
+        ends = list(accumulate(math.prod(shape) for _, shape in layout))
+        if values.ndim != 1 or values.shape[0] != ends[-1]:
             raise ParameterError(
-                f"parameter vector has {values.shape} entries, layout needs {pos}"
-            )
+                f"parameter vector has {values.shape} entries, layout needs {ends[-1]}")
         self.values = values
-        self._offsets = offsets
+        self._views = {name: values[lo:hi].reshape(shape)  # cut once, sharing values' memory
+                       for (name, shape), lo, hi in zip(layout, [0, *ends], ends)}
 
     @property
     def n_params(self) -> int:
@@ -177,13 +174,12 @@ class ScoreNetworkParams:
     def view(self, name: str) -> np.ndarray:
         """Named slice of the flat vector, reshaped; shares memory."""
         try:
-            lo, hi, shape = self._offsets[name]
+            return self._views[name]
         except KeyError:
             raise ParameterError(f"unknown parameter name {name!r}") from None
-        return self.values[lo:hi].reshape(shape)
 
     def names(self) -> list[str]:
-        return list(self._offsets)
+        return list(self._views)
 
     def with_values(self, values: np.ndarray) -> "ScoreNetworkParams":
         return ScoreNetworkParams(config=self.config, values=values)
@@ -664,10 +660,8 @@ def save_checkpoint(
 
     The file is replaced whole: a failed write leaves the old file intact.
     """
-    arrays = {}
-    for name in params.names():
-        arr = params.view(name)
-        arrays[name] = {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+    arrays = {name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+              for name, arr in params._views.items()}
     payload = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "kind": "scorenet",

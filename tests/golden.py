@@ -1,11 +1,14 @@
-"""Golden outputs: the bytes and numbers of today's sampler draws, and how to rebuild them.
+"""Golden outputs: the bytes and numbers of today's sampler draws and tiny pipeline, and how
+to rebuild them.
 
-``tests/golden.json`` records, for each case below, the sha256 of the output
-array's little-endian float64 bytes and the numbers themselves, together
-with the environment they were recorded under and the tolerance at which
-``tests/test_golden.py`` compares the numbers.  The numbers are compared
-always; the sha256 values only where the environment matches, since another
-numpy or BLAS build may round differently.
+``tests/golden.json`` records, for each sampler case below, the sha256 of the
+output array's little-endian float64 bytes and the numbers themselves, and for
+each artifact of criterion 10's tiny ``ingest`` and ``backtest`` its sha256
+and its content with every number parsed, together with the environment they
+were recorded under and the tolerances at which ``tests/test_golden.py``
+compares the numbers.  The numbers are compared always; the sha256 values only
+where the environment matches, since another numpy or BLAS build may round
+differently.
 
 A change that moves these outputs on purpose reruns this script and says so
 in CHANGES.md; the file is never edited by hand, and a stated tolerance is
@@ -15,10 +18,12 @@ never widened.  Run from the root of a checkout:
 """
 from __future__ import annotations
 
+import csv
 import ctypes
 import hashlib
 import json
 import platform
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +36,9 @@ from seriesdiff import (
     make_linear_schedule,
     sample_rows,
 )
+from seriesdiff.cli import main as cli_main
+from conftest import write_panel_csv, write_prices_csv
+from test_acceptance import PIPELINE_CONFIG
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -38,7 +46,13 @@ GOLDEN = Path(__file__).with_name("golden.json")
 # any drawn number when every weight of a case's network moves by one ulp up
 # or down, measured when the file was first recorded (4.6e-14 over all cases,
 # numpy 2.4.6, OpenBLAS 0.3.31 SkylakeX), rounded up to a power of ten.
-TOLERANCE = {"sample_rows": 1e-13}
+# For the pipeline: ingest and backtest make no BLAS call, so their numbers
+# move only when the code does.
+TOLERANCE = {"sample_rows": 1e-13, "pipeline": 1e-12}
+
+# criterion 10's ingest and backtest artifacts; equity.svg is checked by its bytes alone
+PIPELINE_ARTIFACTS = ("windows.jsonl", "manifest.json", "summary.json", "backtest.csv",
+                      "equity.svg")
 
 
 def environment() -> dict:
@@ -94,19 +108,52 @@ def sampler_cases() -> dict[str, np.ndarray]:
     }
 
 
+def pipeline_artifacts(root: Path) -> dict[str, bytes]:
+    """Run criterion 10's tiny ``ingest`` and ``backtest`` under ``root``; each artifact's bytes."""
+    prices, panel, config, out = (root / name for name in
+                                  ("prices.csv", "panel.csv", "config.json", "run"))
+    write_prices_csv(prices)
+    write_panel_csv(panel)
+    config.write_text(json.dumps(PIPELINE_CONFIG))
+    for argv in (["ingest", str(prices)], ["backtest", str(panel)]):
+        assert cli_main(argv + ["--out", str(out), "--config", str(config)]) == 0
+    return {name: (out / name).read_bytes() for name in PIPELINE_ARTIFACTS}
+
+
+def artifact_values(name: str, data: bytes):
+    """An artifact's content as JSON values with its numbers parsed, or None for equity.svg."""
+    text = data.decode()
+    if name.endswith(".jsonl"):
+        return [json.loads(line) for line in text.splitlines()]
+    if name.endswith(".json"):
+        return json.loads(text)
+    if name.endswith(".csv"):
+        header, *rows = csv.reader(text.splitlines())
+        return [header] + [[date, *map(float, cells)] for date, *cells in rows]
+    return None
+
+
 def digest(a: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
 
 
 def record() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        artifacts = pipeline_artifacts(Path(tmp))
     return {
-        "about": "sample_rows draws on small seeded networks; rebuilt by "
+        "about": "sample_rows draws on small seeded networks and criterion 10's ingest and "
+                 "backtest artifacts; rebuilt by "
                  "`PYTHONPATH=src python tests/golden.py`, never edited by hand",
         "environment": environment(),
         "tolerance": TOLERANCE,
         "sample_rows": {
             name: {"sha256": digest(rows), "values": rows.tolist()}
             for name, rows in sampler_cases().items()
+        },
+        "pipeline": {
+            name: {"sha256": hashlib.sha256(data).hexdigest(),
+                   "values": artifact_values(name, data)}
+            for name, data in artifacts.items()
         },
     }
 
