@@ -3,10 +3,10 @@ to rebuild them.
 
 ``tests/golden.json`` records, for each sampler case below, the sha256 of the
 output array's little-endian float64 bytes and the numbers themselves, and for
-each artifact of criterion 10's tiny ``ingest`` and ``backtest`` its sha256
-and its content with every number parsed, together with the environment they
-were recorded under and the tolerances at which ``tests/test_golden.py``
-compares the numbers.  The numbers are compared always; the sha256 values only
+each artifact of criterion 10's tiny ``ingest``, ``augment --transfer`` and
+``backtest`` its sha256 and its content with every number parsed, together
+with the environment they were recorded under and the tolerances at which
+``tests/test_golden.py`` compares the numbers.  The numbers are compared always; the sha256 values only
 where the environment matches, since another numpy or BLAS build may round
 differently.
 
@@ -47,12 +47,19 @@ GOLDEN = Path(__file__).with_name("golden.json")
 # or down, measured when the file was first recorded (4.6e-14 over all cases,
 # numpy 2.4.6, OpenBLAS 0.3.31 SkylakeX), rounded up to a power of ten.
 # For the pipeline: ingest and backtest make no BLAS call, so their numbers
-# move only when the code does.
-TOLERANCE = {"sample_rows": 1e-13, "pipeline": 1e-12}
+# move only when the code does.  For augment's synthetic values: the largest
+# change of any of them when every weight of the trained checkpoint moves by
+# one ulp up or down (6.7e-16 over eight such moves, same environment as
+# above), rounded up to a power of ten; its copied store lines and its
+# manifest are compared exactly.
+TOLERANCE = {"sample_rows": 1e-13, "pipeline": 1e-12, "augment": 1e-15}
 
-# criterion 10's ingest and backtest artifacts; equity.svg is checked by its bytes alone
+# criterion 10's ingest, augment and backtest artifacts; equity.svg is checked by its bytes alone
+AUGMENT_ARTIFACTS = ("augmented.jsonl", "augment_manifest.json")
 PIPELINE_ARTIFACTS = ("windows.jsonl", "manifest.json", "summary.json", "backtest.csv",
-                      "equity.svg")
+                      "equity.svg", *AUGMENT_ARTIFACTS)
+# the augment run on criterion 10's trained checkpoint: a tenth of the store is on STAR
+AUGMENT_ARGV = ("--seed", "9", "--board", "STAR", "--ratio", "1:1", "--transfer")
 
 
 def environment() -> dict:
@@ -109,22 +116,28 @@ def sampler_cases() -> dict[str, np.ndarray]:
 
 
 def pipeline_artifacts(root: Path) -> dict[str, bytes]:
-    """Run criterion 10's tiny ``ingest`` and ``backtest`` under ``root``; each artifact's bytes."""
+    """Run criterion 10's tiny ``ingest``, ``train``, ``augment --transfer`` and ``backtest``
+    under ``root``; each artifact's bytes."""
     prices, panel, config, out = (root / name for name in
                                   ("prices.csv", "panel.csv", "config.json", "run"))
     write_prices_csv(prices)
     write_panel_csv(panel)
     config.write_text(json.dumps(PIPELINE_CONFIG))
-    for argv in (["ingest", str(prices)], ["backtest", str(panel)]):
+    store, checkpoint = str(out / "windows.jsonl"), str(out / "checkpoint.json")
+    for argv in (["ingest", str(prices)], ["train", store, "--seed", "5"],
+                 ["augment", store, checkpoint, *AUGMENT_ARGV], ["backtest", str(panel)]):
         assert cli_main(argv + ["--out", str(out), "--config", str(config)]) == 0
     return {name: (out / name).read_bytes() for name in PIPELINE_ARTIFACTS}
 
 
 def artifact_values(name: str, data: bytes):
-    """An artifact's content as JSON values with its numbers parsed, or None for equity.svg."""
+    """An artifact's content as JSON values with its numbers parsed, or None for equity.svg.
+
+    Of augmented.jsonl only the synthetic windows: its other lines copy windows.jsonl."""
     text = data.decode()
     if name.endswith(".jsonl"):
-        return [json.loads(line) for line in text.splitlines()]
+        records = [json.loads(line) for line in text.splitlines()]
+        return [r for r in records if r["synthetic"]] if name == "augmented.jsonl" else records
     if name.endswith(".json"):
         return json.loads(text)
     if name.endswith(".csv"):
@@ -141,8 +154,8 @@ def record() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         artifacts = pipeline_artifacts(Path(tmp))
     return {
-        "about": "sample_rows draws on small seeded networks and criterion 10's ingest and "
-                 "backtest artifacts; rebuilt by "
+        "about": "sample_rows draws on small seeded networks and criterion 10's ingest, "
+                 "augment and backtest artifacts; rebuilt by "
                  "`PYTHONPATH=src python tests/golden.py`, never edited by hand",
         "environment": environment(),
         "tolerance": TOLERANCE,

@@ -7,8 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from golden import (GOLDEN, PIPELINE_ARTIFACTS, TOLERANCE, artifact_values, digest, environment,
-                    pipeline_artifacts, sampler_cases)
+from golden import (AUGMENT_ARTIFACTS, GOLDEN, PIPELINE_ARTIFACTS, TOLERANCE, artifact_values,
+                    digest, environment, pipeline_artifacts, sampler_cases)
 
 RECORDED = json.loads(GOLDEN.read_text())
 DRAWN = sampler_cases()
@@ -56,15 +56,30 @@ def test_sample_rows_match_the_golden_bytes_in_the_recorded_environment(name):
     assert digest(DRAWN[name]) == RECORDED["sample_rows"][name]["sha256"]
 
 
-@pytest.mark.parametrize("name", [n for n in PIPELINE_ARTIFACTS if not n.endswith(".svg")])
-def test_pipeline_artifacts_match_the_golden_numbers(produced, name):
+def _assert_close(name: str, produced: dict, tolerance: float) -> None:
+    """Keys, lengths and strings exactly, the numbers within ``tolerance``."""
     got, want = ([], []), ([], [])
     _split(artifact_values(name, produced[name]), *got)
     _split(RECORDED["pipeline"][name]["values"], *want)
-    assert got[1] == want[1], name  # keys, lengths and strings exactly
+    assert got[1] == want[1], name
     assert len(got[0]) == len(want[0]) and got[0], name
     gap = np.abs(np.array(got[0], dtype=float) - np.array(want[0], dtype=float))
-    assert gap.max() <= RECORDED["tolerance"]["pipeline"], name
+    assert gap.max() <= tolerance, name
+
+
+@pytest.mark.parametrize("name", [n for n in PIPELINE_ARTIFACTS
+                                  if not n.endswith(".svg") and n not in AUGMENT_ARTIFACTS])
+def test_pipeline_artifacts_match_the_golden_numbers(produced, name):
+    _assert_close(name, produced, RECORDED["tolerance"]["pipeline"])
+
+
+def test_augment_artifacts_match_the_golden_values(produced):
+    # the store's lines are copied as they are, then come the synthetic windows
+    store = produced["windows.jsonl"].decode().splitlines()
+    assert produced["augmented.jsonl"].decode().splitlines()[:len(store)] == store
+    name = "augment_manifest.json"
+    assert artifact_values(name, produced[name]) == RECORDED["pipeline"][name]["values"]
+    _assert_close("augmented.jsonl", produced, RECORDED["tolerance"]["augment"])
 
 
 @pytest.mark.parametrize("name", PIPELINE_ARTIFACTS)
