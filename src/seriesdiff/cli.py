@@ -247,8 +247,12 @@ def cmd_augment(args: argparse.Namespace, config: dict[str, object]) -> int:
     length = params.config.input_len
     # augmented.jsonl is the store's lines as checked, then the synthetic windows' lines
     with dataio._replacing(out / "augmented.jsonl") as fh:
-        store = dataio.read_window_store(args.store, length, params.config.n_industries, copy=fh)
-        targets = [w for w in store if w.board == board and not w.synthetic]
+        targets = []  # each store line is copied as read; only the board's real windows are held
+        lines = dataio._store_lines(args.store, length, params.config.n_industries)
+        for n_store, (line, w) in enumerate(lines, start=1):  # an empty store raises
+            fh.write(line + "\n")
+            if w.board == board and not w.synthetic:
+                targets.append(w)
         if not targets:
             raise DataError(f"store has no real windows on board {board.name}")
         n_synth = (len(targets) * synth) // real
@@ -275,7 +279,7 @@ def cmd_augment(args: argparse.Namespace, config: dict[str, object]) -> int:
             "use_mean": bool(args.use_mean),
             "n_real_board_windows": len(targets),
             "n_synthetic": n_synth,
-            "n_total": len(store) + n_synth,
+            "n_total": n_store + n_synth,
             "seed": args.seed,
         },
         out / "augment_manifest.json",

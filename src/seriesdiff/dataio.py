@@ -572,12 +572,10 @@ def write_window_store(windows: list[SeriesWindow], path: str | Path) -> None:
             fh.write(_window_line(w))
 
 
-def read_window_store(path: str | Path, length: int, n_industries: int,
-                      copy: TextIO | None = None) -> list[SeriesWindow]:
-    """Read a JSON-lines window store; malformed lines raise line-numbered errors,
-    as do windows not ``length`` long or with an industry id outside ``[0, n_industries)``.
-    Each line that passes is written to ``copy``, if given, stripped and newline-ended."""
-    windows: list[SeriesWindow] = []
+def _store_lines(path: str | Path, length: int, n_industries: int
+                 ) -> Iterator[tuple[str, SeriesWindow]]:
+    """Each non-blank store line, stripped, and its window, checked as they are read."""
+    empty = True
     with _reading(path, "window store") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -605,9 +603,13 @@ def read_window_store(path: str | Path, length: int, n_industries: int,
                     f"{path}:{lineno}: window of length {w.values.size} and industry_id "
                     f"{w.industry_id}; expected {length} and an id in [0, {n_industries})"
                 )
-            windows.append(w)
-            if copy is not None:
-                copy.write(line + "\n")
-    if not windows:
+            yield line, w
+            empty = False
+    if empty:
         raise DataError(f"window store {path} is empty")
-    return windows
+
+
+def read_window_store(path: str | Path, length: int, n_industries: int) -> list[SeriesWindow]:
+    """Read a JSON-lines window store; malformed lines raise line-numbered errors,
+    as do windows not ``length`` long or with an industry id outside ``[0, n_industries)``."""
+    return [w for _, w in _store_lines(path, length, n_industries)]

@@ -239,9 +239,14 @@ def summarize_backtest(
     """
     if result is None:
         result = topk_dropk_backtest(panel, k=k)
-    pairs = np.stack([panel.scores, panel.returns], axis=1)  # (D, 2, N)
-    pairs = pairs[np.all(pairs.min(axis=-1) < pairs.max(axis=-1), axis=-1)]
-    ics, rank_ics = _corr_rows(pairs), _corr_rows(_average_ranks(pairs))
+    step = max(1, 16_384 // len(panel.tickers))  # dates per block of ~16k cells, not one stack
+
+    def correlations(a: int) -> tuple[np.ndarray, np.ndarray]:
+        pairs = np.stack([panel.scores[a:a + step], panel.returns[a:a + step]], axis=1)
+        pairs = pairs[np.all(pairs.min(axis=-1) < pairs.max(axis=-1), axis=-1)]
+        return _corr_rows(pairs), _corr_rows(_average_ranks(pairs))
+
+    ics, rank_ics = map(np.concatenate, zip(*map(correlations, range(0, len(panel.dates), step))))
     return {
         "n_dates": len(panel.dates),
         "n_tickers": len(panel.tickers),
@@ -251,7 +256,7 @@ def summarize_backtest(
         "mean_ic": float(np.mean(ics)) if ics.size else None,
         "mean_rank_ic": float(np.mean(rank_ics)) if rank_ics.size else None,
         "turnover": result.turnover,
-        "skipped_ic_dates": len(panel.dates) - len(pairs),
+        "skipped_ic_dates": len(panel.dates) - len(ics),
     }
 
 

@@ -79,6 +79,13 @@ def _check_series(x: np.ndarray, ndims: tuple[int, ...] = (1,)) -> np.ndarray:
     return x
 
 
+def _check_pair(x: np.ndarray, reference: np.ndarray, ndims: tuple[int, ...]) -> tuple:
+    x, reference = _check_series(x, ndims), _check_series(reference, ndims)
+    if x.shape != reference.shape:
+        raise ParameterError(f"shape mismatch: x {x.shape} vs reference {reference.shape}")
+    return x, reference
+
+
 def antv_loss(x: np.ndarray, cfg: AntvConfig) -> float:
     """Weighted total variation over clamped neighborhoods.
 
@@ -87,14 +94,11 @@ def antv_loss(x: np.ndarray, cfg: AntvConfig) -> float:
     Every unordered pair within range is counted once per endpoint.
     """
     x = _check_series(x)
-    n = x.size
     k = cfg.window
     two_s2 = 2.0 * cfg.sigma * cfg.sigma
     total = 0.0
-    for i in range(n):
-        lo = max(0, i - k)
-        hi = min(n - 1, i + k)
-        d = x[lo : hi + 1] - x[i]
+    for i in range(x.size):
+        d = x[max(0, i - k) : i + k + 1] - x[i]  # a slice past the end stops at it
         total += float(np.sum(np.abs(d) * np.exp(-(d * d) / two_s2)))
     return total
 
@@ -114,13 +118,10 @@ def antv_step(x: np.ndarray, cfg: AntvConfig) -> np.ndarray:
     deliberately not applied here; see ``antv_exact_grad``).
     """
     x = _check_series(x, (1, 2)).copy()
-    n = x.shape[-1]
     k = cfg.window
     two_s2 = 2.0 * cfg.sigma * cfg.sigma
-    for i in range(n):
-        lo = max(0, i - k)
-        hi = min(n - 1, i + k)
-        d = x[..., lo : hi + 1] - x[..., i, None]
+    for i in range(x.shape[-1]):
+        d = x[..., max(0, i - k) : i + k + 1] - x[..., i, None]
         w = np.exp(-(d * d) / two_s2)
         x[..., i] += cfg.rate * np.sum(np.sign(d) * w, axis=-1)
     return x
@@ -140,9 +141,7 @@ def antv_exact_grad(x: np.ndarray, cfg: AntvConfig) -> np.ndarray:
     s2 = cfg.sigma * cfg.sigma
     grad = np.zeros(n, dtype=np.float64)
     for i in range(n):
-        lo = max(0, i - k)
-        hi = min(n - 1, i + k)
-        for j in range(lo, hi + 1):
+        for j in range(max(0, i - k), min(n, i + k + 1)):
             if j == i:
                 continue
             d = x[j] - x[i]
@@ -217,12 +216,7 @@ def band_pass(spectrum: np.ndarray, band: BandSpec) -> np.ndarray:
 
 def bp_loss(x: np.ndarray, reference: np.ndarray, band: BandSpec) -> float:
     """Squared spectral distance ||F(x) - BandPass(F(reference))||^2 over all bins."""
-    x = _check_series(x)
-    reference = _check_series(reference)
-    if x.shape != reference.shape:
-        raise ParameterError(
-            f"shape mismatch: x {x.shape} vs reference {reference.shape}"
-        )
+    x, reference = _check_pair(x, reference, (1,))
     diff = dft(x) - band_pass(dft(reference), band)
     return float(np.sum(np.abs(diff) ** 2))
 
@@ -241,12 +235,7 @@ def bp_grad_step(
     """
     if not (rate > 0.0 and math.isfinite(rate)):
         raise ParameterError(f"rate must be positive, got {rate}")
-    x = _check_series(x, (1, 2))
-    reference = _check_series(reference, (1, 2))
-    if x.shape != reference.shape:
-        raise ParameterError(
-            f"shape mismatch: x {x.shape} vs reference {reference.shape}"
-        )
+    x, reference = _check_pair(x, reference, (1, 2))
     n = x.shape[-1]
     target = idft(band_pass(dft(reference), band)).real
     grad = 2.0 * n * (x - target)

@@ -6,9 +6,9 @@ output array's little-endian float64 bytes and the numbers themselves, and for
 each artifact of criterion 10's tiny ``ingest``, ``augment --transfer`` and
 ``backtest`` its sha256 and its content with every number parsed, together
 with the environment they were recorded under and the tolerances at which
-``tests/test_golden.py`` compares the numbers.  The numbers are compared always; the sha256 values only
-where the environment matches, since another numpy or BLAS build may round
-differently.
+``tests/test_golden.py`` compares the numbers.  The numbers are compared
+always; the sha256 values only where the environment matches, since another
+numpy or BLAS build may round differently.
 
 A change that moves these outputs on purpose reruns this script and says so
 in CHANGES.md; the file is never edited by hand, and a stated tolerance is

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -517,6 +518,52 @@ def test_failed_augment_leaves_no_new_out(tmp_path, prices_csv, monkeypatch, cap
     monkeypatch.setattr(cli.samplers, "sample_rows", fails)
     assert _run(*_augment_argv(run / "windows.jsonl", run, config, out)) == 4
     assert not (tmp_path / "a").exists()
+
+
+def test_augment_of_a_store_without_a_window_fails_and_leaves_no_new_out(tmp_path, prices_csv,
+                                                                        capsys):
+    run, config = _untrained_run(tmp_path, prices_csv)
+    blank = tmp_path / "blank.jsonl"
+    blank.write_text("\n  \n\t\n")
+    off = tmp_path / "off.jsonl"  # no real window on MAIN: the MAIN lines marked synthetic
+    off.write_text("".join(
+        json.dumps(dict(obj, synthetic=True)) + "\n" if obj["board"] == "MAIN" else line
+        for line in (run / "windows.jsonl").read_text().splitlines(keepends=True)
+        for obj in [json.loads(line)]))
+    out = tmp_path / "a" / "b"
+    err = _data_error(capsys, *_augment_argv(blank, run, config, out))
+    assert f"window store {blank} is empty" in err
+    assert not (tmp_path / "a").exists()
+    err = _data_error(capsys, *_augment_argv(off, run, config, out))
+    assert "store has no real windows on board MAIN" in err
+    assert not (tmp_path / "a").exists()
+
+
+# Growth of augment's tracemalloc peak per store window off the target board, at window length
+# 30.  augment holds the board's real windows and streams the rest: 5 bytes measured with numpy
+# 2.4 on Python 3.11, where holding every window of the store measured 654.  Not to be raised.
+AUGMENT_PEAK_BYTES_PER_OFF_BOARD_WINDOW = 64
+
+
+def test_augment_peak_memory_does_not_grow_with_the_rest_of_the_store(tmp_path, prices_csv):
+    run, config = _untrained_run(tmp_path, prices_csv)
+    lines = (run / "windows.jsonl").read_text().splitlines(keepends=True)
+    star = [line for line in lines if json.loads(line)["board"] == "STAR"]
+    rest = [line for line in lines if json.loads(line)["board"] != "STAR"]
+    peaks, few, many = [], 2, 42
+    for copies in (1, few, many):  # the first run only warms imports and caches
+        store = tmp_path / f"store{copies}.jsonl"
+        store.write_text("".join(star + rest * copies))
+        argv = [*_augment_argv(store, run, config, tmp_path / f"out{copies}")]
+        argv[argv.index("--board") + 1] = "STAR"
+        tracemalloc.start()
+        try:
+            assert _run(*argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    growth = (peaks[2] - peaks[1]) / ((many - few) * len(rest))
+    assert growth <= AUGMENT_PEAK_BYTES_PER_OFF_BOARD_WINDOW, f"{growth:.1f} bytes per window"
 
 
 LONG = "x" * 5000

@@ -390,7 +390,7 @@ def test_window_store_round_trip(tmp_path):
     path = tmp_path / "windows.jsonl"
     write_window_store(windows, path)
     back = read_window_store(path, 60, 124)
-    assert len(back) == len(windows)
+    assert type(back) is list and len(back) == len(windows)
     for a, b in zip(windows, back):
         assert a.ticker == b.ticker
         assert a.start_date == b.start_date

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from seriesdiff import (
     summarize_backtest,
     topk_dropk_backtest,
 )
-from seriesdiff.evaluate import _average_ranks
+from seriesdiff.evaluate import _average_ranks, _corr_rows
 from seriesdiff.oracles import (
     pearson_direct,
     reference_topk_backtest,
@@ -257,6 +258,37 @@ def test_summarize_backtest_keys_and_skips():
     assert s3["skipped_ic_dates"] == 1
     assert s3["mean_ic"] == pytest.approx(-1.0, abs=1e-12)
     assert s3["mean_rank_ic"] == pytest.approx(-1.0, abs=1e-12)
+
+
+# Peak bytes summarize_backtest allocates per cell of a 750-date, 300-ticker panel, traced with
+# tracemalloc.  Its passes run over blocks of dates of about 16k cells: 4.2 measured with numpy
+# 2.4 on Python 3.11, where one (dates, 2, tickers) stack of the whole panel measured 55.6.
+# Not to be raised.
+SUMMARY_PEAK_BYTES_PER_CELL = 8
+
+
+def test_summarize_backtest_runs_over_blocks_of_dates_as_over_one_stack():
+    rng = np.random.default_rng(5)
+    D, N = 750, 300
+    scores, returns = rng.standard_normal((D, N)), 0.01 * rng.standard_normal((D, N))
+    scores[::9] = np.round(scores[::9], 1)  # ties
+    scores[::13], returns[::17] = 0.5, 0.0  # constant dates, skipped
+    panel = PredictionPanel([f"d{i:03d}" for i in range(D)], [f"T{j:03d}" for j in range(N)],
+                            scores, returns)
+    result = topk_dropk_backtest(panel, k=20)
+    summarize_backtest(panel, k=20, result=result)  # first-call allocations are not its own
+    tracemalloc.start()
+    try:
+        got = summarize_backtest(panel, k=20, result=result)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    pairs = np.stack([scores, returns], axis=1)  # the whole panel as one stack
+    pairs = pairs[np.all(pairs.min(axis=-1) < pairs.max(axis=-1), axis=-1)]
+    assert got["skipped_ic_dates"] == D - len(pairs) == 99
+    assert got["mean_ic"] == float(np.mean(_corr_rows(pairs)))
+    assert got["mean_rank_ic"] == float(np.mean(_corr_rows(_average_ranks(pairs))))
+    assert peak / (D * N) <= SUMMARY_PEAK_BYTES_PER_CELL, f"{peak / (D * N):.1f} bytes per cell"
 
 
 def test_momentum_panel_exact_values():
