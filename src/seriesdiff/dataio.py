@@ -271,12 +271,20 @@ def normalize_window(raw_closes: np.ndarray) -> tuple[np.ndarray, tuple]:
     return (logs - mu) / scale, stats
 
 
-def denormalize_window(values: np.ndarray, stats: tuple[float, float]) -> np.ndarray:
-    """Invert ``normalize_window``: exp(values * scale + mean)."""
-    mu, scale = stats
-    if not (scale > 0.0 and math.isfinite(scale) and math.isfinite(mu)):
-        raise ParameterError(f"bad normalization stats ({mu}, {scale})")
+def denormalize_window(values: np.ndarray, stats: tuple) -> np.ndarray:
+    """Invert ``normalize_window``: exp(values * scale + mean), per row for a stack."""
     values = np.asarray(values, dtype=np.float64)
+    mu, scale = (np.asarray(s, dtype=np.float64) for s in stats)
+    if mu.shape != scale.shape or mu.ndim and mu.shape != values.shape[:-1]:
+        raise ParameterError(f"stats of shapes {mu.shape} and {scale.shape} do not fit "
+                             f"windows of shape {values.shape}")
+    bad = np.flatnonzero(~((scale > 0.0) & np.isfinite(scale) & np.isfinite(mu)))
+    if bad.size:
+        at = f" at row {bad[0]}" if mu.ndim else ""
+        raise ParameterError(
+            f"bad normalization stats ({mu.flat[bad[0]]}, {scale.flat[bad[0]]}){at}")
+    if mu.ndim:  # one (mean, scale) pair per row of the stack
+        mu, scale = mu[..., None], scale[..., None]
     return np.exp(values * scale + mu)
 
 

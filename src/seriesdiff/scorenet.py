@@ -492,14 +492,12 @@ def _condition_arrays(
             iid[n], bid[n] = -1, -1
             continue
         industry, board = c
-        if not 0 <= industry < cfg.n_industries:
-            raise ParameterError(
-                f"industry_id {industry} outside [0, {cfg.n_industries}) at position {n}"
-            )
-        if not 0 <= board < cfg.n_boards:
-            raise ParameterError(
-                f"board_id {board} outside [0, {cfg.n_boards}) at position {n}"
-            )
+        for name, value, bound in (("industry_id", industry, cfg.n_industries),
+                                   ("board_id", board, cfg.n_boards)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ParameterError(f"{name} {value!r} is not an integer at position {n}")
+            if not 0 <= value < bound:
+                raise ParameterError(f"{name} {value} outside [0, {bound}) at position {n}")
         iid[n], bid[n] = industry, board
     return iid, bid
 
@@ -610,26 +608,23 @@ def train(
 
     rng = np.random.default_rng(config.seed)
     params = init_params(net_config, rng)
-    values = params.values.copy()
 
     # Hand-rolled Adam; the parameter set is one flat vector so the state is too.
-    m = np.zeros_like(values)
-    v = np.zeros_like(values)
+    m = np.zeros_like(params.values)
+    v = np.zeros_like(params.values)
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
     step = 0
 
     epoch_losses: list[float] = []
     for epoch in range(config.epochs):
         perm = rng.permutation(N)
-        seen = 0
         weighted = 0.0
         for start in range(0, N, config.batch_size):
             batch_idx = perm[start : start + config.batch_size]
-            batch_conditions = [conditions[i] for i in batch_idx]
             loss, grad = dsm_loss(
-                params.with_values(values),
+                params,
                 windows[batch_idx],
-                batch_conditions,
+                [conditions[i] for i in batch_idx],
                 schedule,
                 rng,
                 weighting=config.weighting,
@@ -644,13 +639,12 @@ def train(
             v = beta2 * v + (1.0 - beta2) * grad * grad
             m_hat = m / (1.0 - beta1**step)
             v_hat = v / (1.0 - beta2**step)
-            values = values - config.learning_rate * m_hat / (np.sqrt(v_hat) + adam_eps)
+            params.values -= config.learning_rate * m_hat / (np.sqrt(v_hat) + adam_eps)
             weighted += loss * batch_idx.shape[0]
-            seen += batch_idx.shape[0]
-        epoch_loss = weighted / seen
+        epoch_loss = weighted / N
         epoch_losses.append(epoch_loss)
         logger.info("epoch %d/%d dsm loss %.6f", epoch + 1, config.epochs, epoch_loss)
-    return TrainResult(params=params.with_values(values), epoch_losses=epoch_losses)
+    return TrainResult(params=params, epoch_losses=epoch_losses)
 
 
 def save_checkpoint(

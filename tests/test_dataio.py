@@ -208,12 +208,32 @@ def test_batched_normalize_rows_equal_single_windows_bitwise(length, step, n_win
     values, (mu, scale) = normalize_window(sliding_window_view(close, length)[::step])
     assert values.shape == (n_windows, length)
     assert mu.shape == scale.shape == (n_windows,)
+    back = denormalize_window(values, (mu, scale))
+    assert back.shape == (n_windows, length)
     for i in range(n_windows):
         row, (row_mu, row_scale) = normalize_window(close[i * step : i * step + length])
         assert values[i].tobytes() == row.tobytes()
         assert mu[i].tobytes() == np.float64(row_mu).tobytes()
         assert scale[i].tobytes() == np.float64(row_scale).tobytes()
+        row_back = denormalize_window(row, (row_mu, row_scale))
+        assert row_back.tobytes() == np.exp(row * row_scale + row_mu).tobytes()
+        assert back[i].tobytes() == row_back.tobytes()
     assert not flat or scale[0] == STD_FLOOR
+
+
+def test_denormalize_checks_the_stats_of_each_row():
+    values = np.zeros((3, 4))
+    good = (np.zeros(3), np.ones(3))
+    assert np.array_equal(denormalize_window(values, good), np.ones((3, 4)))
+    with pytest.raises(ParameterError, match=r"bad normalization stats \(0.0, nan\) at row 1"):
+        denormalize_window(values, (np.zeros(3), np.array([1.0, np.nan, 1.0])))
+    with pytest.raises(ParameterError, match=r"bad normalization stats \(inf, 1.0\) at row 2"):
+        denormalize_window(values, (np.array([0.0, 0.0, np.inf]), np.ones(3)))
+    with pytest.raises(ParameterError, match=r"bad normalization stats \(0.0, 0.0\)$"):
+        denormalize_window(values[0], (0.0, 0.0))
+    for stats in [(np.zeros(2), np.ones(2)), (np.zeros(3), np.ones(2)), (np.zeros(3), 1.0)]:
+        with pytest.raises(ParameterError, match="do not fit windows of shape"):
+            denormalize_window(values, stats)
 
 
 def test_normalize_requires_positive_closes():

@@ -103,6 +103,20 @@ def test_encode_condition_contract():
         encode_condition(0, 5, params)  # board out of range
 
 
+@pytest.mark.parametrize("ids", [(1.9, 0), (1, 0.0), (True, 0), (0, np.True_), ("1", 0)])
+def test_condition_ids_must_be_integers(ids):
+    params = init_params(TINY, np.random.default_rng(2))
+    with pytest.raises(ParameterError, match="is not an integer at position 0"):
+        encode_condition(*ids, params)
+    sch = make_linear_schedule(5, 1e-3, 0.2)
+    with pytest.raises(ParameterError, match="is not an integer at position 1"):
+        dsm_loss(params, np.zeros((2, 2)), [None, ids], sch, np.random.default_rng(0))
+    with pytest.raises(ParameterError, match="is not an integer at position"):
+        train(np.zeros((2, 2)), [(0, 0), ids], sch, TrainConfig(epochs=1), TINY)
+    # numpy integers are ids too
+    assert encode_condition(np.int64(1), np.int32(0), params).industry_id == 1
+
+
 def test_distinct_conditions_distinct_predictions():
     cfg = ScoreNetConfig(
         input_len=4, width=8, blocks=2, time_dim=4, embed_dim=4,
