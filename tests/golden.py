@@ -3,8 +3,9 @@ to rebuild them.
 
 ``tests/golden.json`` records, for each sampler case below, the sha256 of the
 output array's little-endian float64 bytes and the numbers themselves, and for
-each artifact of criterion 10's tiny ``ingest``, ``augment --transfer`` and
-``backtest`` its sha256 and its content with every number parsed, together
+each artifact of criterion 10's tiny ``ingest``, ``train``, ``sample``,
+``augment --transfer``, ``backtest`` and ``report`` its sha256 and its content
+with every number parsed, together
 with the environment they were recorded under and the tolerances at which
 ``tests/test_golden.py`` compares the numbers.  The numbers are compared
 always; the sha256 values only where the environment matches, since another
@@ -51,14 +52,27 @@ GOLDEN = Path(__file__).with_name("golden.json")
 # change of any of them when every weight of the trained checkpoint moves by
 # one ulp up or down (6.7e-16 over eight such moves, same environment as
 # above), rounded up to a power of ten; its copied store lines and its
-# manifest are compared exactly.
-TOLERANCE = {"sample_rows": 1e-13, "pipeline": 1e-12, "augment": 1e-15}
+# manifest are compared exactly.  For train's checkpoint arrays and loss.csv
+# (and the loss in report.json): the largest change of any of them when every
+# initial weight moves by one ulp up or down, all up, all down and six seeded
+# mixes (2.2e-16 on the arrays; the losses, near 10, did not move), same
+# environment, rounded up; its config, meta and schedule.json are compared
+# exactly.  For sample's rows: the largest change when every weight of the
+# trained checkpoint moves by one ulp, over the same eight moves (4.4e-15),
+# rounded up.
+TOLERANCE = {"sample_rows": 1e-13, "pipeline": 1e-12, "augment": 1e-15, "train": 1e-15,
+             "sample": 1e-14}
 
-# criterion 10's ingest, augment and backtest artifacts; equity.svg is checked by its bytes alone
+# criterion 10's artifacts by verb; equity.svg is checked by its bytes alone
+INGEST_BACKTEST_ARTIFACTS = ("windows.jsonl", "manifest.json", "summary.json", "backtest.csv",
+                             "equity.svg")
+TRAIN_ARTIFACTS = ("checkpoint.json", "schedule.json", "loss.csv")
 AUGMENT_ARTIFACTS = ("augmented.jsonl", "augment_manifest.json")
-PIPELINE_ARTIFACTS = ("windows.jsonl", "manifest.json", "summary.json", "backtest.csv",
-                      "equity.svg", *AUGMENT_ARTIFACTS)
-# the augment run on criterion 10's trained checkpoint: a tenth of the store is on STAR
+PIPELINE_ARTIFACTS = (*INGEST_BACKTEST_ARTIFACTS, *TRAIN_ARTIFACTS, "samples.jsonl",
+                      *AUGMENT_ARTIFACTS, "report.json")
+# criterion 10's sample run, and an augment run on its trained checkpoint: a tenth of the
+# store is on STAR
+SAMPLE_ARGV = ("--seed", "9", "--industry", "7", "--board", "CHINEXT")
 AUGMENT_ARGV = ("--seed", "9", "--board", "STAR", "--ratio", "1:1", "--transfer")
 
 
@@ -116,8 +130,8 @@ def sampler_cases() -> dict[str, np.ndarray]:
 
 
 def pipeline_artifacts(root: Path) -> dict[str, bytes]:
-    """Run criterion 10's tiny ``ingest``, ``train``, ``augment --transfer`` and ``backtest``
-    under ``root``; each artifact's bytes."""
+    """Run criterion 10's tiny ``ingest``, ``train``, ``sample``, ``augment --transfer``,
+    ``backtest`` and ``report`` under ``root``; each artifact's bytes."""
     prices, panel, config, out = (root / name for name in
                                   ("prices.csv", "panel.csv", "config.json", "run"))
     write_prices_csv(prices)
@@ -125,8 +139,10 @@ def pipeline_artifacts(root: Path) -> dict[str, bytes]:
     config.write_text(json.dumps(PIPELINE_CONFIG))
     store, checkpoint = str(out / "windows.jsonl"), str(out / "checkpoint.json")
     for argv in (["ingest", str(prices)], ["train", store, "--seed", "5"],
+                 ["sample", checkpoint, *SAMPLE_ARGV],
                  ["augment", store, checkpoint, *AUGMENT_ARGV], ["backtest", str(panel)]):
         assert cli_main(argv + ["--out", str(out), "--config", str(config)]) == 0
+    assert cli_main(["report", str(out), "--config", str(config)]) == 0
     return {name: (out / name).read_bytes() for name in PIPELINE_ARTIFACTS}
 
 
@@ -155,7 +171,7 @@ def record() -> dict:
         artifacts = pipeline_artifacts(Path(tmp))
     return {
         "about": "sample_rows draws on small seeded networks and criterion 10's ingest, "
-                 "augment and backtest artifacts; rebuilt by "
+                 "train, sample, augment, backtest and report artifacts; rebuilt by "
                  "`PYTHONPATH=src python tests/golden.py`, never edited by hand",
         "environment": environment(),
         "tolerance": TOLERANCE,
