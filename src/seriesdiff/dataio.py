@@ -31,7 +31,7 @@ from typing import Iterator, TextIO
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DataError, ParameterError
+from .errors import DataError, ParameterError, check_int
 
 __all__ = [
     "Board",
@@ -148,8 +148,9 @@ def repair_suspensions(
     exceeded ``max_interp_gap`` days or any gap exceeded ``max_gap_days``.
     Present closes are never altered.  Needs at least 2 present closes.
     """
-    if max_interp_gap < 1 or max_long_gaps < 0 or max_gap_days < 1:
-        raise ParameterError("repair thresholds must be positive")
+    check_int(max_interp_gap, "max_interp_gap", 1)
+    check_int(max_long_gaps, "max_long_gaps", 0)
+    check_int(max_gap_days, "max_gap_days", 1)
     close = record.close.copy()
     missing = ~np.isfinite(close)
     if int(np.sum(~missing)) < 2:
@@ -210,8 +211,7 @@ def drop_ipo_head(record: StockRecord, n_days: int = 5) -> StockRecord:
 
     A record with no rows left is returned empty and marked unusable.
     """
-    if n_days < 0:
-        raise ParameterError(f"n_days must be >= 0, got {n_days}")
+    check_int(n_days, "n_days", 0)
     if len(record) <= n_days:
         return replace(
             record,
@@ -246,6 +246,9 @@ class SeriesWindow:
             raise DataError(f"window scale must be positive, got {self.scale}")
         if not math.isfinite(self.mean):
             raise DataError(f"window mean must be finite, got {self.mean}")
+        self.industry_id = check_int(self.industry_id, "industry_id", 0)
+        if type(self.board) is not Board:  # a Board member needs no check, and Board() is slow
+            self.board = Board(check_int(self.board, "board", 0, len(Board)))
 
     @property
     def condition(self) -> tuple[int, int]:
@@ -290,10 +293,8 @@ def denormalize_window(values: np.ndarray, stats: tuple) -> np.ndarray:
 
 def make_windows(record: StockRecord, length: int = 60, step: int = 20) -> list[SeriesWindow]:
     """Sliding windows at a fixed stride; count = (n - length) // step + 1."""
-    if length < 2:
-        raise ParameterError(f"window length must be >= 2, got {length}")
-    if step < 1:
-        raise ParameterError(f"step must be >= 1, got {step}")
+    check_int(length, "length", 2)
+    check_int(step, "step", 1)
     if len(record) < length:
         raise DataError(
             f"record {record.ticker}: {len(record)} rows are fewer than the window length {length}"
@@ -594,19 +595,17 @@ def _store_lines(path: str | Path, length: int, n_industries: int
                 ticker, start, iid = obj["ticker"], obj["start_date"], obj["industry_id"]
                 values, synthetic = np.asarray(obj["values"]), obj.get("synthetic", False)
                 if (
-                    (type(ticker), type(start), type(iid), type(synthetic)) != (str, str, int, bool)
+                    (type(ticker), type(start), type(synthetic)) != (str, str, bool)
                     or not {type(obj["mean"]), type(obj["scale"])} <= {int, float}
                     or values.dtype.kind not in "if"
                 ):
-                    raise TypeError(
-                        "ticker and start_date must be strings, mean, scale and values numbers, "
-                        "industry_id an integer and synthetic true or false"
-                    )
+                    raise TypeError("ticker and start_date must be strings, mean, scale and "
+                                    "values numbers and synthetic true or false")
                 mean, scale, board = float(obj["mean"]), float(obj["scale"]), Board[obj["board"]]
                 w = SeriesWindow(ticker, start, values, mean, scale, iid, board, synthetic)
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed window record: {exc}") from exc
-            if w.values.size != length or not 0 <= w.industry_id < n_industries:
+            if w.values.size != length or w.industry_id >= n_industries:  # SeriesWindow: id >= 0
                 raise DataError(
                     f"{path}:{lineno}: window of length {w.values.size} and industry_id "
                     f"{w.industry_id}; expected {length} and an id in [0, {n_industries})"

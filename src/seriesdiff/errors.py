@@ -32,3 +32,13 @@ def check_finite_rows(a: np.ndarray, what: str) -> None:
     bad = np.flatnonzero(~np.isfinite(a).all(axis=1))
     if bad.size:
         raise NumericError(f"{what} is non-finite in {bad.size} of {len(a)} rows, first row {bad[0]}")
+
+
+def check_int(value: object, name: str, low: int, high: int | None = None, where: str = "") -> int:
+    """``value`` as an int if it is a Python or numpy integer, never a bool, in [low, high) (no
+    upper bound if ``high`` is None); else a ParameterError naming ``name``, ``value``, ``where``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{name} {value!r} is not an integer{where}")
+    if low <= value and (high is None or value < high):
+        return int(value)
+    raise ParameterError(f"{name} {value} outside [{low}, {'inf' if high is None else high}){where}")

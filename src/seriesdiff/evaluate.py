@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import StockRecord, _csv_columns, _numbers
-from .errors import DataError, NumericError, ParameterError
+from .errors import DataError, NumericError, ParameterError, check_int
 
 __all__ = [
     "return_ratio",
@@ -37,8 +37,7 @@ def _check_closes(closes: np.ndarray, horizon: int) -> np.ndarray:
     closes = np.asarray(closes, dtype=np.float64)
     if closes.ndim != 1 or closes.size < 2:
         raise ParameterError("need a 1-D series of at least 2 closes")
-    if not 1 <= horizon < closes.size:
-        raise ParameterError(f"horizon {horizon} outside [1, {closes.size - 1}]")
+    check_int(horizon, "horizon", 1, closes.size)
     if not np.all(np.isfinite(closes)) or np.any(closes <= 0.0):
         raise DataError("closes must be finite and positive")
     return closes
@@ -205,8 +204,7 @@ def topk_dropk_backtest(panel: PredictionPanel, k: int = 20) -> BacktestResult:
     Ranking sorts by score descending with ties broken by ticker so results
     are deterministic.  Universes smaller than k hold everything.
     """
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
+    check_int(k, "k", 1)
     tickers = np.asarray(panel.tickers)
     # lexsort's last key is primary: score descending, then ticker ascending, on every date
     held = np.lexsort((np.broadcast_to(tickers, panel.scores.shape), -panel.scores))[:, :k]
@@ -269,8 +267,8 @@ def momentum_panel(
     ``horizon``-day simple return.  Only dates shared by every record enter
     the grid.  This is a harness fixture, not a serious predictor.
     """
-    if lookback < 1 or horizon < 1:
-        raise ParameterError("lookback and horizon must be >= 1")
+    check_int(lookback, "lookback", 1)
+    check_int(horizon, "horizon", 1)
     if not records:
         raise DataError("no records given")
     lookups = []

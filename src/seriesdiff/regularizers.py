@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_int
 
 __all__ = [
     "AntvConfig",
@@ -56,8 +56,7 @@ class AntvConfig:
     rate: float
 
     def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ParameterError(f"window must be >= 1, got {self.window}")
+        check_int(self.window, "window", 1)
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
             raise ParameterError(f"sigma must be positive, got {self.sigma}")
         if not (self.rate > 0.0 and math.isfinite(self.rate)):
@@ -167,12 +166,8 @@ class BandSpec:
     high: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.low, int) and isinstance(self.high, int)):
-            raise ParameterError("band edges must be integers")
-        if self.low < 0 or self.low >= self.high:
-            raise ParameterError(
-                f"need 0 <= low < high, got ({self.low}, {self.high})"
-            )
+        check_int(self.low, "low", 0)
+        check_int(self.high, "high", self.low + 1)
 
 
 def _last_axis(a: np.ndarray, dtype: type | None = None) -> np.ndarray:
@@ -196,8 +191,7 @@ def idft(spectrum: np.ndarray) -> np.ndarray:
 
 def band_mask(n: int, band: BandSpec) -> np.ndarray:
     """Boolean keep-mask of length n for the symmetric band."""
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    check_int(n, "n", 1)
     if band.high > n // 2:
         raise ParameterError(
             f"band high edge {band.high} exceeds Nyquist index {n // 2} for n={n}"

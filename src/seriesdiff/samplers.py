@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NumericError, ParameterError, check_finite_rows
+from .errors import NumericError, ParameterError, check_finite_rows, check_int
 from .regularizers import AntvConfig, BandSpec, antv_step, bp_grad_step
 from .schedules import NoiseSchedule, SigmaLadder, forward_perturb
 from .scorenet import ConditionVector, ScoreNetworkParams, _Prepared, predict_eps
@@ -129,8 +129,7 @@ def make_subsequence(T: int, n_steps: int) -> np.ndarray:
     Uniform stride floor(T / n_steps) counted back from T:
     T=400, n_steps=50 gives 8, 16, ..., 400.  n_steps = T returns 1..T.
     """
-    if not 1 <= n_steps <= T:
-        raise ParameterError(f"n_steps={n_steps} outside [1, {T}]")
+    check_int(n_steps, "n_steps", 1, T + 1)
     stride = T // n_steps
     taus = T - stride * np.arange(n_steps - 1, -1, -1, dtype=np.int64)
     return taus
@@ -231,8 +230,7 @@ def langevin_sample(
     ).copy()
     if np.any(sizes <= 0.0) or not np.all(np.isfinite(sizes)):
         raise ParameterError("step sizes must be finite and positive")
-    if n_steps < 1:
-        raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
+    check_int(n_steps, "n_steps", 1)
     sigma_max = float(ladder.sigma[-1])
     x = sigma_max * rng.standard_normal(shape)
     for level in range(ladder.levels - 1, -1, -1):
@@ -297,14 +295,14 @@ class SamplerConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("ddim", "ddpm"):
             raise ParameterError(f"unknown sampler mode {self.mode!r}")
-        if self.steps is not None and self.steps < 1:
-            raise ParameterError(f"steps must be >= 1, got {self.steps}")
+        if self.steps is not None:
+            check_int(self.steps, "steps", 1)
         if self.eta < 0.0 or not math.isfinite(self.eta):
             raise ParameterError(f"eta must be finite and >= 0, got {self.eta}")
         if not math.isfinite(self.guidance):
             raise ParameterError(f"guidance must be finite, got {self.guidance}")
-        if self.num_samples < 1:
-            raise ParameterError(f"num_samples must be >= 1, got {self.num_samples}")
+        check_int(self.num_samples, "num_samples", 1)
+        check_int(self.seed, "seed", 0)
         if not (self.lambda_antv >= 0.0 and self.lambda_bp >= 0.0):  # NaN fails too
             raise ParameterError("correction step sizes must be >= 0")
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_int
 
 __all__ = [
     "NoiseSchedule",
@@ -59,12 +59,11 @@ class NoiseSchedule:
         beta = np.asarray(self.beta, dtype=np.float64)
         if beta.ndim != 1:
             raise ParameterError("beta must be a 1-D array")
+        object.__setattr__(self, "T", check_int(self.T, "T", 1))  # an int, as to_dict saves it
         if self.T != beta.shape[0]:
             raise ParameterError(
                 f"schedule length mismatch: T={self.T} but beta has {beta.shape[0]} entries"
             )
-        if self.T < 1:
-            raise ParameterError("T must be >= 1")
         if not np.all(np.isfinite(beta)):
             raise ParameterError("beta contains non-finite entries")
         if np.any(beta <= 0.0) or np.any(beta >= 1.0):
@@ -98,8 +97,7 @@ class NoiseSchedule:
 def schedule_from_dict(obj: dict) -> NoiseSchedule:
     """Rebuild a schedule from its ``to_dict`` form, revalidating everything."""
     try:
-        T = int(obj["T"])
-        beta = np.asarray(obj["beta"], dtype=np.float64)
+        T, beta = obj["T"], np.asarray(obj["beta"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParameterError(f"malformed schedule object: {exc}") from exc
     return NoiseSchedule(T=T, beta=beta)
@@ -113,8 +111,7 @@ def make_linear_schedule(
     Requires ``steps >= 1`` and ``0 < beta_start <= beta_end < 1``.  With a
     single step the ladder degenerates to ``[beta_start]``.
     """
-    if steps < 1:
-        raise ParameterError(f"steps must be >= 1, got {steps}")
+    check_int(steps, "steps", 1)
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ParameterError(
             f"need 0 < beta_start <= beta_end < 1, got ({beta_start}, {beta_end})"
@@ -150,8 +147,7 @@ class SigmaLadder:
 
 def make_sigma_ladder(sigma_min: float, sigma_max: float, N: int) -> SigmaLadder:
     """Geometric ladder of ``N`` scales from ``sigma_min`` up to ``sigma_max``."""
-    if N < 2:
-        raise ParameterError(f"need at least 2 levels, got {N}")
+    check_int(N, "N", 2)
     if not (0.0 < sigma_min < sigma_max):
         raise ParameterError(
             f"need 0 < sigma_min < sigma_max, got ({sigma_min}, {sigma_max})"

@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataio import _read_json, _replacing
-from .errors import DataError, NumericError, ParameterError, check_finite_rows
+from .errors import DataError, NumericError, ParameterError, check_finite_rows, check_int
 from .schedules import NoiseSchedule
 
 __all__ = [
@@ -90,10 +90,8 @@ class ScoreNetConfig:
 
     def __post_init__(self) -> None:
         for name in ("input_len", "width", "blocks", "time_dim", "embed_dim",
-                     "cond_hidden", "n_industries", "n_boards"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise ParameterError(f"{name} must be a positive integer, got {v!r}")
+                     "cond_hidden", "n_industries", "n_boards"):  # ints, since asdict saves them
+            object.__setattr__(self, name, check_int(getattr(self, name), name, 1))
         if self.time_dim % 2 != 0:
             raise ParameterError(f"time_dim must be even, got {self.time_dim}")
         if self.activation not in ("silu", "relu"):
@@ -227,8 +225,8 @@ def time_embedding(t: int | np.ndarray, dim: int) -> np.ndarray:
     sine entry is 0 and every cosine entry is 1.  Accepts a scalar (returns
     shape (dim,)) or a vector of steps (returns (len(t), dim)).
     """
-    if dim < 2 or dim % 2 != 0:
-        raise ParameterError(f"embedding dim must be even and >= 2, got {dim}")
+    if check_int(dim, "dim", 2) % 2 != 0:
+        raise ParameterError(f"embedding dim must be even, got {dim}")
     t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
     if t_arr.ndim != 1:
         raise ParameterError("t must be a scalar or 1-D array")
@@ -485,20 +483,16 @@ def _condition_arrays(
     conditions: Sequence[tuple[int, int] | None], cfg: ScoreNetConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Checked industry and board id arrays, -1 for NULL; the only id validator."""
-    iid = np.empty(len(conditions), dtype=np.int64)
-    bid = np.empty(len(conditions), dtype=np.int64)
+    iid, bid = np.full((2, len(conditions)), -1, dtype=np.int64)  # -1: the NULL condition
     for n, c in enumerate(conditions):
         if c is None:
-            iid[n], bid[n] = -1, -1
             continue
-        industry, board = c
-        for name, value, bound in (("industry_id", industry, cfg.n_industries),
-                                   ("board_id", board, cfg.n_boards)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ParameterError(f"{name} {value!r} is not an integer at position {n}")
-            if not 0 <= value < bound:
-                raise ParameterError(f"{name} {value} outside [0, {bound}) at position {n}")
-        iid[n], bid[n] = industry, board
+        try:
+            industry, board = c
+        except (TypeError, ValueError):
+            raise ParameterError(f"condition {c!r} at position {n} is not a pair") from None
+        iid[n] = check_int(industry, "industry_id", 0, cfg.n_industries, f" at position {n}")
+        bid[n] = check_int(board, "board_id", 0, cfg.n_boards, f" at position {n}")
     return iid, bid
 
 
@@ -561,10 +555,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.epochs < 0:
-            raise ParameterError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
+        check_int(self.epochs, "epochs", 0)
+        check_int(self.batch_size, "batch_size", 1)
+        check_int(self.seed, "seed", 0)
         if not (self.learning_rate > 0.0 and math.isfinite(self.learning_rate)):
             raise ParameterError(f"learning_rate must be positive, got {self.learning_rate}")
         if not 0.0 <= self.p_uncond < 1.0:
@@ -605,6 +598,7 @@ def train(
         raise ParameterError(
             f"net input_len {net_config.input_len} does not match window length {L}"
         )
+    _condition_arrays(conditions, net_config)  # each bad id named by its index, not a batch slot
 
     rng = np.random.default_rng(config.seed)
     params = init_params(net_config, rng)

@@ -15,7 +15,7 @@ import pytest
 from seriesdiff import cli
 from seriesdiff.cli import DEFAULT_CONFIG, config_digest, load_config, main
 from seriesdiff import NumericError, read_panel_csv, read_window_store, topk_dropk_backtest
-from conftest import write_panel_csv, write_prices_csv
+from conftest import trading_days, write_panel_csv, write_prices_csv
 
 # small but honest settings so train/sample stay fast
 FAST = {
@@ -642,3 +642,50 @@ def test_overflowing_panel_is_a_numeric_error(tmp_path, fast_config, capsys, dat
     err = capsys.readouterr().err
     assert err.startswith(f"numeric error: {text}") and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("verb", ["train", "sample", "augment"])
+def test_a_negative_seed_is_a_configuration_error_and_leaves_no_new_out(tmp_path, prices_csv,
+                                                                        capsys, verb):
+    run, config = _untrained_run(tmp_path, prices_csv)
+    store, checkpoint = run / "windows.jsonl", run / "checkpoint.json"
+    argv = {"train": ("train", store),
+            "sample": ("sample", checkpoint, "--industry", 7, "--board", "CHINEXT"),
+            "augment": ("augment", store, checkpoint, "--board", "STAR", "--ratio", "1:1")}[verb]
+    capsys.readouterr()
+    assert _run(*argv, "--seed", -1, "--config", config, "--out", tmp_path / "a" / "b") == 2
+    assert capsys.readouterr().err == "configuration error: seed -1 outside [0, inf)\n"
+    assert not (tmp_path / "a").exists()
+
+
+@pytest.mark.parametrize("case", ["ingest-without-windows", "report-without-artifacts",
+                                  "unknown-board", "non-string-config-value", "help"])
+def test_exit_codes_the_readme_states(tmp_path, fast_config, capsys, case):
+    short = tmp_path / "short.csv"  # one ticker with fewer rows than a window
+    short.write_text("date,ticker,close,industry_id\n" + "".join(
+        f"{day},600000,10.0,1\n" for day in trading_days("2021-01-04", 10)))
+    (tmp_path / "empty").mkdir()
+    config = tmp_path / "activation.json"
+    config.write_text(json.dumps({"net.activation": 1}))
+    out = ("--out", tmp_path / "o")
+    argv, code, message = {
+        "ingest-without-windows": (("ingest", short, "--config", fast_config, *out), 3,
+                                   "data error: ingest produced no windows"),
+        "report-without-artifacts": (("report", tmp_path / "empty"), 3,
+                                     f"data error: no known artifacts found under {tmp_path}"),
+        "unknown-board": (("augment", "w.jsonl", "c.json", "--seed", 1, "--board", "NYSE",
+                           "--ratio", "1:1", *out), 2,
+                          "configuration error: unknown board 'NYSE'; expected one of MAIN,"),
+        "non-string-config-value": (("ingest", short, "--config", config, *out), 2,
+                                    "configuration error: config key 'net.activation' must be "
+                                    "a string, got 1"),
+        "help": (("--help",), 0, None),
+    }[case]
+    capsys.readouterr()
+    assert _run(*argv) == code
+    captured = capsys.readouterr()
+    if message is None:
+        assert captured.out.startswith("usage: seriesdiff") and not captured.err
+    else:
+        assert captured.err.startswith(message) and captured.err.count("\n") == 1
+    assert not (tmp_path / "o").exists() and not any((tmp_path / "empty").iterdir())

@@ -392,6 +392,29 @@ def test_prepare_windows_skips_short_records():
     assert all(w.ticker == "600519" for w in windows)
 
 
+def test_prepare_windows_skips_records_the_repair_excluded_with_its_reasons():
+    good = _record([10.0 + 0.1 * i for i in range(80)], ticker="600519")
+    closes = [10.0 + 0.1 * i for i in range(200)]
+    closes[50:121] = [math.nan] * 71  # one gap longer than max_gap_days
+    windows, report = prepare_windows([good, _record(closes, ticker="000001")], length=60,
+                                      max_gap_days=60)
+    assert report["n_skipped_records"] == 1 and report["skipped"][0]["ticker"] == "000001"
+    assert "excluded: a gap of 71 days exceeds 60" in report["skipped"][0]["reasons"]
+    assert windows and all(w.ticker == "600519" for w in windows)
+
+
+@pytest.mark.parametrize("read, header", [(read_close_csv, "date,ticker,close,industry_id"),
+                                          (read_panel_csv, "date,ticker,score,realized_return")])
+def test_csv_readers_reject_an_empty_file_and_a_header_without_rows(tmp_path, read, header):
+    p = tmp_path / "in.csv"
+    for text, message in (("", "file is empty"), (header + "\n", "no data rows"),
+                          (header + "\n\n,,,\n", "no data rows")):
+        p.write_text(text)
+        with pytest.raises(DataError) as error:
+            read(p)
+        assert str(error.value) == f"{p}: {message}"
+
+
 def test_window_store_round_trip(tmp_path):
     rec = _record([50.0 * math.exp(0.005 * i) for i in range(90)], ticker="300750")
     windows = make_windows(rec, length=60, step=10)
@@ -454,6 +477,7 @@ def test_window_store_errors(tmp_path):
         ("values", ["0", "0", "0"]),
         ("mean", math.inf),
         ("mean", math.nan),
+        ("industry_id", -5),
     ):  # each a JSON value its field does not take
         path.write_text(json.dumps({**json.loads(line), key: bad}) + "\n")
         with pytest.raises(DataError, match=f":1: malformed window record: .*{key}"):

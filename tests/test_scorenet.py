@@ -117,6 +117,22 @@ def test_condition_ids_must_be_integers(ids):
     assert encode_condition(np.int64(1), np.int32(0), params).industry_id == 1
 
 
+def test_train_names_a_bad_condition_by_its_index_before_the_first_batch():
+    # with batch size 4 the bad id sits in some shuffled batch; the message names its index
+    conditions = [(0, 0)] * 9 + [(1.5, 0)]
+    sch = make_linear_schedule(5, 1e-3, 0.2)
+    with pytest.raises(ParameterError, match=r"^industry_id 1\.5 is not an integer at position 9$"):
+        train(np.zeros((10, 2)), conditions, sch, TrainConfig(epochs=1, batch_size=4), TINY)
+
+
+@pytest.mark.parametrize("condition", [5, (1,), (1, 0, 2), "a"])
+def test_a_condition_that_is_not_a_pair_is_named_by_its_position(condition):
+    params = init_params(TINY, np.random.default_rng(2))
+    sch = make_linear_schedule(5, 1e-3, 0.2)
+    with pytest.raises(ParameterError, match=r"^condition .* at position 1 is not a pair$"):
+        dsm_loss(params, np.zeros((2, 2)), [None, condition], sch, np.random.default_rng(0))
+
+
 def test_distinct_conditions_distinct_predictions():
     cfg = ScoreNetConfig(
         input_len=4, width=8, blocks=2, time_dim=4, embed_dim=4,
