@@ -119,6 +119,10 @@ class StockRecord:
             )
         if not all(map(operator.lt, self.dates, self.dates[1:])):
             raise DataError(f"record {self.ticker}: dates must be strictly increasing")
+        where = f" in record {self.ticker}"
+        self.industry_id = check_int(self.industry_id, "industry_id", 0, where=where)
+        if type(self.board) is not Board:
+            self.board = Board(check_int(self.board, "board", 0, len(Board), where=where))
 
     def __len__(self) -> int:
         return self.close.shape[0]

@@ -1,4 +1,4 @@
-"""Return metrics, cross-sectional correlations, and a top-k rotation backtest.
+"""Cross-sectional correlations, prediction panels, and a top-k rotation backtest.
 
 The evaluation contract is a prediction panel: a full date x ticker grid of
 model scores and realized forward returns.  Each date the backtest ranks the
@@ -10,18 +10,15 @@ between scores and realized returns (IC) and its rank version (Rank IC).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataio import StockRecord, _csv_columns, _numbers
+from .dataio import _csv_columns, _numbers
 from .errors import DataError, NumericError, ParameterError, check_int
 
 __all__ = [
-    "return_ratio",
-    "log_return",
     "information_coefficient",
     "rank_ic",
     "PredictionPanel",
@@ -29,31 +26,7 @@ __all__ = [
     "BacktestResult",
     "topk_dropk_backtest",
     "summarize_backtest",
-    "momentum_panel",
 ]
-
-
-def _check_closes(closes: np.ndarray, horizon: int) -> np.ndarray:
-    closes = np.asarray(closes, dtype=np.float64)
-    if closes.ndim != 1 or closes.size < 2:
-        raise ParameterError("need a 1-D series of at least 2 closes")
-    check_int(horizon, "horizon", 1, closes.size)
-    if not np.all(np.isfinite(closes)) or np.any(closes <= 0.0):
-        raise DataError("closes must be finite and positive")
-    return closes
-
-
-def return_ratio(closes: np.ndarray, horizon: int) -> float:
-    """Simple forward return over ``horizon`` days from the first close:
-    (C_h - C_0) / C_0."""
-    closes = _check_closes(closes, horizon)
-    return float((closes[horizon] - closes[0]) / closes[0])
-
-
-def log_return(closes: np.ndarray, horizon: int) -> float:
-    """Log forward return ln(C_h / C_0); additive across adjacent horizons."""
-    closes = _check_closes(closes, horizon)
-    return float(math.log(closes[horizon] / closes[0]))
 
 
 def _pair(predicted: np.ndarray, realized: np.ndarray, undefined: str) -> np.ndarray:
@@ -146,7 +119,7 @@ class PredictionPanel:
 
 def _panel_cells(score_s: list[str], ret_s: list[str]) -> tuple:
     """A chunk's scores and returns, and a mask of the rows where one is not a finite number."""
-    scores, returns = (_numbers(float, c, np.float64, math.nan) for c in (score_s, ret_s))
+    scores, returns = (_numbers(float, c, np.float64, np.nan) for c in (score_s, ret_s))
     return scores, returns, ~(np.isfinite(scores) & np.isfinite(returns))
 
 
@@ -256,36 +229,3 @@ def summarize_backtest(
         "turnover": result.turnover,
         "skipped_ic_dates": len(panel.dates) - len(ics),
     }
-
-
-def momentum_panel(
-    records: list[StockRecord], lookback: int = 20, horizon: int = 5
-) -> PredictionPanel:
-    """Panel from a trivial momentum signal, to exercise the backtest end to end.
-
-    Score = trailing ``lookback``-day simple return; realized = forward
-    ``horizon``-day simple return.  Only dates shared by every record enter
-    the grid.  This is a harness fixture, not a serious predictor.
-    """
-    check_int(lookback, "lookback", 1)
-    check_int(horizon, "horizon", 1)
-    if not records:
-        raise DataError("no records given")
-    lookups = []
-    for rec in records:
-        if not np.all(np.isfinite(rec.close)):
-            raise DataError(f"record {rec.ticker}: unrepaired gaps remain")
-        lookups.append(dict(zip(rec.dates, rec.close.tolist())))
-    dates = sorted(set.intersection(*map(set, lookups)))
-    usable = dates[lookback : len(dates) - horizon]
-    if not usable:
-        raise DataError(
-            f"only {len(dates)} shared dates; need more than lookback+horizon={lookback + horizon}"
-        )
-    tickers = [rec.ticker for rec in records]
-    if len(set(tickers)) != len(tickers):
-        raise DataError("duplicate tickers across records")
-    order = np.argsort(tickers, kind="stable")
-    grid = np.array([[lookups[j][d] for j in order] for d in dates])  # shared dates x tickers
-    past, now, future = grid[:-lookback - horizon], grid[lookback:-horizon], grid[lookback + horizon:]
-    return PredictionPanel(usable, sorted(tickers), (now - past) / past, (future - now) / now)

@@ -42,7 +42,6 @@ __all__ = [
     "ddim_mean",
     "ddim_step",
     "langevin_sample",
-    "perturb_to_level",
     "sample_one",
     "sample_rows",
     "sample",
@@ -247,14 +246,6 @@ def langevin_sample(
     return x
 
 
-def perturb_to_level(
-    x0: np.ndarray, t: int, schedule: NoiseSchedule, rng: np.random.Generator
-) -> np.ndarray:
-    """Corrupt a clean window to level t with a fresh noise draw (transfer entry point)."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    return forward_perturb(x0, t, rng.standard_normal(x0.shape), schedule)
-
-
 @dataclass(frozen=True)
 class SamplerConfig:
     """Settings of the high-level sampling loop.
@@ -303,6 +294,9 @@ class SamplerConfig:
             raise ParameterError(f"guidance must be finite, got {self.guidance}")
         check_int(self.num_samples, "num_samples", 1)
         check_int(self.seed, "seed", 0)
+        check_int(self.antv_window, "antv_window", 1)
+        check_int(self.band_low, "band_low", 0)
+        check_int(self.band_high, "band_high", self.band_low + 1)
         if not (self.lambda_antv >= 0.0 and self.lambda_bp >= 0.0):  # NaN fails too
             raise ParameterError("correction step sizes must be >= 0")
 
@@ -365,7 +359,7 @@ def _reverse(
             raise ParameterError(
                 f"donor window of row {i} must be finite with shape ({L},), got {src.shape}"
             )
-        x[i] = perturb_to_level(src, jumps[0][0], schedule, rng)
+        x[i] = forward_perturb(src, jumps[0][0], rng.standard_normal(L), schedule)
     antv_cfg = None
     if cfg.lambda_antv > 0.0:
         antv_cfg = AntvConfig(window=cfg.antv_window, sigma=cfg.antv_sigma, rate=cfg.lambda_antv)
@@ -384,6 +378,7 @@ def _reverse(
     return x
 
 
+# kept because bench/tracing.py patches it; it goes once the bench reads a run trace instead
 def sample_one(
     params: ScoreNetworkParams,
     schedule: NoiseSchedule,

@@ -658,6 +658,19 @@ def test_a_negative_seed_is_a_configuration_error_and_leaves_no_new_out(tmp_path
     assert not (tmp_path / "a").exists()
 
 
+def test_an_empty_band_is_a_configuration_error_without_the_spectral_anchor(tmp_path, prices_csv,
+                                                                             capsys):
+    run, _ = _untrained_run(tmp_path, prices_csv)
+    config = tmp_path / "band.json"
+    config.write_text(json.dumps(dict(FAST, **{"sampler.lambda_bp": 0.0, "sampler.band_low": 5,
+                                               "sampler.band_high": 5})))
+    capsys.readouterr()
+    assert _run("sample", run / "checkpoint.json", "--config", config, "--seed", 2, "--industry",
+                7, "--board", "STAR", "--out", tmp_path / "s") == 2
+    assert capsys.readouterr().err == "configuration error: band_high 5 outside [6, inf)\n"
+    assert not (tmp_path / "s").exists()
+
+
 @pytest.mark.parametrize("case", ["ingest-without-windows", "report-without-artifacts",
                                   "unknown-board", "non-string-config-value", "help"])
 def test_exit_codes_the_readme_states(tmp_path, fast_config, capsys, case):

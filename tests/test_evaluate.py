@@ -1,7 +1,6 @@
-"""Return metrics, correlation measures, panels, and the rotation backtest."""
+"""Correlation measures, panels, and the rotation backtest."""
 from __future__ import annotations
 
-import math
 import re
 import tracemalloc
 
@@ -13,11 +12,8 @@ from seriesdiff import (
     ParameterError,
     PredictionPanel,
     information_coefficient,
-    log_return,
-    momentum_panel,
     rank_ic,
     read_panel_csv,
-    return_ratio,
     summarize_backtest,
     topk_dropk_backtest,
 )
@@ -28,24 +24,6 @@ from seriesdiff.oracles import (
     spearman_direct,
 )
 from conftest import write_panel_csv
-from seriesdiff.dataio import Board, StockRecord
-from conftest import trading_days
-
-
-def test_return_ratio_and_log_return():
-    closes = np.array([100.0, 101.0, 99.0, 110.0])
-    assert return_ratio(closes, 3) == pytest.approx(0.10, abs=1e-15)
-    assert log_return(closes, 3) == pytest.approx(math.log(1.10), abs=1e-15)
-    # log returns add across adjacent spans, simple returns do not
-    assert log_return(closes, 1) + math.log(closes[3] / closes[1]) == pytest.approx(
-        log_return(closes, 3), abs=1e-12
-    )
-    with pytest.raises(ParameterError):
-        return_ratio(closes, 0)
-    with pytest.raises(ParameterError):
-        return_ratio(closes, 4)
-    with pytest.raises(DataError):
-        return_ratio(np.array([0.0, 1.0]), 1)
 
 
 def test_ic_matches_oracle_and_rejects_constants():
@@ -289,27 +267,3 @@ def test_summarize_backtest_runs_over_blocks_of_dates_as_over_one_stack():
     assert got["mean_ic"] == float(np.mean(_corr_rows(pairs)))
     assert got["mean_rank_ic"] == float(np.mean(_corr_rows(_average_ranks(pairs))))
     assert peak / (D * N) <= SUMMARY_PEAK_BYTES_PER_CELL, f"{peak / (D * N):.1f} bytes per cell"
-
-
-def test_momentum_panel_exact_values():
-    # deterministic exponential paths make both legs closed-form
-    n = 40
-    dates = trading_days("2021-01-04", n)
-    records = []
-    for ticker, rate in (("600000", 0.01), ("000001", -0.005)):
-        closes = 100.0 * np.exp(rate * np.arange(n))
-        records.append(StockRecord(
-            ticker=ticker, dates=dates, close=closes,
-            industry_id=1, board=Board.MAIN,
-        ))
-    panel = momentum_panel(records, lookback=10, horizon=5)
-    assert panel.tickers == ["000001", "600000"]
-    assert panel.scores.shape[0] == n - 10 - 5
-    # trailing 10-day simple return of exp(0.01 t): e^0.1 - 1
-    col = panel.tickers.index("600000")
-    assert np.allclose(panel.scores[:, col], math.exp(0.10) - 1.0, atol=1e-12)
-    assert np.allclose(panel.returns[:, col], math.exp(0.05) - 1.0, atol=1e-12)
-    with pytest.raises(ParameterError):
-        momentum_panel(records, lookback=0)
-    with pytest.raises(DataError):
-        momentum_panel(records, lookback=30, horizon=20)  # nothing left

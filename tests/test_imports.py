@@ -44,7 +44,7 @@ def test_module_has_no_unused_imports(module):
     assert _unused_imports((SRC / module).read_text()) == []
 
 
-# the package's public names while __init__.py listed them by hand; none may go away
+# the package's public names while __init__.py listed them by hand; none but RETIRED may go away
 EARLIER_NAMES = """
     AntvConfig BacktestResult BandSpec Board ConditionVector DataError NoiseSchedule
     NumericError ParameterError PredictionPanel SampleResult SamplerConfig ScoreNetConfig
@@ -61,6 +61,10 @@ EARLIER_NAMES = """
     topk_dropk_backtest train write_window_store
 """.split()
 REEXPORTED = [schedules, scorenet, samplers, regularizers, dataio, evaluate]
+# earlier names that were taken out of the package on purpose, each with its old module
+RETIRED = {"momentum_panel": evaluate, "return_ratio": evaluate, "log_return": evaluate,
+           "perturb_to_level": samplers}
+README = SRC.parents[1] / "README.md"
 
 
 @pytest.mark.parametrize("module", REEXPORTED, ids=lambda m: m.__name__)
@@ -76,4 +80,13 @@ def test_package_names_are_the_earlier_ones_plus_the_module_alls():
         env=dict(os.environ, PYTHONPATH=str(SRC.parent)), capture_output=True, text=True,
         check=True)
     public = {n for n in run.stdout.split() if not n.startswith("_")}
-    assert public == set(EARLIER_NAMES).union(*(m.__all__ for m in REEXPORTED))
+    assert public == (set(EARLIER_NAMES) - set(RETIRED)).union(*(m.__all__ for m in REEXPORTED))
+
+
+@pytest.mark.parametrize("name", sorted(RETIRED))
+def test_a_retired_name_is_gone_from_the_package_its_module_and_the_readme(name):
+    assert not hasattr(seriesdiff, name) and not hasattr(RETIRED[name], name)
+    # the README names it only in the section that records its removal
+    head, _, tail = README.read_text().partition("\n## Contract changes\n")
+    note, _, rest = tail.partition("\n## ")
+    assert f"`{name}`" in note and name not in head + rest

@@ -12,9 +12,9 @@ import pytest
 from seriesdiff import (AntvConfig, BandSpec, Board, NoiseSchedule, ParameterError,
                         PredictionPanel, SamplerConfig, ScoreNetConfig, SeriesWindow, StockRecord,
                         TrainConfig, band_mask, drop_ipo_head, encode_condition, init_params,
-                        langevin_sample, log_return, make_linear_schedule, make_sigma_ladder,
-                        make_subsequence, make_windows, momentum_panel, repair_suspensions,
-                        return_ratio, schedule_from_dict, time_embedding, topk_dropk_backtest)
+                        langevin_sample, make_linear_schedule, make_sigma_ladder,
+                        make_subsequence, make_windows, repair_suspensions, schedule_from_dict,
+                        time_embedding, topk_dropk_backtest)
 from seriesdiff.errors import check_int
 from conftest import trading_days
 
@@ -24,8 +24,8 @@ PARAMS = init_params(NET, np.random.default_rng(0))
 DAYS = trading_days("2021-01-04", 12)
 
 
-def _record(ticker: str = "600000", slope: float = 0.01) -> StockRecord:
-    return StockRecord(ticker, DAYS, 10.0 + slope * np.arange(12.0), 3, Board.MAIN)
+def _record(industry_id: int = 3, board: Board = Board.MAIN) -> StockRecord:
+    return StockRecord("600000", DAYS, 10.0 + 0.01 * np.arange(12.0), industry_id, board)
 
 
 def _window(**fields) -> SeriesWindow:
@@ -54,6 +54,9 @@ CASES = {
     "SamplerConfig.steps": (lambda v: SamplerConfig(steps=v), (0,), 1),
     "SamplerConfig.num_samples": (lambda v: SamplerConfig(num_samples=v), (0,), 1),
     "SamplerConfig.seed": (lambda v: SamplerConfig(seed=v), (-1,), 0),
+    "SamplerConfig.antv_window": (lambda v: SamplerConfig(antv_window=v), (0,), 1),
+    "SamplerConfig.band_low": (lambda v: SamplerConfig(band_low=v), (-1,), 0),
+    "SamplerConfig.band_high": (lambda v: SamplerConfig(band_high=v), (1,), 2),
     "AntvConfig.window": (lambda v: AntvConfig(window=v, sigma=1.0, rate=0.1), (0,), 1),
     "BandSpec.low": (lambda v: BandSpec(v, 3), (-1,), 2),
     "BandSpec.high": (lambda v: BandSpec(1, v), (1,), 2),
@@ -65,18 +68,14 @@ CASES = {
     **{f"repair_suspensions.{f}": ((lambda v, f=f: repair_suspensions(_record(), **{f: v})),
                                    (low - 1,), low)
        for f, low in (("max_interp_gap", 1), ("max_long_gaps", 0), ("max_gap_days", 1))},
+    "StockRecord.industry_id": (lambda v: _record(industry_id=v), (-1,), 0),
+    "StockRecord.board": (lambda v: _record(board=v), (-1, len(Board)), 4),
     "drop_ipo_head.n_days": (lambda v: drop_ipo_head(_record(), v), (-1,), 0),
     "make_windows.length": (lambda v: make_windows(_record(), length=v), (1,), 2),
     "make_windows.step": (lambda v: make_windows(_record(), length=4, step=v), (0,), 1),
     "SeriesWindow.industry_id": (lambda v: _window(industry_id=v), (-1,), 0),
     "SeriesWindow.board": (lambda v: _window(board=v), (-1, len(Board)), 4),
-    "return_ratio.horizon": (lambda v: return_ratio(np.arange(1.0, 6.0), v), (0, 5), 4),
-    "log_return.horizon": (lambda v: log_return(np.arange(1.0, 6.0), v), (0, 5), 1),
     "topk_dropk_backtest.k": (lambda v: topk_dropk_backtest(PANEL, v), (0,), 1),
-    "momentum_panel.lookback": (lambda v: momentum_panel(
-        [_record(), _record("600001", 0.02)], lookback=v, horizon=2), (0,), 3),
-    "momentum_panel.horizon": (lambda v: momentum_panel(
-        [_record(), _record("600001", 0.02)], lookback=3, horizon=v), (0,), 2),
 }
 
 
@@ -110,3 +109,12 @@ def test_integers_written_to_artifacts_are_python_ints():
     assert json.loads(schedule.to_json())["T"] == 3 and type(schedule.T) is int
     assert _window(board=np.int64(2), industry_id=np.int32(5)).condition == (5, 2)
     assert type(_window(board=2).board) is Board
+    record = _record(industry_id=np.int32(5), board=np.int64(2))
+    assert type(record.industry_id) is int and record.board is Board.STAR
+
+
+def test_a_record_names_its_ticker_when_it_is_built():
+    with pytest.raises(ParameterError, match=r"^industry_id 3\.9 is not an integer in record 600000$"):
+        _record(industry_id=3.9)
+    with pytest.raises(ParameterError, match=r"^board 5 outside \[0, 5\) in record 600000$"):
+        _record(board=5)

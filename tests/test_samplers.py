@@ -26,7 +26,6 @@ from seriesdiff import (
     make_linear_schedule,
     make_sigma_ladder,
     make_subsequence,
-    perturb_to_level,
     predict_eps,
     sample,
     sample_one,
@@ -218,16 +217,6 @@ def test_langevin_validation():
         langevin_sample(lambda x, s: x[:1], ladder, 0.1, 2, (4,), rng)
     with pytest.raises(NumericError):
         langevin_sample(lambda x, s: x * np.nan, ladder, 0.1, 2, (4,), rng)
-
-
-def test_perturb_to_level_moments():
-    sch = make_linear_schedule(30, 1e-3, 0.05)
-    x0 = np.full(20_000, 2.0)
-    t = 18
-    out = perturb_to_level(x0, t, sch, np.random.default_rng(6))
-    ab = sch.alpha_bar[t - 1]
-    assert float(np.mean(out)) == pytest.approx(math.sqrt(ab) * 2.0, abs=0.02)
-    assert float(np.var(out)) == pytest.approx(1.0 - ab, rel=0.05)
 
 
 def test_sampler_config_validation():

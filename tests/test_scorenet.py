@@ -354,6 +354,37 @@ def test_train_is_seeded():
     assert a.epoch_losses == b.epoch_losses
 
 
+def test_train_is_minibatch_adam_on_the_dsm_loss():
+    # the loop written out: init, one permutation per epoch, dsm_loss per batch, textbook Adam;
+    # 10 windows at batch 4 end each epoch on a batch of 2
+    windows = np.random.default_rng(13).standard_normal((10, 2))
+    conds = [(i % 3, i % 2) for i in range(10)]
+    sch = make_linear_schedule(5, 1e-3, 0.2)
+    cfg = TrainConfig(epochs=2, batch_size=4, learning_rate=3e-3, p_uncond=0.3, seed=8)
+    got = train(windows, conds, sch, cfg, net_config=TINY)
+
+    rng = np.random.default_rng(cfg.seed)
+    params = init_params(TINY, rng)
+    b1, b2, eps, lr = 0.9, 0.999, 1e-8, cfg.learning_rate
+    m, v = np.zeros_like(params.values), np.zeros_like(params.values)
+    step, losses = 0, []
+    for _ in range(cfg.epochs):
+        perm, total = rng.permutation(10), 0.0
+        for start in range(0, 10, cfg.batch_size):
+            idx = perm[start:start + cfg.batch_size]
+            loss, g = dsm_loss(params, windows[idx], [conds[i] for i in idx], sch, rng,
+                               weighting=cfg.weighting, p_uncond=cfg.p_uncond)
+            step += 1
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            m_hat, v_hat = m / (1 - b1**step), v / (1 - b2**step)
+            params.values -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            total += loss * len(idx)
+        losses.append(total / 10)
+    assert got.params.values.tobytes() == params.values.tobytes()
+    assert got.epoch_losses == losses
+
+
 # One epoch of a width-256 model at batch 512: below about 256 rows a weight
 # gradient's reduction rounds the same under any BLAS thread count, and this
 # run is large enough that an unchunked reduction gave other bytes at 2 threads.
