@@ -74,8 +74,8 @@ def load_config(path: str | None) -> dict[str, object]:
             raise ParameterError(f"config key {key!r} has unsupported boolean value")
         if isinstance(default, int) and not isinstance(value, int):
             raise ParameterError(f"config key {key!r} must be an integer, got {value!r}")
-        if isinstance(default, float) and not (
-            isinstance(value, (int, float)) and math.isfinite(value)
+        if isinstance(default, float) and not (  # NaN, inf and too large an integer fail
+            isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
         ):
             raise ParameterError(f"config key {key!r} must be a finite number, got {value!r}")
         if isinstance(default, str) and not isinstance(value, str):

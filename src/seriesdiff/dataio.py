@@ -567,7 +567,7 @@ def _read_json(path: str | Path, what: str) -> dict:
     """The JSON object stored at ``path``, or a DataError naming ``what`` and the path."""
     try:  # whole-file read, parsed after close; parsing inside _reading ran slower
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad JSON or UTF-8, or an integer too long to parse
         reason = getattr(exc, "strerror", None) or exc  # an OSError's text repeats the path
         raise DataError(f"cannot read {what} {path}: {reason}") from exc
     if not isinstance(obj, dict):

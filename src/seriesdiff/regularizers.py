@@ -27,7 +27,6 @@ from .errors import ParameterError, check_int
 
 __all__ = [
     "AntvConfig",
-    "antv_weight",
     "antv_loss",
     "antv_step",
     "antv_exact_grad",
@@ -61,14 +60,6 @@ class AntvConfig:
             raise ParameterError(f"sigma must be positive, got {self.sigma}")
         if not (self.rate > 0.0 and math.isfinite(self.rate)):
             raise ParameterError(f"rate must be positive, got {self.rate}")
-
-
-def antv_weight(xi: float, xj: float, sigma: float) -> float:
-    """Similarity weight exp(-(xi - xj)^2 / (2 sigma^2)); 1 at equality, -> 0 apart."""
-    if sigma <= 0.0:
-        raise ParameterError(f"sigma must be positive, got {sigma}")
-    d = xi - xj
-    return math.exp(-(d * d) / (2.0 * sigma * sigma))
 
 
 def _check_series(x: np.ndarray, ndims: tuple[int, ...] = (1,)) -> np.ndarray:

@@ -40,7 +40,6 @@ __all__ = [
     "make_subsequence",
     "jump_variance",
     "ddim_mean",
-    "ddim_step",
     "langevin_sample",
     "sample_one",
     "sample_rows",
@@ -92,8 +91,7 @@ def ddpm_mean(
 ) -> np.ndarray:
     """Posterior mean of one ancestral step:
     (x_t - beta_t / sqrt(1 - alpha_bar_t) * eps_hat) / sqrt(alpha_t)."""
-    if not 1 <= t <= schedule.T:
-        raise ParameterError(f"t={t} outside [1, {schedule.T}]")
+    t = check_int(t, "t", 1, schedule.T + 1)
     x_t = np.asarray(x_t, dtype=np.float64)
     eps_hat = np.asarray(eps_hat, dtype=np.float64)
     if x_t.shape != eps_hat.shape:
@@ -141,12 +139,9 @@ def jump_variance(schedule: NoiseSchedule, t_cur: int, t_prev: int) -> float:
     For adjacent steps this is exactly the stored per-step posterior variance;
     for t_prev = 0 it is 0.
     """
-    if not 0 <= t_prev < t_cur <= schedule.T:
-        raise ParameterError(
-            f"need 0 <= t_prev < t_cur <= T, got ({t_prev}, {t_cur}) with T={schedule.T}"
-        )
-    ab_cur = schedule.alpha_bar_at(t_cur)
-    ab_prev = schedule.alpha_bar_at(t_prev)
+    t_cur = check_int(t_cur, "t_cur", 1, schedule.T + 1)
+    t_prev = check_int(t_prev, "t_prev", 0, t_cur)
+    ab_cur, ab_prev = schedule.alpha_bar_at(t_cur), schedule.alpha_bar_at(t_prev)
     return (1.0 - ab_prev) / (1.0 - ab_cur) * (1.0 - ab_cur / ab_prev)
 
 
@@ -166,18 +161,15 @@ def ddim_mean(
     sigma^2) of the predicted noise direction.  sigma^2 may not exceed
     1 - alpha_bar_prev (the noise budget of the target level).
     """
-    if not 0 <= t_prev < t_cur <= schedule.T:
-        raise ParameterError(
-            f"need 0 <= t_prev < t_cur <= T, got ({t_prev}, {t_cur}) with T={schedule.T}"
-        )
+    t_cur = check_int(t_cur, "t_cur", 1, schedule.T + 1)
+    t_prev = check_int(t_prev, "t_prev", 0, t_cur)
+    ab_cur, ab_prev = schedule.alpha_bar_at(t_cur), schedule.alpha_bar_at(t_prev)
     if sigma < 0.0 or not math.isfinite(sigma):
         raise ParameterError(f"sigma must be finite and >= 0, got {sigma}")
     x_t = np.asarray(x_t, dtype=np.float64)
     eps_hat = np.asarray(eps_hat, dtype=np.float64)
     if x_t.shape != eps_hat.shape:
         raise ParameterError(f"shape mismatch: x {x_t.shape} vs eps {eps_hat.shape}")
-    ab_cur = schedule.alpha_bar_at(t_cur)
-    ab_prev = schedule.alpha_bar_at(t_prev)
     budget = 1.0 - ab_prev - sigma * sigma
     if budget < -1e-15:
         raise ParameterError(
@@ -185,24 +177,6 @@ def ddim_mean(
         )
     x0_hat = (x_t - math.sqrt(1.0 - ab_cur) * eps_hat) / math.sqrt(ab_cur)
     return math.sqrt(ab_prev) * x0_hat + math.sqrt(max(budget, 0.0)) * eps_hat
-
-
-def ddim_step(
-    x_t: np.ndarray,
-    t_cur: int,
-    t_prev: int,
-    eps_hat: np.ndarray,
-    schedule: NoiseSchedule,
-    sigma: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """One skip step; adds sigma * z on top of ``ddim_mean`` when sigma > 0."""
-    mean = ddim_mean(x_t, t_cur, t_prev, eps_hat, schedule, sigma)
-    if sigma == 0.0:
-        return mean
-    if rng is None:
-        raise ParameterError("sigma > 0 requires an rng for the noise draw")
-    return mean + sigma * rng.standard_normal(np.asarray(x_t).shape)
 
 
 def langevin_sample(
@@ -297,8 +271,16 @@ class SamplerConfig:
         check_int(self.antv_window, "antv_window", 1)
         check_int(self.band_low, "band_low", 0)
         check_int(self.band_high, "band_high", self.band_low + 1)
-        if not (self.lambda_antv >= 0.0 and self.lambda_bp >= 0.0):  # NaN fails too
-            raise ParameterError("correction step sizes must be >= 0")
+        for name in ("antv_sigma", "lambda_antv", "lambda_bp"):
+            value = getattr(self, name)
+            try:  # NaN, inf, a string and an integer past the float range fail too
+                ok = not isinstance(value, bool) and value >= 0.0 and math.isfinite(value)
+            except (TypeError, OverflowError):
+                ok = False
+            if not ok:
+                raise ParameterError(f"{name} must be a finite number >= 0, got {value!r}")
+        if self.antv_sigma == 0.0:
+            raise ParameterError(f"antv_sigma must be positive, got {self.antv_sigma!r}")
 
 
 @dataclass(frozen=True)

@@ -82,8 +82,7 @@ class NoiseSchedule:
 
     def alpha_bar_at(self, t: int) -> float:
         """alpha_bar for step ``t`` in [0, T]; ``t = 0`` is the clean level (1.0)."""
-        if not 0 <= t <= self.T:
-            raise ParameterError(f"t={t} outside [0, {self.T}]")
+        t = check_int(t, "t", 0, self.T + 1)
         return 1.0 if t == 0 else float(self.alpha_bar[t - 1])
 
     def to_dict(self) -> dict:
@@ -170,7 +169,5 @@ def forward_perturb(
     eps = np.asarray(eps, dtype=np.float64)
     if x0.shape != eps.shape:
         raise ParameterError(f"shape mismatch: x0 {x0.shape} vs eps {eps.shape}")
-    if not 1 <= t <= schedule.T:
-        raise ParameterError(f"t={t} outside [1, {schedule.T}]")
-    ab = schedule.alpha_bar[t - 1]
+    ab = schedule.alpha_bar[check_int(t, "t", 1, schedule.T + 1) - 1]
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps

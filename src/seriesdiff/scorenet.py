@@ -48,7 +48,6 @@ __all__ = [
     "predict_eps",
     "predict_eps_vjp",
     "condition_dropout",
-    "dsm_residual_loss",
     "dsm_loss",
     "train",
     "save_checkpoint",
@@ -369,8 +368,7 @@ def _rows(params: ScoreNetworkParams, t: int, *windows: np.ndarray) -> list[np.n
     for r in rows:
         if r.ndim not in (1, 2) or r.shape[-1] != L:
             raise ParameterError(f"window shape {r.shape} does not match input_len {L}")
-    if t < 1:
-        raise ParameterError(f"t must be >= 1, got {t}")
+    check_int(t, "t", 1)
     return [r.reshape(-1, L) for r in rows]
 
 
@@ -462,23 +460,6 @@ def condition_dropout(
     return iid, bid
 
 
-def dsm_residual_loss(
-    pred_eps: np.ndarray, true_eps: np.ndarray, weights: np.ndarray
-) -> float:
-    """Weighted squared-residual loss, mean over the batch of w * ||pred - true||^2.
-
-    Zero exactly when the prediction equals the drawn noise.
-    """
-    pred_eps = np.asarray(pred_eps, dtype=np.float64)
-    true_eps = np.asarray(true_eps, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if pred_eps.shape != true_eps.shape or weights.shape[0] != pred_eps.shape[0]:
-        raise ParameterError("batch shapes disagree")
-    r = pred_eps - true_eps
-    per_sample = (r * r).sum(axis=-1)
-    return float(np.mean(weights * per_sample))
-
-
 def _condition_arrays(
     conditions: Sequence[tuple[int, int] | None], cfg: ScoreNetConfig
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -538,8 +519,9 @@ def dsm_loss(
     cenc, mlp = _encode_batch(params, iid, bid)
     pred, acts = _forward(params, x_t, t, _cond_terms(params, cenc))
     w = (1.0 - ab) if weighting == "elbo" else np.ones(B)
-    loss = dsm_residual_loss(pred, eps, w)
-    dout = (2.0 / B) * w[:, None] * (pred - eps)
+    r = pred - eps
+    loss = float(np.mean(w * (r * r).sum(axis=-1)))
+    dout = (2.0 / B) * w[:, None] * r
     return loss, _backward(params, acts, cenc, mlp, dout)
 
 

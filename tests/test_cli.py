@@ -15,7 +15,7 @@ import pytest
 from seriesdiff import cli
 from seriesdiff.cli import DEFAULT_CONFIG, config_digest, load_config, main
 from seriesdiff import NumericError, read_panel_csv, read_window_store, topk_dropk_backtest
-from conftest import trading_days, write_panel_csv, write_prices_csv
+from conftest import trading_days, write_panel_csv
 
 # small but honest settings so train/sample stay fast
 FAST = {
@@ -70,7 +70,7 @@ def test_readme_config_table_lists_exactly_the_default_keys():
     assert all(type(value) is type(DEFAULT_CONFIG[key]) for key, value in listed)
 
 
-def test_load_config_rejects_junk(tmp_path):
+def test_load_config_rejects_junk(tmp_path, capsys):
     from seriesdiff import ParameterError
 
     p = tmp_path / "c.json"
@@ -95,10 +95,19 @@ def test_load_config_rejects_junk(tmp_path):
     with pytest.raises(ParameterError, match="config file"):
         load_config(str(tmp_path))  # a directory
     for key, value in (("sampler.lambda_antv", "NaN"), ("sampler.lambda_bp", "Infinity"),
-                       ("sampler.guidance", "-Infinity"), ("data.window", "NaN")):
+                       ("sampler.guidance", "-Infinity"), ("data.window", "NaN"),
+                       ("train.learning_rate", "1" + "0" * 400)):  # too large for a float
         p.write_text(f'{{"{key}": {value}}}')  # Python's json reads these
         with pytest.raises(ParameterError, match=key):
             load_config(str(p))
+        capsys.readouterr()
+        assert main(["report", str(tmp_path), "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: config key '{key}' ") and err.count("\n") == 1
+    # an integer too long for Python to parse is a file it cannot read
+    p.write_text('{"train.learning_rate": ' + "1" * 5000 + "}")
+    with pytest.raises(ParameterError, match="cannot read config file"):
+        load_config(str(p))
 
 
 def test_config_digest_is_content_addressed():
@@ -658,16 +667,21 @@ def test_a_negative_seed_is_a_configuration_error_and_leaves_no_new_out(tmp_path
     assert not (tmp_path / "a").exists()
 
 
-def test_an_empty_band_is_a_configuration_error_without_the_spectral_anchor(tmp_path, prices_csv,
-                                                                             capsys):
+# each is checked when the sampler config is built, even with its correction switched off
+@pytest.mark.parametrize("overrides, message", [
+    ({"sampler.lambda_bp": 0.0, "sampler.band_low": 5, "sampler.band_high": 5},
+     "band_high 5 outside [6, inf)"),
+    ({"sampler.lambda_antv": 0.0, "sampler.antv_sigma": 0.0}, "antv_sigma must be positive, got 0.0"),
+], ids=["empty-band", "zero-antv-sigma"])
+def test_a_bad_correction_setting_is_a_configuration_error_with_the_correction_off(
+        tmp_path, prices_csv, capsys, overrides, message):
     run, _ = _untrained_run(tmp_path, prices_csv)
-    config = tmp_path / "band.json"
-    config.write_text(json.dumps(dict(FAST, **{"sampler.lambda_bp": 0.0, "sampler.band_low": 5,
-                                               "sampler.band_high": 5})))
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(dict(FAST, **overrides)))
     capsys.readouterr()
     assert _run("sample", run / "checkpoint.json", "--config", config, "--seed", 2, "--industry",
                 7, "--board", "STAR", "--out", tmp_path / "s") == 2
-    assert capsys.readouterr().err == "configuration error: band_high 5 outside [6, inf)\n"
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert not (tmp_path / "s").exists()
 
 

@@ -23,7 +23,6 @@ from seriesdiff.oracles import (
     reference_topk_backtest,
     spearman_direct,
 )
-from conftest import write_panel_csv
 
 
 def test_ic_matches_oracle_and_rejects_constants():

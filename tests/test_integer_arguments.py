@@ -11,10 +11,12 @@ import pytest
 
 from seriesdiff import (AntvConfig, BandSpec, Board, NoiseSchedule, ParameterError,
                         PredictionPanel, SamplerConfig, ScoreNetConfig, SeriesWindow, StockRecord,
-                        TrainConfig, band_mask, drop_ipo_head, encode_condition, init_params,
+                        TrainConfig, band_mask, ddim_mean, ddpm_mean, ddpm_step, drop_ipo_head,
+                        encode_condition, forward_perturb, guided_eps, init_params, jump_variance,
                         langevin_sample, make_linear_schedule, make_sigma_ladder,
-                        make_subsequence, make_windows, repair_suspensions, schedule_from_dict,
-                        time_embedding, topk_dropk_backtest)
+                        make_subsequence, make_windows, predict_eps, predict_eps_vjp,
+                        repair_suspensions, schedule_from_dict, time_embedding,
+                        topk_dropk_backtest)
 from seriesdiff.errors import check_int
 from conftest import trading_days
 
@@ -36,6 +38,8 @@ def _window(**fields) -> SeriesWindow:
 
 PANEL = PredictionPanel(DAYS[:2], ["A", "B"], np.eye(2), np.eye(2))
 LADDER = make_sigma_ladder(0.1, 1.0, 2)
+SCH = make_linear_schedule(6)  # steps run 1..6; t = 0 is the clean level
+X = np.zeros(4)
 
 # name: (call with the value, integers just outside the bounds, an integer inside them)
 CASES = {
@@ -76,6 +80,19 @@ CASES = {
     "SeriesWindow.industry_id": (lambda v: _window(industry_id=v), (-1,), 0),
     "SeriesWindow.board": (lambda v: _window(board=v), (-1, len(Board)), 4),
     "topk_dropk_backtest.k": (lambda v: topk_dropk_backtest(PANEL, v), (0,), 1),
+    # the step index: its bounds come from the schedule's T, or t >= 1 for the network
+    "alpha_bar_at.t": (lambda v: SCH.alpha_bar_at(v), (-1, 7), 6),
+    "forward_perturb.t": (lambda v: forward_perturb(X, v, X, SCH), (0, 7), 6),
+    "ddpm_mean.t": (lambda v: ddpm_mean(X, v, X, SCH), (0, 7), 6),
+    "ddpm_step.t": (lambda v: ddpm_step(X, v, X, SCH, np.random.default_rng(0)), (0, 7), 6),
+    "ddim_mean.t_cur": (lambda v: ddim_mean(X, v, 0, X, SCH), (0, 7), 6),
+    "ddim_mean.t_prev": (lambda v: ddim_mean(X, 4, v, X, SCH), (-1, 4), 3),
+    "jump_variance.t_cur": (lambda v: jump_variance(SCH, v, 0), (0, 7), 6),
+    "jump_variance.t_prev": (lambda v: jump_variance(SCH, 4, v), (-1, 4), 3),
+    "predict_eps.t": (lambda v: predict_eps(PARAMS, X, v), (0,), 6),
+    "guided_eps.t": (lambda v: guided_eps(PARAMS, X, v, encode_condition(3, 0, PARAMS), 0.5),
+                     (0,), 6),
+    "predict_eps_vjp.t": (lambda v: predict_eps_vjp(PARAMS, X, v, None, X), (0,), 6),
 }
 
 

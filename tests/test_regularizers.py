@@ -13,7 +13,6 @@ from seriesdiff import (
     antv_exact_grad,
     antv_loss,
     antv_step,
-    antv_weight,
     band_pass,
     bp_grad_step,
     bp_loss,
@@ -27,17 +26,13 @@ from seriesdiff.regularizers import band_mask
 CFG = AntvConfig(window=1, sigma=1.0, rate=0.1)
 
 
-def test_weight_is_a_gaussian_kernel():
-    assert antv_weight(0.0, 0.0, 1.0) == 1.0
-    assert antv_weight(0.0, 1.0, 1.0) == pytest.approx(math.exp(-0.5), abs=1e-15)
-    assert antv_weight(1.0, 0.0, 1.0) == antv_weight(0.0, 1.0, 1.0)  # symmetric
-    assert antv_weight(0.0, 2.0, 2.0) == pytest.approx(math.exp(-0.5), abs=1e-15)
-
-
 def test_loss_two_point_hand_value():
     # both ordered pairs contribute |1-0| * exp(-1/2)
     x = np.array([0.0, 1.0])
     assert antv_loss(x, CFG) == pytest.approx(2.0 * math.exp(-0.5), abs=1e-14)
+    # the kernel scales with sigma: d = 2 at sigma = 2 weighs exp(-1/2) too
+    wide = AntvConfig(window=1, sigma=2.0, rate=0.1)
+    assert antv_loss(np.array([0.0, 2.0]), wide) == pytest.approx(4.0 * math.exp(-0.5), abs=1e-14)
 
 
 def test_step_two_point_hand_trace():

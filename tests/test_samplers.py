@@ -14,7 +14,6 @@ from seriesdiff import (
     SamplerConfig,
     ScoreNetConfig,
     ddim_mean,
-    ddim_step,
     ddpm_mean,
     ddpm_step,
     encode_condition,
@@ -174,20 +173,6 @@ def test_ddim_sigma_budget_enforced():
     too_big = math.sqrt(1.0 - sch.alpha_bar[3]) + 1e-6
     with pytest.raises(ParameterError):
         ddim_mean(x, 6, 4, eps, sch, too_big)
-    with pytest.raises(ParameterError):
-        ddim_step(x, 6, 4, eps, sch, 0.1, rng=None)  # noise needs a generator
-
-
-def test_ddim_step_adds_sigma_times_the_next_normal_draw():
-    sch = make_linear_schedule(10, 1e-3, 0.1)
-    rng = np.random.default_rng(8)
-    x, eps = rng.standard_normal(5), rng.standard_normal(5)
-    # at sigma 0 the step is its mean and needs no generator
-    assert np.array_equal(ddim_step(x, 6, 4, eps, sch), ddim_mean(x, 6, 4, eps, sch))
-    sigma = 0.1
-    z = np.random.default_rng(9).standard_normal(5)
-    got = ddim_step(x, 6, 4, eps, sch, sigma, rng=np.random.default_rng(9))
-    assert np.array_equal(got, ddim_mean(x, 6, 4, eps, sch, sigma) + sigma * z)
 
 
 def test_langevin_matches_analytic_target_loosely():
@@ -234,6 +219,15 @@ def test_sampler_config_validation():
         SamplerConfig(lambda_antv=float("nan"))
     with pytest.raises(ParameterError):
         SamplerConfig(lambda_bp=float("nan"))
+    # each float field is named, whatever the other settings are
+    for name, values in (("antv_sigma", (0.0, 0, -1.0, float("nan"), float("inf"), "x", True,
+                                         10**400)),
+                         ("lambda_antv", (float("inf"), -0.5, "x", False)),
+                         ("lambda_bp", (float("inf"), 10**400, None))):
+        for value in values:
+            with pytest.raises(ParameterError, match=f"^{name} must be "):
+                SamplerConfig(**{name: value})
+    assert SamplerConfig(antv_sigma=np.float32(0.5), lambda_antv=0, lambda_bp=np.int64(0))
 
 
 def test_ddpm_mode_rejects_subsequence():

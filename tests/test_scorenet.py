@@ -30,7 +30,6 @@ from seriesdiff import (
 from seriesdiff.scorenet import (
     _Prepared,
     condition_dropout,
-    dsm_residual_loss,
     predict_eps_vjp,
     read_checkpoint_meta,
 )
@@ -235,12 +234,20 @@ def test_dsm_loss_all_null_batch_leaves_condition_gradient_zero():
     assert np.any(grads.view("in_w") != 0.0)
 
 
-def test_residual_loss_hand_value():
-    pred = np.array([[1.0, 0.0], [0.0, 2.0]])
-    true = np.zeros((2, 2))
-    w = np.array([2.0, 1.0])
-    # (2*1 + 1*4) / 2 batch elements
-    assert dsm_residual_loss(pred, true, w) == pytest.approx(3.0, abs=1e-15)
+@pytest.mark.parametrize("weighting", ["elbo", "unit"])
+def test_dsm_loss_of_a_fresh_network_is_the_weighted_noise_energy(weighting):
+    # a fresh network predicts exactly 0, so the loss is mean(w_t * ||eps||^2), with t and eps
+    # redrawn from the same seed in the documented order (steps, then noise, then dropout)
+    sch = make_linear_schedule(7, 1e-3, 0.3)
+    params = init_params(TINY, np.random.default_rng(2))
+    windows = np.random.default_rng(3).standard_normal((5, 2))
+    conds = [(0, 1), None, (2, 4), (1, 0), None]
+    loss, _ = dsm_loss(params, windows, conds, sch, np.random.default_rng(4), weighting, 0.3)
+    rng = np.random.default_rng(4)
+    t = rng.integers(1, sch.T + 1, size=5)
+    eps = rng.standard_normal((5, 2))
+    w = 1.0 - sch.alpha_bar[t - 1] if weighting == "elbo" else np.ones(5)
+    assert loss == float(np.mean(w * (eps * eps).sum(axis=-1)))
 
 
 def test_dsm_loss_is_reproducible_and_validated():
