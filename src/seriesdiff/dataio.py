@@ -31,7 +31,7 @@ from typing import Iterator, TextIO
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DataError, ParameterError, check_int
+from .errors import DataError, ParameterError, check_int, check_real
 
 __all__ = [
     "Board",
@@ -323,8 +323,7 @@ def split_train_test(
     so no lookahead leaks across the boundary, and the split is deterministic.
     Output lists are ordered by (ticker, start_date).
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise ParameterError(f"train_fraction must lie in (0, 1), got {train_fraction}")
+    train_fraction = check_real(train_fraction, "train_fraction", 0, 1, open_low=True)
     by_ticker: dict[str, list[SeriesWindow]] = {}
     for w in windows:
         by_ticker.setdefault(w.ticker, []).append(w)

@@ -7,6 +7,8 @@ raises them and swallows none.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -42,3 +44,19 @@ def check_int(value: object, name: str, low: int, high: int | None = None, where
     if low <= value and (high is None or value < high):
         return int(value)
     raise ParameterError(f"{name} {value} outside [{low}, {'inf' if high is None else high}){where}")
+
+
+def check_real(value: object, name: str, low: float = -math.inf, high: float = math.inf,
+               open_low: bool = False) -> float:
+    """``value`` as a float if it is a Python or numpy int or float, never a bool, finite and in
+    [low, high), or (low, high) if ``open_low``; else a ParameterError naming ``name``, ``value``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ParameterError(f"{name} {value!r} is not a real number")
+    try:
+        x = float(value)
+    except OverflowError:  # an int past the float range
+        x = math.inf
+    if math.isfinite(x) and (low < x if open_low else low <= x) and x < high:
+        return x
+    bracket = "(" if open_low or low == -math.inf else "["
+    raise ParameterError(f"{name} {value} outside {bracket}{low}, {high})")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, check_int
+from .errors import ParameterError, check_int, check_real
 
 __all__ = [
     "AntvConfig",
@@ -56,10 +56,8 @@ class AntvConfig:
 
     def __post_init__(self) -> None:
         check_int(self.window, "window", 1)
-        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
-            raise ParameterError(f"sigma must be positive, got {self.sigma}")
-        if not (self.rate > 0.0 and math.isfinite(self.rate)):
-            raise ParameterError(f"rate must be positive, got {self.rate}")
+        check_real(self.sigma, "sigma", 0, open_low=True)
+        check_real(self.rate, "rate", 0, open_low=True)
 
 
 def _check_series(x: np.ndarray, ndims: tuple[int, ...] = (1,)) -> np.ndarray:
@@ -218,8 +216,7 @@ def bp_grad_step(
     the step contracts toward it only for rate < 1/n.  ``x`` and
     ``reference`` may be (rows, n) batches, each row with its own reference.
     """
-    if not (rate > 0.0 and math.isfinite(rate)):
-        raise ParameterError(f"rate must be positive, got {rate}")
+    rate = check_real(rate, "rate", 0, open_low=True)
     x, reference = _check_pair(x, reference, (1, 2))
     n = x.shape[-1]
     target = idft(band_pass(dft(reference), band)).real

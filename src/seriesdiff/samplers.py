@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NumericError, ParameterError, check_finite_rows, check_int
+from .errors import NumericError, ParameterError, check_finite_rows, check_int, check_real
 from .regularizers import AntvConfig, BandSpec, antv_step, bp_grad_step
 from .schedules import NoiseSchedule, SigmaLadder, forward_perturb
 from .scorenet import ConditionVector, ScoreNetworkParams, _Prepared, predict_eps
@@ -63,8 +63,7 @@ def guided_eps(
     network once on the rows as given and return that result unchanged.  A
     NULL condition with omega != 0 is rejected: nothing to guide toward.
     """
-    if not math.isfinite(omega):
-        raise ParameterError(f"omega must be finite, got {omega}")
+    omega = check_real(omega, "omega")
     if np.ndim(x_t) == 1:
         return guided_eps(params, np.asarray(x_t)[None], t, [cond], omega)[0]
     B = len(x_t)
@@ -126,7 +125,7 @@ def make_subsequence(T: int, n_steps: int) -> np.ndarray:
     Uniform stride floor(T / n_steps) counted back from T:
     T=400, n_steps=50 gives 8, 16, ..., 400.  n_steps = T returns 1..T.
     """
-    check_int(n_steps, "n_steps", 1, T + 1)
+    check_int(n_steps, "n_steps", 1, check_int(T, "T", 1) + 1)
     stride = T // n_steps
     taus = T - stride * np.arange(n_steps - 1, -1, -1, dtype=np.int64)
     return taus
@@ -164,8 +163,7 @@ def ddim_mean(
     t_cur = check_int(t_cur, "t_cur", 1, schedule.T + 1)
     t_prev = check_int(t_prev, "t_prev", 0, t_cur)
     ab_cur, ab_prev = schedule.alpha_bar_at(t_cur), schedule.alpha_bar_at(t_prev)
-    if sigma < 0.0 or not math.isfinite(sigma):
-        raise ParameterError(f"sigma must be finite and >= 0, got {sigma}")
+    sigma = check_real(sigma, "sigma", 0)
     x_t = np.asarray(x_t, dtype=np.float64)
     eps_hat = np.asarray(eps_hat, dtype=np.float64)
     if x_t.shape != eps_hat.shape:
@@ -198,17 +196,14 @@ def langevin_sample(
     aligns with ``ladder.sigma`` (index 0 = smallest scale) and may be a
     scalar.  Draw order: the initial state, then one z per update.
     """
-    sizes = np.broadcast_to(
-        np.asarray(step_sizes, dtype=np.float64), (ladder.levels,)
-    ).copy()
-    if np.any(sizes <= 0.0) or not np.all(np.isfinite(sizes)):
-        raise ParameterError("step sizes must be finite and positive")
+    sizes = [check_real(size, "step_sizes", 0, open_low=True)
+             for size in np.broadcast_to(np.asarray(step_sizes, dtype=object), (ladder.levels,))]
     check_int(n_steps, "n_steps", 1)
     sigma_max = float(ladder.sigma[-1])
     x = sigma_max * rng.standard_normal(shape)
     for level in range(ladder.levels - 1, -1, -1):
         sigma = float(ladder.sigma[level])
-        eps_i = float(sizes[level])
+        eps_i = sizes[level]
         root = math.sqrt(2.0 * eps_i)
         for _ in range(n_steps):
             s = np.asarray(score_fn(x, sigma), dtype=np.float64)
@@ -262,25 +257,16 @@ class SamplerConfig:
             raise ParameterError(f"unknown sampler mode {self.mode!r}")
         if self.steps is not None:
             check_int(self.steps, "steps", 1)
-        if self.eta < 0.0 or not math.isfinite(self.eta):
-            raise ParameterError(f"eta must be finite and >= 0, got {self.eta}")
-        if not math.isfinite(self.guidance):
-            raise ParameterError(f"guidance must be finite, got {self.guidance}")
+        check_real(self.eta, "eta", 0)
+        check_real(self.guidance, "guidance")
         check_int(self.num_samples, "num_samples", 1)
         check_int(self.seed, "seed", 0)
         check_int(self.antv_window, "antv_window", 1)
         check_int(self.band_low, "band_low", 0)
         check_int(self.band_high, "band_high", self.band_low + 1)
-        for name in ("antv_sigma", "lambda_antv", "lambda_bp"):
-            value = getattr(self, name)
-            try:  # NaN, inf, a string and an integer past the float range fail too
-                ok = not isinstance(value, bool) and value >= 0.0 and math.isfinite(value)
-            except (TypeError, OverflowError):
-                ok = False
-            if not ok:
-                raise ParameterError(f"{name} must be a finite number >= 0, got {value!r}")
-        if self.antv_sigma == 0.0:
-            raise ParameterError(f"antv_sigma must be positive, got {self.antv_sigma!r}")
+        check_real(self.antv_sigma, "antv_sigma", 0, open_low=True)
+        check_real(self.lambda_antv, "lambda_antv", 0)
+        check_real(self.lambda_bp, "lambda_bp", 0)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, check_int
+from .errors import ParameterError, check_int, check_real
 
 __all__ = [
     "NoiseSchedule",
@@ -111,10 +111,8 @@ def make_linear_schedule(
     single step the ladder degenerates to ``[beta_start]``.
     """
     check_int(steps, "steps", 1)
-    if not (0.0 < beta_start <= beta_end < 1.0):
-        raise ParameterError(
-            f"need 0 < beta_start <= beta_end < 1, got ({beta_start}, {beta_end})"
-        )
+    beta_start = check_real(beta_start, "beta_start", 0, 1, open_low=True)
+    beta_end = check_real(beta_end, "beta_end", beta_start, 1)
     beta = np.linspace(beta_start, beta_end, steps, dtype=np.float64)
     return NoiseSchedule(T=steps, beta=beta)
 
@@ -147,10 +145,8 @@ class SigmaLadder:
 def make_sigma_ladder(sigma_min: float, sigma_max: float, N: int) -> SigmaLadder:
     """Geometric ladder of ``N`` scales from ``sigma_min`` up to ``sigma_max``."""
     check_int(N, "N", 2)
-    if not (0.0 < sigma_min < sigma_max):
-        raise ParameterError(
-            f"need 0 < sigma_min < sigma_max, got ({sigma_min}, {sigma_max})"
-        )
+    sigma_min = check_real(sigma_min, "sigma_min", 0, open_low=True)
+    sigma_max = check_real(sigma_max, "sigma_max", sigma_min, open_low=True)
     sigma = np.exp(np.linspace(np.log(sigma_min), np.log(sigma_max), N))
     return SigmaLadder(sigma=sigma)
 

@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataio import _read_json, _replacing
-from .errors import DataError, NumericError, ParameterError, check_finite_rows, check_int
+from .errors import DataError, NumericError, ParameterError, check_finite_rows, check_int, check_real
 from .schedules import NoiseSchedule
 
 __all__ = [
@@ -451,8 +451,7 @@ def condition_dropout(
     One uniform is drawn per batch element in order, so the rng stream
     consumed here is a pure function of the batch size.
     """
-    if not 0.0 <= p_uncond < 1.0:
-        raise ParameterError(f"p_uncond must lie in [0, 1), got {p_uncond}")
+    p_uncond = check_real(p_uncond, "p_uncond", 0, 1)
     u = rng.random(iid.shape[0])
     drop = u < p_uncond
     iid = np.where(drop, -1, iid)
@@ -540,10 +539,8 @@ class TrainConfig:
         check_int(self.epochs, "epochs", 0)
         check_int(self.batch_size, "batch_size", 1)
         check_int(self.seed, "seed", 0)
-        if not (self.learning_rate > 0.0 and math.isfinite(self.learning_rate)):
-            raise ParameterError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not 0.0 <= self.p_uncond < 1.0:
-            raise ParameterError(f"p_uncond must lie in [0, 1), got {self.p_uncond}")
+        check_real(self.learning_rate, "learning_rate", 0, open_low=True)
+        check_real(self.p_uncond, "p_uncond", 0, 1)
         if self.weighting not in ("elbo", "unit"):
             raise ParameterError(f"unknown weighting {self.weighting!r}")
 

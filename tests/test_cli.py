@@ -671,7 +671,7 @@ def test_a_negative_seed_is_a_configuration_error_and_leaves_no_new_out(tmp_path
 @pytest.mark.parametrize("overrides, message", [
     ({"sampler.lambda_bp": 0.0, "sampler.band_low": 5, "sampler.band_high": 5},
      "band_high 5 outside [6, inf)"),
-    ({"sampler.lambda_antv": 0.0, "sampler.antv_sigma": 0.0}, "antv_sigma must be positive, got 0.0"),
+    ({"sampler.lambda_antv": 0.0, "sampler.antv_sigma": 0.0}, "antv_sigma 0.0 outside (0, inf)"),
 ], ids=["empty-band", "zero-antv-sigma"])
 def test_a_bad_correction_setting_is_a_configuration_error_with_the_correction_off(
         tmp_path, prices_csv, capsys, overrides, message):

@@ -1,8 +1,10 @@
-"""The integer rule: an integer argument is a Python or numpy integer, never a bool, within its
-bounds; anything else is a ParameterError that names the argument."""
+"""The integer and real-number rules: an integer argument is a Python or numpy integer, and a real
+argument a Python or numpy int or float, never a bool, finite and within its bounds; anything else
+is a ParameterError that names the argument."""
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import asdict
 
@@ -11,13 +13,13 @@ import pytest
 
 from seriesdiff import (AntvConfig, BandSpec, Board, NoiseSchedule, ParameterError,
                         PredictionPanel, SamplerConfig, ScoreNetConfig, SeriesWindow, StockRecord,
-                        TrainConfig, band_mask, ddim_mean, ddpm_mean, ddpm_step, drop_ipo_head,
-                        encode_condition, forward_perturb, guided_eps, init_params, jump_variance,
-                        langevin_sample, make_linear_schedule, make_sigma_ladder,
-                        make_subsequence, make_windows, predict_eps, predict_eps_vjp,
-                        repair_suspensions, schedule_from_dict, time_embedding,
-                        topk_dropk_backtest)
-from seriesdiff.errors import check_int
+                        TrainConfig, band_mask, bp_grad_step, condition_dropout, ddim_mean,
+                        ddpm_mean, ddpm_step, drop_ipo_head, encode_condition, forward_perturb,
+                        guided_eps, init_params, jump_variance, langevin_sample,
+                        make_linear_schedule, make_sigma_ladder, make_subsequence, make_windows,
+                        predict_eps, predict_eps_vjp, repair_suspensions, schedule_from_dict,
+                        split_train_test, time_embedding, topk_dropk_backtest)
+from seriesdiff.errors import check_int, check_real
 from conftest import trading_days
 
 NET = ScoreNetConfig(input_len=4, width=4, blocks=1, time_dim=4, embed_dim=2, cond_hidden=3,
@@ -52,6 +54,7 @@ CASES = {
     "TrainConfig.epochs": (lambda v: TrainConfig(epochs=v), (-1,), 0),
     "TrainConfig.batch_size": (lambda v: TrainConfig(epochs=1, batch_size=v), (0,), 1),
     "TrainConfig.seed": (lambda v: TrainConfig(epochs=1, seed=v), (-1,), 0),
+    "make_subsequence.T": (lambda v: make_subsequence(v, 1), (0,), 10),
     "make_subsequence.n_steps": (lambda v: make_subsequence(10, v), (0, 11), 10),
     "langevin_sample.n_steps": (lambda v: langevin_sample(
         lambda x, s: -x, LADDER, 0.01, v, (2,), np.random.default_rng(0)), (0,), 1),
@@ -105,6 +108,64 @@ def test_integer_arguments_take_integers_in_their_bounds_and_nothing_else(case):
             call(bad)
     call(np.int64(inside))  # numpy integers are integers too
     call(inside)
+
+
+BELOW_0 = math.nextafter(0.0, -1.0)  # the largest float below a closed bound at 0
+IDS = np.zeros(2, dtype=np.int64)
+
+# name: (call with the value, values just outside the bounds, a value inside them: an int
+# wherever the bounds hold one)
+REAL_CASES = {
+    "guided_eps.omega": (lambda v: guided_eps(PARAMS, X, 6, encode_condition(3, 0, PARAMS), v),
+                         (), 2),
+    "ddim_mean.sigma": (lambda v: ddim_mean(X, 4, 3, X, SCH, v), (BELOW_0,), 0),
+    "SamplerConfig.eta": (lambda v: SamplerConfig(eta=v), (BELOW_0,), 1),
+    "SamplerConfig.guidance": (lambda v: SamplerConfig(guidance=v), (), 7),
+    "SamplerConfig.antv_sigma": (lambda v: SamplerConfig(antv_sigma=v), (0, 0.0), 1),
+    "SamplerConfig.lambda_antv": (lambda v: SamplerConfig(lambda_antv=v), (BELOW_0,), 0),
+    "SamplerConfig.lambda_bp": (lambda v: SamplerConfig(lambda_bp=v), (BELOW_0,), 0),
+    "AntvConfig.sigma": (lambda v: AntvConfig(window=1, sigma=v, rate=0.1), (0.0,), 1),
+    "AntvConfig.rate": (lambda v: AntvConfig(window=1, sigma=1.0, rate=v), (0.0,), 1),
+    "bp_grad_step.rate": (lambda v: bp_grad_step(X, X, BandSpec(0, 1), v), (0.0,), 1),
+    "condition_dropout.p_uncond": (lambda v: condition_dropout(
+        IDS, IDS, v, np.random.default_rng(0)), (BELOW_0, 1.0), 0),
+    "TrainConfig.learning_rate": (lambda v: TrainConfig(epochs=1, learning_rate=v), (0.0,), 1),
+    "TrainConfig.p_uncond": (lambda v: TrainConfig(epochs=1, p_uncond=v), (BELOW_0, 1), 0),
+    "make_linear_schedule.beta_start": (lambda v: make_linear_schedule(5, v, 0.5),
+                                        (0.0, 1.0), 0.1),
+    "make_linear_schedule.beta_end": (lambda v: make_linear_schedule(5, 0.1, v),
+                                      (math.nextafter(0.1, 0.0), 1.0), 0.5),
+    "make_sigma_ladder.sigma_min": (lambda v: make_sigma_ladder(v, 10.0, 2), (0.0,), 1),
+    "make_sigma_ladder.sigma_max": (lambda v: make_sigma_ladder(1.0, v, 2), (1.0,), 2),
+    "split_train_test.train_fraction": (lambda v: split_train_test([], v), (0.0, 1.0), 0.5),
+    "langevin_sample.step_sizes": (lambda v: langevin_sample(
+        lambda x, s: -x, LADDER, v, 1, (2,), np.random.default_rng(0)), (0.0,), 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REAL_CASES))
+def test_real_arguments_take_finite_numbers_in_their_bounds_and_nothing_else(case):
+    call, outside, inside = REAL_CASES[case]
+    name = case.split(".")[1]
+    for bad in ("x", True, np.True_, math.nan, math.inf, -math.inf, 10**400, *outside):
+        with pytest.raises(ParameterError, match="^" + re.escape(f"{name} {bad!r} ")):
+            call(bad)
+    call(np.float64(inside))
+    call(inside)
+
+
+def test_check_real_returns_a_python_float_and_names_the_bound():
+    for value in (3, np.int64(3), np.float32(0.5), np.float64(0.5), 0.5):
+        assert type(check_real(value, "x", 0, 4)) is float
+    assert check_real(2**1023, "x") == 2.0**1023
+    with pytest.raises(ParameterError, match=r"^x -1 outside \[0, inf\)$"):
+        check_real(-1, "x", 0)
+    with pytest.raises(ParameterError, match=r"^x 0.0 outside \(0, 1\)$"):
+        check_real(0.0, "x", 0, 1, open_low=True)
+    with pytest.raises(ParameterError, match=r"^x nan outside \(-inf, inf\)$"):
+        check_real(math.nan, "x")
+    with pytest.raises(ParameterError, match=r"^x '1' is not a real number$"):
+        check_real("1", "x")
 
 
 def test_check_int_returns_a_python_int_and_names_the_bound():
