@@ -291,10 +291,9 @@ def cmd_augment(args: argparse.Namespace, config: dict[str, object]) -> int:
     return 0
 
 
-def _equity_svg(dates: list[str], cumulative: np.ndarray) -> str:
-    """Minimal self-contained line chart of the compounded return path."""
+def _equity_svg(dates: list[str], y: np.ndarray) -> str:
+    """Minimal self-contained line chart of the compounded return path ``y``."""
     width, height, pad = 640.0, 240.0, 10.0
-    y = np.asarray(cumulative, dtype=np.float64)
     lo, hi = float(y.min()), float(y.max())
     span = hi - lo if hi > lo else 1.0
     n = y.shape[0]

@@ -31,7 +31,7 @@ from typing import Iterator, TextIO
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DataError, ParameterError, check_int, check_real
+from .errors import DataError, ParameterError, check_array, check_int, check_real
 
 __all__ = [
     "Board",
@@ -280,8 +280,8 @@ def normalize_window(raw_closes: np.ndarray) -> tuple[np.ndarray, tuple]:
 
 def denormalize_window(values: np.ndarray, stats: tuple) -> np.ndarray:
     """Invert ``normalize_window``: exp(values * scale + mean), per row for a stack."""
-    values = np.asarray(values, dtype=np.float64)
-    mu, scale = (np.asarray(s, dtype=np.float64) for s in stats)
+    values = check_array(values, "values")
+    mu, scale = (check_array(s, name) for s, name in zip(stats, ("mean", "scale"), strict=True))
     if mu.shape != scale.shape or mu.ndim and mu.shape != values.shape[:-1]:
         raise ParameterError(f"stats of shapes {mu.shape} and {scale.shape} do not fit "
                              f"windows of shape {values.shape}")

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import _csv_columns, _numbers
-from .errors import DataError, NumericError, ParameterError, check_int
+from .errors import DataError, NumericError, ParameterError, check_array, check_int
 
 __all__ = [
     "information_coefficient",
@@ -31,11 +31,10 @@ __all__ = [
 
 def _pair(predicted: np.ndarray, realized: np.ndarray, undefined: str) -> np.ndarray:
     """The checked pair as one (2, N) stack; ``undefined`` is the error for a constant vector."""
-    p, r = (np.asarray(v, dtype=np.float64) for v in (predicted, realized))
-    if p.ndim != 1 or p.shape != r.shape:
-        raise ParameterError("predicted and realized must be equal-length 1-D vectors")
+    p = check_array(predicted, "predicted", ndim=(1,))
     if p.size < 2:
-        raise ParameterError("need at least 2 entries")
+        raise ParameterError(f"predicted of shape {p.shape} has fewer than 2 entries")
+    r = check_array(realized, "realized", like=("predicted", p))
     pair = np.stack([p, r])
     if not np.all(np.isfinite(pair)):
         raise DataError("inputs contain non-finite values")

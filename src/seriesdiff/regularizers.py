@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, check_int, check_real
+from .errors import ParameterError, check_array, check_int, check_real
 
 __all__ = [
     "AntvConfig",
@@ -60,20 +60,6 @@ class AntvConfig:
         check_real(self.rate, "rate", 0, open_low=True)
 
 
-def _check_series(x: np.ndarray, ndims: tuple[int, ...] = (1,)) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in ndims or x.size == 0:
-        raise ParameterError(f"expected a non-empty {' or '.join(map(str, ndims))}-D series")
-    return x
-
-
-def _check_pair(x: np.ndarray, reference: np.ndarray, ndims: tuple[int, ...]) -> tuple:
-    x, reference = _check_series(x, ndims), _check_series(reference, ndims)
-    if x.shape != reference.shape:
-        raise ParameterError(f"shape mismatch: x {x.shape} vs reference {reference.shape}")
-    return x, reference
-
-
 def antv_loss(x: np.ndarray, cfg: AntvConfig) -> float:
     """Weighted total variation over clamped neighborhoods.
 
@@ -81,7 +67,7 @@ def antv_loss(x: np.ndarray, cfg: AntvConfig) -> float:
     win(i) covers indices within ``cfg.window`` of i (inclusive, clamped).
     Every unordered pair within range is counted once per endpoint.
     """
-    x = _check_series(x)
+    x = check_array(x, "x", ndim=(1,), nonempty=True)
     k = cfg.window
     two_s2 = 2.0 * cfg.sigma * cfg.sigma
     total = 0.0
@@ -105,7 +91,7 @@ def antv_step(x: np.ndarray, cfg: AntvConfig) -> np.ndarray:
     Gaussian weights are constants for the step (their derivative is
     deliberately not applied here; see ``antv_exact_grad``).
     """
-    x = _check_series(x, (1, 2)).copy()
+    x = check_array(x, "x", ndim=(1, 2), nonempty=True).copy()
     k = cfg.window
     two_s2 = 2.0 * cfg.sigma * cfg.sigma
     for i in range(x.shape[-1]):
@@ -123,7 +109,7 @@ def antv_exact_grad(x: np.ndarray, cfg: AntvConfig) -> np.ndarray:
     negative to x_i.  Non-differentiable only where some pair has d = 0;
     there the sign(0) = 0 convention picks the symmetric subgradient.
     """
-    x = _check_series(x)
+    x = check_array(x, "x", ndim=(1,), nonempty=True)
     n = x.size
     k = cfg.window
     s2 = cfg.sigma * cfg.sigma
@@ -159,23 +145,16 @@ class BandSpec:
         check_int(self.high, "high", self.low + 1)
 
 
-def _last_axis(a: np.ndarray, dtype: type | None = None) -> np.ndarray:
-    a = np.asarray(a, dtype=dtype)
-    if a.ndim == 0 or a.size == 0:
-        raise ParameterError("expected a non-empty array, transformed along its last axis")
-    return a
-
-
 def dft(x: np.ndarray) -> np.ndarray:
     """Forward DFT along the last axis (numpy FFT fast path; tests pin it to
     direct summation)."""
-    return np.fft.fft(_last_axis(x))
+    return np.fft.fft(check_array(x, "x", nonempty=True, spectrum=True))
 
 
 def idft(spectrum: np.ndarray) -> np.ndarray:
     """Inverse DFT along the last axis; returns a complex array, imaginary
     parts near zero for conjugate-symmetric input."""
-    return np.fft.ifft(_last_axis(spectrum))
+    return np.fft.ifft(check_array(spectrum, "spectrum", nonempty=True, spectrum=True))
 
 
 def band_mask(n: int, band: BandSpec) -> np.ndarray:
@@ -193,13 +172,14 @@ def band_mask(n: int, band: BandSpec) -> np.ndarray:
 def band_pass(spectrum: np.ndarray, band: BandSpec) -> np.ndarray:
     """Zero every bin outside the symmetric band along the last axis; DC
     survives only if low == 0."""
-    spectrum = _last_axis(spectrum, np.complex128)
+    spectrum = check_array(spectrum, "spectrum", nonempty=True, spectrum=True)
     return spectrum * band_mask(spectrum.shape[-1], band)
 
 
 def bp_loss(x: np.ndarray, reference: np.ndarray, band: BandSpec) -> float:
     """Squared spectral distance ||F(x) - BandPass(F(reference))||^2 over all bins."""
-    x, reference = _check_pair(x, reference, (1,))
+    x = check_array(x, "x", ndim=(1,), nonempty=True)
+    reference = check_array(reference, "reference", like=("x", x))
     diff = dft(x) - band_pass(dft(reference), band)
     return float(np.sum(np.abs(diff) ** 2))
 
@@ -217,7 +197,8 @@ def bp_grad_step(
     ``reference`` may be (rows, n) batches, each row with its own reference.
     """
     rate = check_real(rate, "rate", 0, open_low=True)
-    x, reference = _check_pair(x, reference, (1, 2))
+    x = check_array(x, "x", ndim=(1, 2), nonempty=True)
+    reference = check_array(reference, "reference", like=("x", x))
     n = x.shape[-1]
     target = idft(band_pass(dft(reference), band)).real
     grad = 2.0 * n * (x - target)

@@ -26,7 +26,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NumericError, ParameterError, check_finite_rows, check_int, check_real
+from .errors import (NumericError, ParameterError, check_array, check_finite_rows, check_int,
+                     check_real)
 from .regularizers import AntvConfig, BandSpec, antv_step, bp_grad_step
 from .schedules import NoiseSchedule, SigmaLadder, forward_perturb
 from .scorenet import ConditionVector, ScoreNetworkParams, _Prepared, predict_eps
@@ -64,8 +65,9 @@ def guided_eps(
     NULL condition with omega != 0 is rejected: nothing to guide toward.
     """
     omega = check_real(omega, "omega")
-    if np.ndim(x_t) == 1:
-        return guided_eps(params, np.asarray(x_t)[None], t, [cond], omega)[0]
+    x_t = check_array(x_t, "x_t", ndim=(1, 2), last=params.config.input_len)
+    if x_t.ndim == 1:
+        return guided_eps(params, x_t[None], t, [cond], omega)[0]
     B = len(x_t)
     prep = cond if isinstance(cond, _Prepared) else _guidance(params, cond, B, omega)
     if omega in (0.0, 1.0):
@@ -91,10 +93,8 @@ def ddpm_mean(
     """Posterior mean of one ancestral step:
     (x_t - beta_t / sqrt(1 - alpha_bar_t) * eps_hat) / sqrt(alpha_t)."""
     t = check_int(t, "t", 1, schedule.T + 1)
-    x_t = np.asarray(x_t, dtype=np.float64)
-    eps_hat = np.asarray(eps_hat, dtype=np.float64)
-    if x_t.shape != eps_hat.shape:
-        raise ParameterError(f"shape mismatch: x {x_t.shape} vs eps {eps_hat.shape}")
+    x_t = check_array(x_t, "x_t")
+    eps_hat = check_array(eps_hat, "eps_hat", like=("x_t", x_t))
     beta = schedule.beta[t - 1]
     ab = schedule.alpha_bar[t - 1]
     return (x_t - beta / math.sqrt(1.0 - ab) * eps_hat) / math.sqrt(schedule.alpha[t - 1])
@@ -116,7 +116,7 @@ def ddpm_step(
     var = schedule.posterior_var[t - 1]
     if var == 0.0:
         return mean
-    return mean + math.sqrt(var) * rng.standard_normal(x_t.shape)
+    return mean + math.sqrt(var) * rng.standard_normal(mean.shape)
 
 
 def make_subsequence(T: int, n_steps: int) -> np.ndarray:
@@ -164,10 +164,8 @@ def ddim_mean(
     t_prev = check_int(t_prev, "t_prev", 0, t_cur)
     ab_cur, ab_prev = schedule.alpha_bar_at(t_cur), schedule.alpha_bar_at(t_prev)
     sigma = check_real(sigma, "sigma", 0)
-    x_t = np.asarray(x_t, dtype=np.float64)
-    eps_hat = np.asarray(eps_hat, dtype=np.float64)
-    if x_t.shape != eps_hat.shape:
-        raise ParameterError(f"shape mismatch: x {x_t.shape} vs eps {eps_hat.shape}")
+    x_t = check_array(x_t, "x_t")
+    eps_hat = check_array(eps_hat, "eps_hat", like=("x_t", x_t))
     budget = 1.0 - ab_prev - sigma * sigma
     if budget < -1e-15:
         raise ParameterError(
@@ -196,6 +194,8 @@ def langevin_sample(
     aligns with ``ladder.sigma`` (index 0 = smallest scale) and may be a
     scalar.  Draw order: the initial state, then one z per update.
     """
+    if not np.isscalar(step_sizes):  # a scalar keeps check_real's message, which names its value
+        check_array(step_sizes, "step_sizes", ndim=(0, 1), last=ladder.levels)
     sizes = [check_real(size, "step_sizes", 0, open_low=True)
              for size in np.broadcast_to(np.asarray(step_sizes, dtype=object), (ladder.levels,))]
     check_int(n_steps, "n_steps", 1)
@@ -206,9 +206,7 @@ def langevin_sample(
         eps_i = sizes[level]
         root = math.sqrt(2.0 * eps_i)
         for _ in range(n_steps):
-            s = np.asarray(score_fn(x, sigma), dtype=np.float64)
-            if s.shape != x.shape:
-                raise ParameterError("score_fn must preserve the state shape")
+            s = check_array(score_fn(x, sigma), "score_fn output", like=("the state", x))
             if not np.all(np.isfinite(s)):
                 raise NumericError(f"score function returned non-finite values at sigma={sigma}")
             x = x + eps_i * s + root * rng.standard_normal(shape)
@@ -317,22 +315,18 @@ def _reverse(
     if anchored and cfg.lambda_bp >= 1.0 / L:
         raise ParameterError(f"lambda_bp={cfg.lambda_bp} must be below 1/L = {1.0 / L:.6g} "
                              f"(L={L}), or the spectral anchor diverges")
+    sources = [src if src is None else
+               check_array(src, f"donor window of row {i}", ndim=(1,), last=L, finite=True)
+               for i, src in enumerate(sources)]
     x = np.empty((len(conditions), L))
     for i, (src, rng) in enumerate(zip(sources, rngs)):
-        if src is None:
-            x[i] = rng.standard_normal(L)
-            continue
-        src = np.asarray(src, dtype=np.float64)
-        if src.shape != (L,) or not np.all(np.isfinite(src)):
-            raise ParameterError(
-                f"donor window of row {i} must be finite with shape ({L},), got {src.shape}"
-            )
-        x[i] = forward_perturb(src, jumps[0][0], rng.standard_normal(L), schedule)
+        x[i] = rng.standard_normal(L) if src is None else forward_perturb(
+            src, jumps[0][0], rng.standard_normal(L), schedule)
     antv_cfg = None
     if cfg.lambda_antv > 0.0:
         antv_cfg = AntvConfig(window=cfg.antv_window, sigma=cfg.antv_sigma, rate=cfg.lambda_antv)
     band = BandSpec(cfg.band_low, cfg.band_high) if anchored else None
-    refs = np.array([sources[i] for i in anchored], dtype=np.float64)
+    refs = np.array([sources[i] for i in anchored])
     for t_cur, t_prev, sigma in jumps:
         eps_hat = guided_eps(params, x, t_cur, guide, cfg.guidance)
         x = ddim_mean(x, t_cur, t_prev, eps_hat, schedule, sigma)

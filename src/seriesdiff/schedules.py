@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, check_int, check_real
+from .errors import ParameterError, check_array, check_int, check_real
 
 __all__ = [
     "NoiseSchedule",
@@ -56,16 +56,12 @@ class NoiseSchedule:
     posterior_var: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        beta = np.asarray(self.beta, dtype=np.float64)
-        if beta.ndim != 1:
-            raise ParameterError("beta must be a 1-D array")
+        beta = check_array(self.beta, "beta", ndim=(1,), nonempty=True, finite=True)
         object.__setattr__(self, "T", check_int(self.T, "T", 1))  # an int, as to_dict saves it
         if self.T != beta.shape[0]:
             raise ParameterError(
                 f"schedule length mismatch: T={self.T} but beta has {beta.shape[0]} entries"
             )
-        if not np.all(np.isfinite(beta)):
-            raise ParameterError("beta contains non-finite entries")
         if np.any(beta <= 0.0) or np.any(beta >= 1.0):
             raise ParameterError("beta entries must lie in (0, 1)")
         if np.any(np.diff(beta) < 0.0):
@@ -96,8 +92,8 @@ class NoiseSchedule:
 def schedule_from_dict(obj: dict) -> NoiseSchedule:
     """Rebuild a schedule from its ``to_dict`` form, revalidating everything."""
     try:
-        T, beta = obj["T"], np.asarray(obj["beta"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
+        T, beta = obj["T"], obj["beta"]
+    except (KeyError, TypeError) as exc:
         raise ParameterError(f"malformed schedule object: {exc}") from exc
     return NoiseSchedule(T=T, beta=beta)
 
@@ -128,9 +124,7 @@ class SigmaLadder:
     sigma: np.ndarray
 
     def __post_init__(self) -> None:
-        sigma = np.asarray(self.sigma, dtype=np.float64)
-        if sigma.ndim != 1 or sigma.shape[0] < 1:
-            raise ParameterError("sigma ladder must be a non-empty 1-D array")
+        sigma = check_array(self.sigma, "sigma", ndim=(1,), nonempty=True)
         if not np.all(np.isfinite(sigma)) or np.any(sigma <= 0.0):
             raise ParameterError("sigma entries must be finite and positive")
         if np.any(np.diff(sigma) <= 0.0):
@@ -161,9 +155,7 @@ def forward_perturb(
     caller's standard-normal draw with the same shape as ``x0``; passing it in
     explicitly keeps the function pure.
     """
-    x0 = np.asarray(x0, dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
-    if x0.shape != eps.shape:
-        raise ParameterError(f"shape mismatch: x0 {x0.shape} vs eps {eps.shape}")
+    x0 = check_array(x0, "x0")
+    eps = check_array(eps, "eps", like=("x0", x0))
     ab = schedule.alpha_bar[check_int(t, "t", 1, schedule.T + 1) - 1]
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps

@@ -33,7 +33,8 @@ from typing import Sequence
 import numpy as np
 
 from .dataio import _read_json, _replacing
-from .errors import DataError, NumericError, ParameterError, check_finite_rows, check_int, check_real
+from .errors import (DataError, NumericError, ParameterError, check_array, check_finite_rows,
+                     check_int, check_real)
 from .schedules import NoiseSchedule
 
 __all__ = [
@@ -154,13 +155,9 @@ class ScoreNetworkParams:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
         layout = _param_layout(self.config)
         ends = list(accumulate(math.prod(shape) for _, shape in layout))
-        if values.ndim != 1 or values.shape[0] != ends[-1]:
-            raise ParameterError(
-                f"parameter vector has {values.shape} entries, layout needs {ends[-1]}")
-        self.values = values
+        self.values = values = check_array(self.values, "values", ndim=(1,), last=ends[-1])
         self._views = {name: values[lo:hi].reshape(shape)  # cut once, sharing values' memory
                        for (name, shape), lo, hi in zip(layout, [0, *ends], ends)}
 
@@ -226,16 +223,14 @@ def time_embedding(t: int | np.ndarray, dim: int) -> np.ndarray:
     """
     if check_int(dim, "dim", 2) % 2 != 0:
         raise ParameterError(f"embedding dim must be even, got {dim}")
-    t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    if t_arr.ndim != 1:
-        raise ParameterError("t must be a scalar or 1-D array")
+    t = check_array(t, "t", ndim=(0, 1))
     half = dim // 2
     freqs = _TIME_FREQ_BASE ** (-np.arange(half, dtype=np.float64) / half)
-    ang = t_arr[:, None] * freqs[None, :]
-    out = np.empty((t_arr.shape[0], dim), dtype=np.float64)
+    ang = np.atleast_1d(t)[:, None] * freqs[None, :]
+    out = np.empty((ang.shape[0], dim), dtype=np.float64)
     out[:, 0::2] = np.sin(ang)
     out[:, 1::2] = np.cos(ang)
-    return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
+    return out[0] if t.ndim == 0 else out
 
 
 def encode_condition(
@@ -361,17 +356,6 @@ def _backward(
     return grad
 
 
-def _rows(params: ScoreNetworkParams, t: int, *windows: np.ndarray) -> list[np.ndarray]:
-    """Each (L,) window or (B, L) batch as (B, L) floats, after checking its shape and t."""
-    L = params.config.input_len
-    rows = [np.asarray(w, dtype=np.float64) for w in windows]
-    for r in rows:
-        if r.ndim not in (1, 2) or r.shape[-1] != L:
-            raise ParameterError(f"window shape {r.shape} does not match input_len {L}")
-    check_int(t, "t", 1)
-    return [r.reshape(-1, L) for r in rows]
-
-
 # OpenBLAS rounds a row of a matrix product differently as the row count
 # changes, but rounds a row of an 8-row product the same in any slot and
 # beside any neighbours; so inference runs each row in a zero-padded 8-row tile.
@@ -409,8 +393,9 @@ def predict_eps(
     depend on the other rows.  The trunk reads each ``cond.encoded`` as
     given.  The implied score is -predict_eps(...) / sqrt(1 - alpha_bar_t).
     """
-    single = np.ndim(x_t) == 1
-    (x,) = _rows(params, t, x_t)
+    x = check_array(x_t, "x_t", ndim=(1, 2), last=params.config.input_len)
+    check_int(t, "t", 1)
+    single, x = x.ndim == 1, np.atleast_2d(x)
     prep = [cond] if single else cond
     if isinstance(prep, Sequence) and len(prep) == len(x):
         prep = _Prepared(params, prep)
@@ -432,11 +417,12 @@ def predict_eps_vjp(
 
     This is the building block the finite-difference tests drive directly.
     The condition is encoded again from its ids, since the gradient reaches
-    the condition MLP.  The window runs in a NULL-padded tile, as in ``predict_eps``.
+    the condition MLP.  The (L,) window and cotangent run in a NULL-padded tile as in ``predict_eps``.
     """
-    if np.ndim(x_t) != 1:
-        raise ParameterError(f"predict_eps_vjp takes one window, got shape {np.shape(x_t)}")
-    x, cot = (_tiles(r)[0] for r in _rows(params, t, x_t, cotangent))
+    x = check_array(x_t, "x_t", ndim=(1,), last=params.config.input_len)
+    cot = check_array(cotangent, "cotangent", like=("x_t", x))
+    check_int(t, "t", 1)
+    x, cot = _tiles(x[None])[0], _tiles(cot[None])[0]
     ids = None if cond is None or cond.is_null else (cond.industry_id, cond.board_id)
     cenc, mlp = _encode_batch(params, *_condition_arrays([ids] + [None] * (_TILE - 1), params.config))
     out, acts = _forward(params, x, t, _cond_terms(params, cenc))
@@ -497,14 +483,8 @@ def dsm_loss(
     """
     if weighting not in ("elbo", "unit"):
         raise ParameterError(f"unknown weighting {weighting!r}")
-    windows = np.asarray(windows, dtype=np.float64)
-    if windows.ndim != 2:
-        raise ParameterError("windows must be a (batch, length) array")
+    windows = check_array(windows, "windows", ndim=(2,), last=params.config.input_len, finite=True)
     B, L = windows.shape
-    if L != params.config.input_len:
-        raise ParameterError(
-            f"window length {L} does not match input_len {params.config.input_len}"
-        )
     if len(conditions) != B:
         raise ParameterError("conditions must match the batch size")
     iid, bid = _condition_arrays(conditions, params.config)
@@ -565,9 +545,7 @@ def train(
     draw in a fixed order.  Zero epochs returns the untouched random
     initialization.  Divergence (non-finite loss) raises NumericError.
     """
-    windows = np.asarray(windows, dtype=np.float64)
-    if windows.ndim != 2 or windows.shape[0] < 1:
-        raise ParameterError("windows must be a non-empty (n, length) array")
+    windows = check_array(windows, "windows", ndim=(2,), nonempty=True, finite=True)
     N, L = windows.shape
     if len(conditions) != N:
         raise ParameterError("conditions must match the number of windows")

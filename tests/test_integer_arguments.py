@@ -1,6 +1,7 @@
-"""The integer and real-number rules: an integer argument is a Python or numpy integer, and a real
-argument a Python or numpy int or float, never a bool, finite and within its bounds; anything else
-is a ParameterError that names the argument."""
+"""The integer, real-number and array rules: an integer argument is a Python or numpy integer, and
+a real argument a Python or numpy int or float, never a bool, finite and within its bounds; an array
+argument is what numpy makes an integer or floating array, of the rank and shape its site needs;
+anything else is a ParameterError that names the argument."""
 from __future__ import annotations
 
 import json
@@ -12,14 +13,17 @@ import numpy as np
 import pytest
 
 from seriesdiff import (AntvConfig, BandSpec, Board, NoiseSchedule, ParameterError,
-                        PredictionPanel, SamplerConfig, ScoreNetConfig, SeriesWindow, StockRecord,
-                        TrainConfig, band_mask, bp_grad_step, condition_dropout, ddim_mean,
-                        ddpm_mean, ddpm_step, drop_ipo_head, encode_condition, forward_perturb,
-                        guided_eps, init_params, jump_variance, langevin_sample,
-                        make_linear_schedule, make_sigma_ladder, make_subsequence, make_windows,
-                        predict_eps, predict_eps_vjp, repair_suspensions, schedule_from_dict,
-                        split_train_test, time_embedding, topk_dropk_backtest)
-from seriesdiff.errors import check_int, check_real
+                        PredictionPanel, SamplerConfig, ScoreNetConfig, ScoreNetworkParams,
+                        SeriesWindow, SigmaLadder, StockRecord, TrainConfig, antv_exact_grad,
+                        antv_loss, antv_step, band_mask, band_pass, bp_grad_step, bp_loss,
+                        condition_dropout, ddim_mean, ddpm_mean, ddpm_step, denormalize_window,
+                        dft, drop_ipo_head, dsm_loss, encode_condition, forward_perturb,
+                        guided_eps, idft, information_coefficient, init_params, jump_variance,
+                        langevin_sample, make_linear_schedule, make_sigma_ladder,
+                        make_subsequence, make_windows, predict_eps, predict_eps_vjp, rank_ic,
+                        repair_suspensions, sample_rows, schedule_from_dict, split_train_test,
+                        time_embedding, topk_dropk_backtest, train)
+from seriesdiff.errors import check_array, check_int, check_real
 from conftest import trading_days
 
 NET = ScoreNetConfig(input_len=4, width=4, blocks=1, time_dim=4, embed_dim=2, cond_hidden=3,
@@ -196,3 +200,158 @@ def test_a_record_names_its_ticker_when_it_is_built():
         _record(industry_id=3.9)
     with pytest.raises(ParameterError, match=r"^board 5 outside \[0, 5\) in record 600000$"):
         _record(board=5)
+
+
+def test_huge_integers_give_bounded_messages():
+    # past 4,300 digits str() of an int raises a bare ValueError; below, it prints every digit
+    for call in (lambda v: check_int(v, "x", 0, 4), lambda v: check_real(v, "x")):
+        for value in (10**5000, -(10**5000), 10**4000):
+            with pytest.raises(ParameterError, match="^x ") as err:
+                call(value)
+            assert len(str(err.value)) <= 70, str(err.value)
+    with pytest.raises(ParameterError, match=r"^x <int of 16610 bits> outside \[0, 4\)$"):
+        check_int(10**5000, "x", 0, 4)
+    cut = re.escape("x 1" + "0" * 19 + "...<4001 characters> outside [0, 4)")
+    with pytest.raises(ParameterError, match=f"^{cut}$"):
+        check_int(10**4000, "x", 0, 4)
+    with pytest.raises(ParameterError, match=r"^band_high 1 outside \[<int of 16610 bits>, inf\)"):
+        SamplerConfig(band_low=10**5000, band_high=1)
+    cut = re.escape("x '" + "x" * 19 + "...<5002 characters> is not an integer")
+    with pytest.raises(ParameterError, match=f"^{cut}$"):
+        check_int("x" * 5000, "x", 0)
+
+
+L = NET.input_len
+ROW = [1.0, 3.0, 2.0, 5.0]
+PAIR = [[1.0, 3.0, 2.0, 5.0], [2.0, 1.0, 0.0, 4.0]]
+ANTV = AntvConfig(window=1, sigma=1.0, rate=0.1)
+BAND = BandSpec(0, 1)
+NULL_DRAW = SamplerConfig(guidance=0.0, seed=3)
+EMPTY = np.zeros(0)
+
+
+def _langevin(step_sizes=0.01, score=lambda v: -v):
+    return langevin_sample(lambda x, s: score(x), LADDER, step_sizes, 1, (2,),
+                           np.random.default_rng(0))
+
+
+# name: (call with the value, a valid value, values of a shape the site rejects: the wrong rank,
+# empty where the site needs entries, the wrong last axis or a partner's other shape, and
+# non-finite where the site checks finiteness); the part after the dot starts the message
+ARRAY_CASES = {
+    "antv_loss.x": (lambda v: antv_loss(v, ANTV), ROW, (PAIR, EMPTY)),
+    "antv_step.x": (lambda v: antv_step(v, ANTV), PAIR, ([PAIR], EMPTY, np.zeros((2, 0)))),
+    "antv_exact_grad.x": (lambda v: antv_exact_grad(v, ANTV), ROW, (PAIR, EMPTY)),
+    "dft.x": (dft, PAIR, (np.float64(1.0), EMPTY)),
+    "idft.spectrum": (idft, PAIR, (np.float64(1.0), EMPTY)),
+    "band_pass.spectrum": (lambda v: band_pass(v, BAND), PAIR, (np.float64(1.0), EMPTY)),
+    "bp_loss.x": (lambda v: bp_loss(v, ROW, BAND), ROW, (PAIR, EMPTY)),
+    "bp_loss.reference": (lambda v: bp_loss(ROW, v, BAND), ROW, (ROW[:3], PAIR)),
+    "bp_grad_step.x": (lambda v: bp_grad_step(v, PAIR, BAND, 0.1), PAIR, ([PAIR], EMPTY)),
+    "bp_grad_step.reference": (lambda v: bp_grad_step(PAIR, v, BAND, 0.1), PAIR, (ROW,)),
+    "ddpm_mean.x_t": (lambda v: ddpm_mean(v, 3, ROW, SCH), ROW, ()),  # any rank; eps_hat follows
+    "ddpm_mean.eps_hat": (lambda v: ddpm_mean(ROW, 3, v, SCH), ROW, (ROW[:3], PAIR)),
+    "ddpm_step.x_t": (lambda v: ddpm_step(v, 3, ROW, SCH, np.random.default_rng(0)), ROW, ()),
+    "ddim_mean.x_t": (lambda v: ddim_mean(v, 4, 2, PAIR, SCH), PAIR, ()),
+    "ddim_mean.eps_hat": (lambda v: ddim_mean(PAIR, 4, 2, v, SCH), PAIR, (ROW, [PAIR])),
+    "forward_perturb.x0": (lambda v: forward_perturb(v, 2, ROW, SCH), ROW, ()),
+    "forward_perturb.eps": (lambda v: forward_perturb(ROW, 2, v, SCH), ROW, (ROW[:3],)),
+    "guided_eps.x_t": (lambda v: guided_eps(PARAMS, v, 2, None, 0.0), ROW, ([PAIR], ROW[:3])),
+    "predict_eps.x_t": (lambda v: predict_eps(PARAMS, v, 2), ROW, ([PAIR], ROW[:3])),
+    "predict_eps_vjp.x_t": (lambda v: predict_eps_vjp(PARAMS, v, 2, None, ROW), ROW,
+                            (PAIR, ROW[:3])),
+    "predict_eps_vjp.cotangent": (lambda v: predict_eps_vjp(PARAMS, ROW, 2, None, v), ROW,
+                                  (PAIR, [ROW] * 9, ROW[:3])),
+    "dsm_loss.windows": (lambda v: dsm_loss(PARAMS, v, [None, None], SCH,
+                                            np.random.default_rng(0)), PAIR,
+                         (ROW, [r[:3] for r in PAIR], [ROW, [1.0, np.nan, 0.0, 0.0]])),
+    "train.windows": (lambda v: train(v, [None, None], SCH, TrainConfig(epochs=1, batch_size=1),
+                                      NET).params.values, PAIR,
+                      (ROW, np.zeros((0, L)), [ROW, [1.0, np.inf, 0.0, 0.0]])),
+    "ScoreNetworkParams.values": (lambda v: ScoreNetworkParams(NET, v).values,
+                                  (np.arange(PARAMS.n_params) % 3).tolist(),
+                                  (np.zeros((1, PARAMS.n_params)), np.zeros(PARAMS.n_params - 1))),
+    "time_embedding.t": (lambda v: time_embedding(v, 4), [1.0, 2.0, 6.0], (PAIR,)),
+    "NoiseSchedule.beta": (lambda v: NoiseSchedule(4, v).alpha_bar, [0.1, 0.2, 0.3, 0.4],
+                           ([[0.1, 0.2]] * 2, EMPTY, [0.1, np.nan, 0.3, 0.4])),
+    "schedule_from_dict.beta": (lambda v: schedule_from_dict({"T": 4, "beta": v}).alpha_bar,
+                                [0.1, 0.2, 0.3, 0.4], ([[0.1, 0.2]] * 2, EMPTY)),
+    "SigmaLadder.sigma": (lambda v: SigmaLadder(v).sigma, [1.0, 2.0, 4.0], ([[1.0, 2.0]], EMPTY)),
+    "langevin_sample.step_sizes": (_langevin, [1.0, 2.0], ([[1.0, 2.0]], [1.0, 2.0, 3.0])),
+    "langevin_sample.score_fn output": (lambda v: _langevin(score=lambda x: v), [1.0, 2.0],
+                                        ([1.0, 2.0, 3.0],)),
+    "sample_rows.donor window of row 0": (lambda v: sample_rows(PARAMS, SCH, NULL_DRAW, [None],
+                                                                [v]), ROW,
+                                          ([ROW], ROW[:3], [1.0, np.nan, 0.0, 0.0])),
+    "denormalize_window.values": (lambda v: denormalize_window(v, ([0.5, 1.0], [1.0, 2.0])),
+                                  PAIR, ()),
+    "denormalize_window.mean": (lambda v: denormalize_window(PAIR, (v, [1.0, 2.0])),
+                                [0.5, 1.0], ()),
+    "denormalize_window.scale": (lambda v: denormalize_window(PAIR, ([0.5, 1.0], v)),
+                                 [1.0, 2.0], ()),
+    "information_coefficient.predicted": (lambda v: information_coefficient(v, ROW), PAIR[1],
+                                          (PAIR, EMPTY, ROW[:1])),
+    "information_coefficient.realized": (lambda v: information_coefficient(ROW, v), PAIR[1],
+                                         (ROW[:3], PAIR)),
+    "rank_ic.predicted": (lambda v: rank_ic(v, ROW), PAIR[1], (PAIR, EMPTY)),
+    "rank_ic.realized": (lambda v: rank_ic(ROW, v), PAIR[1], (ROW[:3],)),
+}
+
+
+def _not_numbers(good) -> list:
+    """Values no array site takes: a string, a nest holding a string, a bool array, an object
+    array holding None, and a ragged nest."""
+    text, hole = np.array(good, dtype=object), np.array(good, dtype=object)
+    text.flat[0], hole.flat[0] = "1.5", None
+    return ["x", text.tolist(), np.ones(np.shape(good), dtype=bool), hole, [[1.0, 2.0], [3.0]]]
+
+
+def _bits(result) -> list:
+    """The result's arrays and floats as bytes, so two results compare bit for bit."""
+    if isinstance(result, tuple):
+        return [b for part in result for b in _bits(part)]
+    result = np.asarray(result)
+    return [result.dtype.str, result.shape, result.tobytes()]
+
+
+@pytest.mark.parametrize("case", sorted(ARRAY_CASES))
+def test_array_arguments_take_numeric_arrays_of_their_shape_and_nothing_else(case):
+    call, good, bad_shapes = ARRAY_CASES[case]
+    name = case.split(".")[1]
+    for bad in (*_not_numbers(good), *bad_shapes):
+        with pytest.raises(ParameterError, match="^" + re.escape(f"{name} ")):
+            call(bad)
+    # a float list, an int64 array and a float32 array each give, bit for bit, what the site gives
+    # on their float64 copy; a beta ladder has no integer form
+    ints = [np.asarray(good, np.int64)] if np.all(np.mod(good, 1.0) == 0.0) else []
+    for ok in (list(good), np.asarray(good, np.float32), *ints):
+        assert _bits(call(ok)) == _bits(call(np.asarray(ok, dtype=np.float64)))
+
+
+def test_array_messages_give_the_dtype_or_shape_and_never_the_values():
+    real, spectral = "is not an array of real numbers", "is not an array of complex numbers"
+    for call, message in (
+        (lambda: ddpm_mean(ROW, 3, ROW[:3], SCH),
+         "eps_hat of shape (3,) does not match x_t of shape (4,)"),
+        (lambda: antv_step(["a", "b"], ANTV), f"x of dtype <U1 {real}"),
+        (lambda: antv_step(["1.5", "2", "3"], ANTV), f"x of dtype <U3 {real}"),
+        (lambda: antv_step([True, False, True], ANTV), f"x of dtype bool {real}"),
+        (lambda: dft([None, 1]), f"x of dtype object {spectral}"),
+        (lambda: band_pass(["a"], BAND), f"spectrum of dtype <U1 {spectral}"),
+        (lambda: antv_loss([[1.0, 2.0], [3.0]], ANTV), "x is not a rectangular array"),
+        (lambda: _langevin([1.0, 2.0, 3.0]),
+         "step_sizes of shape (3,) does not end in an axis of length 2"),
+        (lambda: antv_loss(np.zeros((2, 3)), ANTV), "x of shape (2, 3) is not of rank 1"),
+        (lambda: antv_step(EMPTY, ANTV), "x of shape (0,) is a scalar or empty"),
+        (lambda: dsm_loss(PARAMS, [ROW, [np.nan] * L], [None] * 2, SCH, np.random.default_rng(0)),
+         "windows of shape (2, 4) has non-finite entries"),
+    ):
+        with pytest.raises(ParameterError, match="^" + re.escape(message) + "$"):
+            call()
+    assert check_array([1, 2], "x").dtype == np.float64
+    spectrum = check_array([1 + 2j, 3], "x", spectrum=True)
+    assert spectrum.dtype == np.complex128 and np.array_equal(dft(spectrum), np.fft.fft(spectrum))
+    exact = np.array([0.5, 1.5])
+    assert check_array(exact, "x") is exact  # a float64 array is taken as it is, not copied
+    assert predict_eps(PARAMS, np.zeros((0, L)), 2, []).shape == (0, L)  # an empty batch
+    assert ddpm_mean(np.float64(1.0), 3, 0.5, SCH).shape == ()  # any rank, a scalar too
