@@ -58,11 +58,11 @@ def check_int(value: object, name: str, low: int, high: int | None = None, where
 
 
 def check_real(value: object, name: str, low: float = -math.inf, high: float = math.inf,
-               open_low: bool = False) -> float:
+               open_low: bool = False, *, error=ParameterError) -> float:
     """``value`` as a float if it is a Python or numpy int or float, never a bool, finite and in
-    [low, high), or (low, high) if ``open_low``; else a ParameterError naming ``name``, ``value``."""
+    [low, high), or (low, high) if ``open_low``; else an ``error`` naming ``name``, ``value``."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ParameterError(f"{name} {_shown(value, repr)} is not a real number")
+        raise error(f"{name} {_shown(value, repr)} is not a real number")
     try:
         x = float(value)
     except OverflowError:  # an int past the float range
@@ -70,24 +70,24 @@ def check_real(value: object, name: str, low: float = -math.inf, high: float = m
     if math.isfinite(x) and (low < x if open_low else low <= x) and x < high:
         return x
     bracket = "(" if open_low or low == -math.inf else "["
-    raise ParameterError(f"{name} {_shown(value)} outside {bracket}{low}, {high})")
+    raise error(f"{name} {_shown(value)} outside {bracket}{low}, {high})")
 
 
 def check_array(value: object, name: str, *, ndim: tuple[int, ...] | None = None, nonempty=False,
                 last: int | None = None, like: tuple[str, np.ndarray] | None = None,
-                finite=False, spectrum=False) -> np.ndarray:
+                finite=False, spectrum=False, error=ParameterError) -> np.ndarray:
     """``value`` as a float64 array (complex128 if ``spectrum``, which also takes complex values)
     if numpy makes it an integer or floating array, never bool, string or object, of a rank in
     ``ndim`` (any if None), not a scalar nor empty if ``nonempty``, whose last axis (if any) has
-    length ``last``, of the shape of the array ``like`` names, and finite if ``finite``; else a
-    ParameterError starting with ``name`` that gives the dtype or shape, never the values."""
+    length ``last``, of the shape of the array ``like`` names, and finite if ``finite``; else an
+    ``error`` starting with ``name`` that gives the dtype or shape, never the values."""
     try:
         a = np.asarray(value)
     except (ValueError, TypeError):  # a ragged nest
-        raise ParameterError(f"{name} is not a rectangular array") from None
+        raise error(f"{name} is not a rectangular array") from None
     if a.dtype.kind not in ("iufc" if spectrum else "iuf"):
-        raise ParameterError(f"{name} of dtype {_shown(a.dtype)} is not an array of "
-                             f"{'complex' if spectrum else 'real'} numbers")
+        raise error(f"{name} of dtype {_shown(a.dtype)} is not an array of "
+                    f"{'complex' if spectrum else 'real'} numbers")
     a = np.asarray(a, np.complex128 if spectrum else np.float64)
     if ndim is not None and a.ndim not in ndim:
         problem = f"is not of rank {' or '.join(map(str, ndim))}"
@@ -101,4 +101,4 @@ def check_array(value: object, name: str, *, ndim: tuple[int, ...] | None = None
         problem = "has non-finite entries"
     else:
         return a
-    raise ParameterError(f"{name} of shape {a.shape} {problem}")
+    raise error(f"{name} of shape {a.shape} {problem}")

@@ -96,8 +96,8 @@ class PredictionPanel:
     returns: np.ndarray
 
     def __post_init__(self) -> None:
-        scores = np.asarray(self.scores, dtype=np.float64)
-        returns = np.asarray(self.returns, dtype=np.float64)
+        scores = check_array(self.scores, "scores", finite=True, error=DataError)
+        returns = check_array(self.returns, "returns", finite=True, error=DataError)
         D, N = len(self.dates), len(self.tickers)
         if D < 1 or N < 1:
             raise DataError("panel needs at least one date and one ticker")
@@ -110,8 +110,6 @@ class PredictionPanel:
                 f"panel arrays must be shaped ({D}, {N}); "
                 f"got scores {scores.shape}, returns {returns.shape}"
             )
-        if not (np.all(np.isfinite(scores)) and np.all(np.isfinite(returns))):
-            raise DataError("panel contains non-finite values")
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "returns", returns)
 

@@ -432,12 +432,17 @@ def predict_eps_vjp(
 def condition_dropout(
     iid: np.ndarray, bid: np.ndarray, p_uncond: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Replace each condition by NULL (-1) independently with probability p_uncond.
+    """Set each (iid, bid) pair of the integer id vectors to NULL (-1) with probability p_uncond.
 
-    One uniform is drawn per batch element in order, so the rng stream
-    consumed here is a pure function of the batch size.
+    One uniform is drawn per batch element in order, so the drops are independent and the rng
+    stream consumed here is a pure function of the batch size.
     """
     p_uncond = check_real(p_uncond, "p_uncond", 0, 1)
+    check_array(bid, "bid", ndim=(1,), like=("iid", check_array(iid, "iid", ndim=(1,))))
+    iid, bid = np.asarray(iid), np.asarray(bid)  # as given: check_array made float copies
+    for name, ids in (("iid", iid), ("bid", bid)):
+        if not np.issubdtype(ids.dtype, np.integer):
+            raise ParameterError(f"{name} of dtype {ids.dtype} is not an array of integers")
     u = rng.random(iid.shape[0])
     drop = u < p_uncond
     iid = np.where(drop, -1, iid)
@@ -656,11 +661,11 @@ def load_checkpoint(path: str | Path) -> ScoreNetworkParams:
     chunks = []
     for name, shape in layout:
         try:
-            data = np.array(arrays[name]["data"], dtype=np.float64)
+            data = check_array(arrays[name]["data"], name, finite=True, error=DataError)
             ok = arrays[name]["shape"] == list(shape) and data.shape == (math.prod(shape),)
-        except (KeyError, TypeError, ValueError, OverflowError):
+        except (KeyError, TypeError, ValueError):
             ok = False
-        if not (ok and np.all(np.isfinite(data))):
+        if not ok:
             raise DataError(f"checkpoint {path} array {name!r} is not {list(shape)} finite numbers")
         chunks.append(data)
     return ScoreNetworkParams(config=cfg, values=np.concatenate(chunks))

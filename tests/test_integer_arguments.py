@@ -1,18 +1,21 @@
 """The integer, real-number and array rules: an integer argument is a Python or numpy integer, and
 a real argument a Python or numpy int or float, never a bool, finite and within its bounds; an array
 argument is what numpy makes an integer or floating array, of the rank and shape its site needs;
-anything else is a ParameterError that names the argument."""
+anything else is a ParameterError that names the argument.  The number fields of the data records
+follow the real and array rules, with a DataError that names the field."""
 from __future__ import annotations
 
+import ast
 import json
 import math
 import re
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from seriesdiff import (AntvConfig, BandSpec, Board, NoiseSchedule, ParameterError,
+from seriesdiff import (AntvConfig, BandSpec, Board, DataError, NoiseSchedule, ParameterError,
                         PredictionPanel, SamplerConfig, ScoreNetConfig, ScoreNetworkParams,
                         SeriesWindow, SigmaLadder, StockRecord, TrainConfig, antv_exact_grad,
                         antv_loss, antv_step, band_mask, band_pass, bp_grad_step, bp_loss,
@@ -20,9 +23,10 @@ from seriesdiff import (AntvConfig, BandSpec, Board, NoiseSchedule, ParameterErr
                         dft, drop_ipo_head, dsm_loss, encode_condition, forward_perturb,
                         guided_eps, idft, information_coefficient, init_params, jump_variance,
                         langevin_sample, make_linear_schedule, make_sigma_ladder,
-                        make_subsequence, make_windows, predict_eps, predict_eps_vjp, rank_ic,
-                        repair_suspensions, sample_rows, schedule_from_dict, split_train_test,
-                        time_embedding, topk_dropk_backtest, train)
+                        make_subsequence, make_windows, normalize_window, predict_eps,
+                        predict_eps_vjp, rank_ic, repair_suspensions, sample_rows,
+                        schedule_from_dict, split_train_test, time_embedding,
+                        topk_dropk_backtest, train)
 from seriesdiff.errors import check_array, check_int, check_real
 from conftest import trading_days
 
@@ -328,6 +332,46 @@ def test_array_arguments_take_numeric_arrays_of_their_shape_and_nothing_else(cas
         assert _bits(call(ok)) == _bits(call(np.asarray(ok, dtype=np.float64)))
 
 
+POSITIVE = [[1.0, 3.0, 2.0, 5.0], [2.0, 1.0, 4.0, 4.0]]
+
+# name: (call with the value, a valid value) for each number field of a data record, which takes
+# what the array or real rule takes and raises a DataError where that rule raises
+DATA_CASES = {
+    "SeriesWindow.values": (lambda v: _window(values=v).values, ROW),
+    "SeriesWindow.mean": (lambda v: _window(mean=v).mean, 2.0),
+    "SeriesWindow.scale": (lambda v: _window(scale=v).scale, 3.0),
+    "StockRecord.close": (lambda v: StockRecord("600000", DAYS[:L], v, 3, Board.MAIN).close, ROW),
+    "normalize_window.raw_closes": (normalize_window, POSITIVE),
+    "PredictionPanel.scores": (lambda v: PredictionPanel(DAYS[:2], list("ABCD"), v, PAIR).scores,
+                               PAIR),
+    "PredictionPanel.returns": (lambda v: PredictionPanel(DAYS[:2], list("ABCD"), PAIR, v).returns,
+                                PAIR),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DATA_CASES))
+def test_data_fields_take_numbers_and_nothing_else(case):
+    call, good = DATA_CASES[case]
+    name = case.split(".")[1]
+    for bad in _not_numbers(good):
+        with pytest.raises(DataError, match="^" + re.escape(f"{name} ")):
+            call(bad)
+    # a float list (a float for a scalar field), an int64 and a float32 form each give, bit for
+    # bit, what the field gives on their float64 copy
+    for ok in (np.asarray(good).tolist(), np.asarray(good, np.int64)[()],
+               np.asarray(good, np.float32)[()]):
+        assert _bits(call(ok)) == _bits(call(np.asarray(ok, dtype=np.float64)[()]))
+
+
+def test_a_window_takes_str_text_fields_and_a_bool_flag():
+    for field, bad, message in (("ticker", 5, "ticker of type int is not str"),
+                                ("start_date", 20210104, "start_date of type int is not str"),
+                                ("synthetic", 1, "synthetic of type int is not bool"),
+                                ("synthetic", "false", "synthetic of type str is not bool")):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            _window(**{field: bad})
+
+
 def test_array_messages_give_the_dtype_or_shape_and_never_the_values():
     real, spectral = "is not an array of real numbers", "is not an array of complex numbers"
     for call, message in (
@@ -355,3 +399,32 @@ def test_array_messages_give_the_dtype_or_shape_and_never_the_values():
     assert check_array(exact, "x") is exact  # a float64 array is taken as it is, not copied
     assert predict_eps(PARAMS, np.zeros((0, L)), 2, []).shape == (0, L)  # an empty batch
     assert ddpm_mean(np.float64(1.0), 3, 0.5, SCH).shape == ()  # any rank, a scalar too
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "seriesdiff"
+
+
+def _own_conversions(source: str) -> list[int]:
+    """Lines of the source's ``np.asarray`` or ``np.array`` calls given the dtype ``np.float64``
+    and of its ``.dtype.kind`` reads."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.asarray", "np.array"):
+            dtypes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "dtype"]
+            if any(ast.unparse(d) == "np.float64" for d in dtypes):
+                found.append(node.lineno)
+        elif (isinstance(node, ast.Attribute) and node.attr == "kind"
+              and isinstance(node.value, ast.Attribute) and node.value.attr == "dtype"):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_only_errors_and_the_oracles_convert_to_float64_or_read_a_dtype_kind():
+    """One owner for the array rule: every other module converts an argument or a record field
+    with ``check_array`` or ``check_real``."""
+    planted = ("np.asarray(x, dtype=np.float64)\nnp.array(x, np.float64)\na.dtype.kind\n"
+               "np.asarray(x)\nnp.zeros(2, dtype=np.float64)\n")
+    assert _own_conversions(planted) == [1, 2, 3]
+    found = {path.name: _own_conversions(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py")) if path.name not in ("errors.py", "oracles.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -282,6 +283,25 @@ def test_condition_dropout_endpoints():
         condition_dropout(iid, bid, -0.1, rng)
 
 
+def test_condition_dropout_takes_id_lists_and_rejects_other_ids():
+    iid, bid = [0, 1, 2, 0], [1, 1, 0, 3]
+    got = condition_dropout(iid, bid, 0.5, np.random.default_rng(7))
+    want = condition_dropout(np.array(iid), np.array(bid), 0.5, np.random.default_rng(7))
+    assert all(np.array_equal(g, w) and g.dtype == w.dtype for g, w in zip(got, want))
+    for bad_iid, bad_bid, message in (
+        ([0.0, 1.0], [0, 1], "iid of dtype float64 is not an array of integers"),
+        ([0, 1], np.zeros(2, np.float32), "bid of dtype float32 is not an array of integers"),
+        ([0, 1], [True, False], "bid of dtype bool is not an array of real numbers"),
+        ([0, 1], ["0", "1"], "bid of dtype <U1 is not an array of real numbers"),
+        ([[0, 1]], [[0, 1]], "iid of shape (1, 2) is not of rank 1"),
+        (3, 3, "iid of shape () is not of rank 1"),
+        ([0, 1], [[0], [1, 2]], "bid is not a rectangular array"),
+        ([0, 1], [0, 1, 2], "bid of shape (3,) does not match iid of shape (2,)"),
+    ):
+        with pytest.raises(ParameterError, match="^" + re.escape(message) + "$"):
+            condition_dropout(bad_iid, bad_bid, 0.5, np.random.default_rng(7))
+
+
 def test_relu_activation_variant_runs():
     cfg = ScoreNetConfig(
         input_len=2, width=4, blocks=1, time_dim=2, embed_dim=2,
@@ -511,6 +531,23 @@ def test_checkpoint_rejects_tampering(tmp_path):
     path.write_text("not json")
     with pytest.raises(DataError):
         load_checkpoint(path)
+
+
+def test_checkpoint_arrays_hold_numbers_not_strings_bools_or_nulls(tmp_path):
+    params = init_params(TINY, np.random.default_rng(15))
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(params, path)
+    payload = json.loads(path.read_text())
+    shapes = {name: array["shape"] for name, array in payload["arrays"].items()}
+    for name, rewrite in (("out_b", lambda xs: [str(x) for x in xs]),
+                          ("in_b", lambda xs: [x > 0.0 for x in xs]),
+                          ("cond_b1", lambda xs: [None] * len(xs))):
+        bad = json.loads(json.dumps(payload))
+        bad["arrays"][name]["data"] = rewrite(bad["arrays"][name]["data"])
+        path.write_text(json.dumps(bad))
+        message = f"checkpoint {path} array {name!r} is not {shapes[name]} finite numbers"
+        with pytest.raises(DataError, match="^" + re.escape(message) + "$"):
+            load_checkpoint(path)
 
 
 def test_checkpoint_layout_error_is_bounded(tmp_path):
