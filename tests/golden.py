@@ -115,14 +115,13 @@ def sampler_cases() -> dict[str, np.ndarray]:
     silu = _network("silu", 7)
     conds = [encode_condition(i % 4, i % 5, silu) for i in range(9)]
     donors = np.cumsum(np.random.default_rng(8).standard_normal((9, 6)), axis=1)
-    sources = [None if i % 3 == 1 else donors[i] for i in range(9)]
     ddim = SamplerConfig(mode="ddim", steps=7, eta=0.5, guidance=3.0, lambda_antv=0.05,
                          antv_window=1, lambda_bp=0.05, band_low=0, band_high=2, seed=11)
     relu = _network("relu", 9)
     return {
         "ddpm_guided": sample_rows(silu, schedule, SamplerConfig(mode="ddpm", guidance=2.0, seed=3),
                                    conds),
-        "ddim_donors_smoothing_anchor": sample_rows(silu, schedule, ddim, conds, sources),
+        "ddim_donors_smoothing_anchor": sample_rows(silu, schedule, ddim, conds, donors),
         "ddim_relu_unconditional": sample_rows(
             relu, schedule, SamplerConfig(mode="ddim", steps=5, eta=1.0, guidance=0.0, seed=4),
             [None] * 3),
