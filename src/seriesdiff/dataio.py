@@ -93,6 +93,16 @@ def classify_board(ticker: str) -> Board:
     raise DataError(f"ticker {ticker!r} has no known board prefix")
 
 
+def _check_types(*fields: tuple[str, object, type]) -> None:
+    """A DataError naming the first (name, value, kind) field whose value is not a ``kind``; the
+    entries of a ``list`` field must be str, and the first that is not is named by its index."""
+    for name, value, kind in fields:
+        if not isinstance(value, kind):
+            raise DataError(f"{name} of type {type(value).__name__} is not {kind.__name__}")
+        if kind is list and not all(isinstance(v, str) for v in value):
+            _check_types(*((f"{name}[{i}]", v, str) for i, v in enumerate(value)))
+
+
 @dataclass
 class StockRecord:
     """One ticker's daily closes; NaN entries mark suspension days.
@@ -112,9 +122,8 @@ class StockRecord:
     n_forward_filled_gaps: int = 0
 
     def __post_init__(self) -> None:
-        self.close = check_array(self.close, "close", ndim=(1,), error=DataError)
-        if len(self.dates) != self.close.shape[0]:
-            raise DataError(f"record {self.ticker}: dates and closes must be equal-length 1-D")
+        _check_types(("ticker", self.ticker, str), ("dates", self.dates, list))
+        self.close = check_array(self.close, "close", ndim=(1,), last=len(self.dates), error=DataError)
         if not all(map(operator.lt, self.dates, self.dates[1:])):
             raise DataError(f"record {self.ticker}: dates must be strictly increasing")
         where = f" in record {self.ticker}"
@@ -239,9 +248,8 @@ class SeriesWindow:
     synthetic: bool = False
 
     def __post_init__(self) -> None:
-        for name, kind in (("ticker", str), ("start_date", str), ("synthetic", bool)):
-            if not isinstance(value := getattr(self, name), kind):
-                raise DataError(f"{name} of type {type(value).__name__} is not {kind.__name__}")
+        _check_types(("ticker", self.ticker, str), ("start_date", self.start_date, str),
+                     ("synthetic", self.synthetic, bool))
         self.values = check_array(self.values, "values", ndim=(1,), nonempty=True, error=DataError)
         if not np.isfinite(self.values).all():  # ndarray.all(): np.all() takes about 1 us more
             raise DataError(f"window {self.ticker}@{self.start_date} has non-finite values")

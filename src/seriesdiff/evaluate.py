@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import _csv_columns, _numbers
+from .dataio import _check_types, _csv_columns, _numbers
 from .errors import DataError, NumericError, ParameterError, check_array, check_int
 
 __all__ = [
@@ -85,8 +85,8 @@ def rank_ic(predicted: np.ndarray, realized: np.ndarray) -> float:
 class PredictionPanel:
     """Full grid of per-date, per-ticker scores and realized returns.
 
-    dates : D strings, strictly increasing.
-    tickers : N unique names.
+    dates : a list of D str, strictly increasing.
+    tickers : a list of N unique str.
     scores, returns : (D, N) float arrays, finite.
     """
 
@@ -96,6 +96,7 @@ class PredictionPanel:
     returns: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_types(("dates", self.dates, list), ("tickers", self.tickers, list))
         scores = check_array(self.scores, "scores", finite=True, error=DataError)
         returns = check_array(self.returns, "returns", finite=True, error=DataError)
         D, N = len(self.dates), len(self.tickers)

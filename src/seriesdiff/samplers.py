@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (NumericError, ParameterError, check_array, check_finite_rows, check_int,
                      check_real)
-from .regularizers import AntvConfig, BandSpec, antv_step, bp_grad_step
+from .regularizers import AntvConfig, BandSpec, antv_step, band_mask, bp_grad_step
 from .schedules import NoiseSchedule, SigmaLadder, forward_perturb
 from .scorenet import ConditionVector, ScoreNetworkParams, _Prepared, predict_eps
 
@@ -229,8 +229,8 @@ class SamplerConfig:
         one per condition and does not read it.
     lambda_antv : smoothing step size applied after each denoising step, and
         so the sweep's whole strength; 0 disables.
-    lambda_bp : spectral-anchor step size, used only on rows with a donor
-        window; 0 disables; below 1/L, or the anchor diverges.
+    lambda_bp : spectral-anchor step size, used only when the rows have donor
+        windows; 0 disables; below 1/L, or the anchor diverges.
     antv_window/antv_sigma : smoothing shape parameters.
     band_low/band_high : inclusive frequency band of the spectral anchor.
     seed : base seed; row i of ``sample_rows`` runs on the i-th spawned child
@@ -299,34 +299,32 @@ def _reverse(
     schedule: NoiseSchedule,
     cfg: SamplerConfig,
     conditions: Sequence[ConditionVector | None],
-    sources: Sequence[np.ndarray | None],
+    sources: np.ndarray | Sequence[np.ndarray] | None,
     rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
-    """The reverse loop over a (B, L) state.
+    """The reverse loop over a (B, L) state; ``sources`` gives every row a donor or is None.
 
     Per step, in order: the guided noise prediction, the skip update, the
-    smoothing sweep (if enabled), and the spectral-anchor step on the rows
-    with a donor.  Row i draws its initial state and its noise from ``rngs[i]``.
+    smoothing sweep (if enabled), and the spectral-anchor step (with donors).
+    Row i draws its initial state and its noise from ``rngs[i]``.
     """
     L = params.config.input_len
     jumps = _jumps(schedule, cfg)
     guide = _guidance(params, conditions, len(conditions), cfg.guidance)
-    anchored = [i for i, src in enumerate(sources) if src is not None]
-    if anchored and cfg.lambda_bp >= 1.0 / L:
-        raise ParameterError(f"lambda_bp={cfg.lambda_bp} must be below 1/L = {1.0 / L:.6g} "
-                             f"(L={L}), or the spectral anchor diverges")
-    sources = [src if src is None else
-               check_array(src, f"donor window of row {i}", ndim=(1,), last=L, finite=True)
-               for i, src in enumerate(sources)]
-    x = np.empty((len(conditions), L))
-    for i, (src, rng) in enumerate(zip(sources, rngs)):
-        x[i] = rng.standard_normal(L) if src is None else forward_perturb(
-            src, jumps[0][0], rng.standard_normal(L), schedule)
+    x = np.array([rng.standard_normal(L) for rng in rngs])
+    band = None
+    if sources is not None:
+        if cfg.lambda_bp >= 1.0 / L:
+            raise ParameterError(f"lambda_bp={cfg.lambda_bp} must be below 1/L = {1.0 / L:.6g} "
+                                 f"(L={L}), or the spectral anchor diverges")
+        if cfg.lambda_bp > 0.0:  # a band past L // 2 fails here, before any network call
+            band_mask(L, band := BandSpec(cfg.band_low, cfg.band_high))
+        sources = check_array(sources, "donor stack", ndim=(2,), last=L, like=("the state", x),
+                              finite=True)
+        x = forward_perturb(sources, jumps[0][0], x, schedule)
     antv_cfg = None
     if cfg.lambda_antv > 0.0:
         antv_cfg = AntvConfig(window=cfg.antv_window, sigma=cfg.antv_sigma, rate=cfg.lambda_antv)
-    band = BandSpec(cfg.band_low, cfg.band_high) if anchored else None
-    refs = np.array([sources[i] for i in anchored])
     for t_cur, t_prev, sigma in jumps:
         eps_hat = guided_eps(params, x, t_cur, guide, cfg.guidance)
         x = ddim_mean(x, t_cur, t_prev, eps_hat, schedule, sigma)
@@ -334,8 +332,8 @@ def _reverse(
             x = x + sigma * np.array([rng.standard_normal(L) for rng in rngs])
         if antv_cfg is not None:
             x = antv_step(x, antv_cfg)
-        if band is not None and cfg.lambda_bp > 0.0:
-            x[anchored] = bp_grad_step(x[anchored], refs, band, cfg.lambda_bp)
+        if band is not None:
+            x = bp_grad_step(x, sources, band, cfg.lambda_bp)
         check_finite_rows(x, f"sampler state after step t={t_cur}")
     return x
 
@@ -357,7 +355,7 @@ def sample_one(
     Raises NumericError with the offending step if the state leaves the
     finite range.
     """
-    return _reverse(params, schedule, cfg, [condition], [source], [rng])[0]
+    return _reverse(params, schedule, cfg, [condition], None if source is None else [source], [rng])[0]
 
 
 def sample_rows(
@@ -365,18 +363,15 @@ def sample_rows(
     schedule: NoiseSchedule,
     cfg: SamplerConfig,
     conditions: Sequence[ConditionVector | None],
-    sources: Sequence[np.ndarray | None] | None = None,
+    sources: np.ndarray | Sequence[np.ndarray] | None = None,
 ) -> np.ndarray:
     """Draw one window per condition, as a (len(conditions), L) array.
 
     Row i is ``sample_one`` on child stream i spawned from ``cfg.seed``, with
-    ``conditions[i]`` and donor window ``sources[i]`` (None, or no
-    ``sources``, means no donor); so it does not depend on how many rows are
-    drawn.  ``cfg.num_samples`` is not read.
+    ``conditions[i]`` and donor window ``sources[i]``, so it does not depend on
+    how many rows are drawn.  ``sources`` is None (no donors) or one donor per
+    row, as a (B, L) array or B windows.  ``cfg.num_samples`` is not read.
     """
-    sources = [None] * len(conditions) if sources is None else list(sources)
-    if len(sources) != len(conditions):
-        raise ParameterError(f"{len(sources)} sources for {len(conditions)} conditions")
     if not conditions:
         return np.empty((0, params.config.input_len))
     streams = np.random.SeedSequence(cfg.seed).spawn(len(conditions))

@@ -541,7 +541,7 @@ def train(
     conditions: Sequence[tuple[int, int] | None],
     schedule: NoiseSchedule,
     config: TrainConfig,
-    net_config: ScoreNetConfig | None = None,
+    net_config: ScoreNetConfig,
 ) -> TrainResult:
     """Fit the network by minibatch Adam on the denoising loss.
 
@@ -550,16 +550,11 @@ def train(
     draw in a fixed order.  Zero epochs returns the untouched random
     initialization.  Divergence (non-finite loss) raises NumericError.
     """
-    windows = check_array(windows, "windows", ndim=(2,), nonempty=True, finite=True)
-    N, L = windows.shape
+    windows = check_array(windows, "windows", ndim=(2,), nonempty=True, last=net_config.input_len,
+                          finite=True)
+    N = len(windows)
     if len(conditions) != N:
         raise ParameterError("conditions must match the number of windows")
-    if net_config is None:
-        net_config = ScoreNetConfig(input_len=L)
-    elif net_config.input_len != L:
-        raise ParameterError(
-            f"net input_len {net_config.input_len} does not match window length {L}"
-        )
     _condition_arrays(conditions, net_config)  # each bad id named by its index, not a batch slot
 
     rng = np.random.default_rng(config.seed)

@@ -88,6 +88,13 @@ def test_record_requires_increasing_dates():
         replace(rec, dates=rec.dates[::-1])  # replace re-runs the check
 
 
+def test_record_needs_one_date_per_close():
+    rec = _record([1.0, 2.0, 3.0])
+    with pytest.raises(DataError,
+                       match=r"^close of shape \(3,\) does not end in an axis of length 2$"):
+        replace(rec, dates=rec.dates[:2])
+
+
 def test_short_interior_gap_is_interpolated():
     closes = [10.0, np.nan, np.nan, 16.0, 17.0]
     rec = repair_suspensions(_record(closes), max_interp_gap=5)
@@ -264,6 +271,12 @@ def test_make_windows_too_short_raises():
     rec = _record([10.0, 11.0, 12.0])
     with pytest.raises(DataError):
         make_windows(rec, length=5, step=2)
+
+
+def test_make_windows_rejects_unrepaired_gaps():
+    rec = _record([10.0, np.nan, 12.0])
+    with pytest.raises(DataError, match="^record 600000: unrepaired gaps remain$"):
+        make_windows(rec, length=2, step=1)
 
 
 def test_split_is_per_ticker_chronological():

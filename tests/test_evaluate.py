@@ -38,6 +38,8 @@ def test_ic_matches_oracle_and_rejects_constants():
         information_coefficient(np.full(7, 0.1), rng.standard_normal(7))
     with pytest.raises(ParameterError):
         information_coefficient(np.ones(5), np.ones(4))
+    with pytest.raises(DataError, match="^inputs contain non-finite values$"):
+        information_coefficient(np.array([1.0, np.nan, 2.0]), rng.standard_normal(3))
 
 
 def test_average_ranks_with_ties():
@@ -86,6 +88,8 @@ def test_panel_validation():
             dates=["d1"], tickers=["A", "A"],
             scores=np.zeros((1, 2)), returns=np.zeros((1, 2)),
         )
+    with pytest.raises(DataError, match="^panel needs at least one date and one ticker$"):
+        PredictionPanel(dates=[], tickers=["A"], scores=np.zeros((0, 1)), returns=np.zeros((0, 1)))
 
 
 def test_read_panel_csv(tmp_path, panel_csv):

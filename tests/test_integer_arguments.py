@@ -271,7 +271,8 @@ ARRAY_CASES = {
                          (ROW, [r[:3] for r in PAIR], [ROW, [1.0, np.nan, 0.0, 0.0]])),
     "train.windows": (lambda v: train(v, [None, None], SCH, TrainConfig(epochs=1, batch_size=1),
                                       NET).params.values, PAIR,
-                      (ROW, np.zeros((0, L)), [ROW, [1.0, np.inf, 0.0, 0.0]])),
+                      (ROW, np.zeros((0, L)), np.zeros((2, L - 1)),
+                       [ROW, [1.0, np.inf, 0.0, 0.0]])),
     "ScoreNetworkParams.values": (lambda v: ScoreNetworkParams(NET, v).values,
                                   (np.arange(PARAMS.n_params) % 3).tolist(),
                                   (np.zeros((1, PARAMS.n_params)), np.zeros(PARAMS.n_params - 1))),
@@ -284,9 +285,8 @@ ARRAY_CASES = {
     "langevin_sample.step_sizes": (_langevin, [1.0, 2.0], ([[1.0, 2.0]], [1.0, 2.0, 3.0])),
     "langevin_sample.score_fn output": (lambda v: _langevin(score=lambda x: v), [1.0, 2.0],
                                         ([1.0, 2.0, 3.0],)),
-    "sample_rows.donor window of row 0": (lambda v: sample_rows(PARAMS, SCH, NULL_DRAW, [None],
-                                                                [v]), ROW,
-                                          ([ROW], ROW[:3], [1.0, np.nan, 0.0, 0.0])),
+    "sample_rows.donor stack": (lambda v: sample_rows(PARAMS, SCH, NULL_DRAW, [None], v), [ROW],
+                                ([[ROW]], [ROW[:3]], PAIR, [[1.0, np.nan, 0.0, 0.0]])),
     "denormalize_window.values": (lambda v: denormalize_window(v, ([0.5, 1.0], [1.0, 2.0])),
                                   PAIR, ()),
     "denormalize_window.mean": (lambda v: denormalize_window(PAIR, (v, [1.0, 2.0])),
@@ -370,6 +370,26 @@ def test_a_window_takes_str_text_fields_and_a_bool_flag():
                                 ("synthetic", "false", "synthetic of type str is not bool")):
         with pytest.raises(DataError, match=f"^{message}$"):
             _window(**{field: bad})
+
+
+def test_records_and_panels_take_str_text_fields():
+    # a text field, or each entry of a list of them, must be a str; a str is not such a list
+    for call, message in (
+        (lambda: StockRecord(600000, [1, 2, 3], [1.0, 2.0, 3.0], 3, Board.MAIN),
+         "ticker of type int is not str"),
+        (lambda: StockRecord("600000", [1, 2, 3], [1.0, 2.0, 3.0], 3, Board.MAIN),
+         "dates[0] of type int is not str"),
+        (lambda: StockRecord("600000", tuple(DAYS[:3]), [1.0, 2.0, 3.0], 3, Board.MAIN),
+         "dates of type tuple is not list"),
+        (lambda: PredictionPanel("ab", "cd", np.eye(2), np.eye(2)),
+         "dates of type str is not list"),
+        (lambda: PredictionPanel(DAYS[:2], "cd", np.eye(2), np.eye(2)),
+         "tickers of type str is not list"),
+        (lambda: PredictionPanel(DAYS[:2], ["A", 5], np.eye(2), np.eye(2)),
+         "tickers[1] of type int is not str"),
+    ):
+        with pytest.raises(DataError, match="^" + re.escape(message) + "$"):
+            call()
 
 
 def test_array_messages_give_the_dtype_or_shape_and_never_the_values():

@@ -309,22 +309,29 @@ def test_smoothing_and_anchor_hooks_change_the_draw():
 
 
 def test_source_window_shape_checked():
+    # donors come for every row or for none, as one (B, L) stack that is checked as a whole
     params = _noisy_params(10)
     sch = make_linear_schedule(12, 1e-3, 0.1)
     cfg = SamplerConfig(mode="ddim", steps=6, guidance=0.0,
                         lambda_bp=0.01, band_low=0, band_high=1)
-    with pytest.raises(ParameterError, match="row 0"):
-        sample_one(params, sch, cfg, None, np.random.default_rng(0), source=np.ones(5))
-    with pytest.raises(ParameterError, match="row 0"):
-        sample_one(params, sch, cfg, None, np.random.default_rng(0),
-                   source=np.array([1.0, np.nan, 0.0]))
-    with pytest.raises(ParameterError, match="row 2"):
-        sample_rows(params, sch, cfg, [None] * 3, sources=[np.ones(3), None, np.ones(4)])
+    for source, problem in ((np.ones(5), "of shape (1, 5) does not end in an axis of length 3"),
+                            ([1.0, np.nan, 0.0], "of shape (1, 3) has non-finite entries")):
+        with pytest.raises(ParameterError, match="^" + re.escape(f"donor stack {problem}") + "$"):
+            sample_one(params, sch, cfg, None, np.random.default_rng(0), source=source)
+    for sources, problem in (
+        ([np.ones(3), None, np.ones(3)], "is not a rectangular array"),
+        ([None] * 3, "of dtype object is not an array of real numbers"),
+        ([np.ones(3), np.ones(3), np.ones(4)], "is not a rectangular array"),
+        (np.ones((2, 3)), "of shape (2, 3) does not match the state of shape (3, 3)"),
+        (np.ones(3), "of shape (3,) is not of rank 2"),
+    ):
+        with pytest.raises(ParameterError, match="^" + re.escape(f"donor stack {problem}") + "$"):
+            sample_rows(params, sch, cfg, [None] * 3, sources=sources)
 
 
 def test_sample_rows_matches_sample_one_across_tile_boundaries():
     # guided rows and their NULL twins share one network call in 8-row tiles;
-    # every row must still be its own one-row draw, bit for bit
+    # every row must still be its own one-row draw, bit for bit, with donors and without
     params = _noisy_params(12)
     sch = make_linear_schedule(12, 1e-3, 0.1)
     rng = np.random.default_rng(4)
@@ -332,13 +339,13 @@ def test_sample_rows_matches_sample_one_across_tile_boundaries():
                         antv_window=1, lambda_bp=0.1, band_low=0, band_high=1, seed=21)
     for n in (1, 7, 8, 9, 17):
         conds = [encode_condition(i % 3, i % 5, params) for i in range(n)]
-        sources = [None if i % 3 == 1 else np.cumsum(rng.standard_normal(3)) for i in range(n)]
-        rows = sample_rows(params, sch, cfg, conds, sources=sources)
         streams = np.random.SeedSequence(21).spawn(n)
-        for i in range(n):
-            one = sample_one(params, sch, cfg, conds[i],
-                             np.random.default_rng(streams[i]), source=sources[i])
-            assert np.array_equal(rows[i], one), (n, i)
+        for sources in (np.cumsum(rng.standard_normal((n, 3)), axis=1), None):
+            rows = sample_rows(params, sch, cfg, conds, sources=sources)
+            for i in range(n):
+                one = sample_one(params, sch, cfg, conds[i], np.random.default_rng(streams[i]),
+                                 source=None if sources is None else sources[i])
+                assert np.array_equal(rows[i], one), (n, i, sources is None)
 
 
 def test_guided_eps_batch_matches_rows():
@@ -400,12 +407,33 @@ def test_spectral_anchor_rate_must_contract():
     with pytest.raises(ParameterError, match="1/L"):
         sample_one(params, sch, cfg, None, np.random.default_rng(0), source=source)
     with pytest.raises(ParameterError, match="1/L"):
-        sample_rows(params, sch, cfg, [None, None], sources=[None, source])
+        sample_rows(params, sch, cfg, [None, None], sources=[source, source])
     below = replace(cfg, lambda_bp=0.33)
     assert np.all(np.isfinite(
         sample_one(params, sch, below, None, np.random.default_rng(0), source=source)))
     # without a donor the anchor never runs, so the rate is not checked
     assert sample_rows(params, sch, cfg, [None]).shape == (1, 3)
+
+
+def test_a_band_past_nyquist_fails_before_any_step(monkeypatch):
+    # L = 3 has Nyquist index 1: band_high = 2 used to fail inside the first
+    # anchor step, after one guided evaluation
+    params = _noisy_params(18)
+    sch = make_linear_schedule(12, 1e-3, 0.1)
+    cfg = SamplerConfig(mode="ddim", steps=6, guidance=0.0, lambda_bp=0.01, band_low=0,
+                        band_high=2, seed=2)
+    sources = np.ones((2, 3))
+    # the band is read only by the anchor: without donors or at lambda_bp = 0 the draw runs
+    assert sample_rows(params, sch, cfg, [None, None]).shape == (2, 3)
+    unanchored = replace(cfg, lambda_bp=0.0)
+    assert sample_rows(params, sch, unanchored, [None, None], sources).shape == (2, 3)
+
+    def step(*args, **kwargs):
+        raise AssertionError("a reverse step ran")
+
+    monkeypatch.setattr(samplers, "guided_eps", step)
+    with pytest.raises(ParameterError, match="^band high edge 2 exceeds Nyquist index 1 for n=3$"):
+        sample_rows(params, sch, cfg, [None, None], sources)
 
 
 def test_non_finite_state_names_step_and_rows():

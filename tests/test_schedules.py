@@ -106,6 +106,8 @@ def test_from_dict_revalidates():
         schedule_from_dict({"T": 2, "beta": [0.5, 0.2]})
     with pytest.raises(ParameterError):
         schedule_from_dict({"T": 3, "beta": [0.5, 0.5]})  # length mismatch
+    with pytest.raises(ParameterError, match="^malformed schedule object: 'T'$"):
+        schedule_from_dict({})
 
 
 @settings(max_examples=40, deadline=None)

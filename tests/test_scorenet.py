@@ -462,6 +462,12 @@ def test_train_divergence_raises():
         )
 
 
+def test_train_checks_the_conditions_count_before_any_batch():
+    sch = make_linear_schedule(5, 1e-3, 0.2)
+    with pytest.raises(ParameterError, match="^conditions must match the number of windows$"):
+        train(np.zeros((3, 2)), [None] * 2, sch, TrainConfig(epochs=0), TINY)
+
+
 def test_train_config_validation():
     with pytest.raises(ParameterError):
         TrainConfig(epochs=-1)
