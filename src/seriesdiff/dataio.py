@@ -24,7 +24,7 @@ import os
 from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterator, TextIO
 
@@ -99,7 +99,7 @@ def _check_types(*fields: tuple[str, object, type]) -> None:
     for name, value, kind in fields:
         if not isinstance(value, kind):
             raise DataError(f"{name} of type {type(value).__name__} is not {kind.__name__}")
-        if kind is list and not all(isinstance(v, str) for v in value):
+        if kind is list and not all(map(isinstance, value, repeat(str))):
             _check_types(*((f"{name}[{i}]", v, str) for i, v in enumerate(value)))
 
 
