@@ -39,21 +39,23 @@ def _defaults(prefix: str, target: Callable[..., object], **chosen: object) -> d
     return {f"{prefix}.{name}": value for name, value in {**kept, **chosen}.items()}
 
 
-# not settings: seed (--seed sets it), n_boards (the Board width); data and eval map by hand
+def _args(config: dict[str, object], prefix: str, target: Callable[..., object]
+          ) -> dict[str, object]:
+    """The ``prefix.*`` keys of ``config`` that name a parameter of ``target``, prefix stripped."""
+    return {name: config[key] for name in inspect.signature(target).parameters
+            if (key := f"{prefix}.{name}") in config}
+
+
+# not settings: seed (--seed sets it), n_boards (the Board width)
 DEFAULT_CONFIG: dict[str, object] = {
     **_defaults("schedule", make_linear_schedule, steps=400),
-    "data.window": 60,
-    "data.step": 20,
-    "data.ipo_head_days": 5,
-    "data.max_interp_gap": 5,
-    "data.max_long_gaps": 3,
-    "data.max_gap_days": 60,
-    "data.train_fraction": 0.8,
+    **_defaults("data", dataio.prepare_windows),
+    **_defaults("data", dataio.split_train_test),
     **_defaults("net", scorenet.ScoreNetConfig),
     **_defaults("train", scorenet.TrainConfig, epochs=20),
     **_defaults("sampler", samplers.SamplerConfig, steps=50, num_samples=4,
                 lambda_antv=0.03, lambda_bp=0.005),
-    "eval.top_k": 20,
+    **_defaults("eval", evaluate.topk_dropk_backtest),
 }
 
 
@@ -140,24 +142,11 @@ def _parse_ratio(text: str) -> tuple[int, int]:
     return real, synth
 
 
-def _group(config: dict[str, object], prefix: str) -> dict[str, object]:
-    """The ``prefix.*`` keys of ``config`` with the prefix stripped."""
-    head = prefix + "."
-    return {key[len(head):]: value for key, value in config.items() if key.startswith(head)}
-
-
 def cmd_ingest(args: argparse.Namespace, config: dict[str, object]) -> int:
     out = _out_dir(args)
     records = dataio.read_close_csv(args.csv, n_industries=config["net.n_industries"])
-    windows, report = dataio.prepare_windows(
-        records,
-        length=config["data.window"],
-        step=config["data.step"],
-        ipo_head_days=config["data.ipo_head_days"],
-        max_interp_gap=config["data.max_interp_gap"],
-        max_long_gaps=config["data.max_long_gaps"],
-        max_gap_days=config["data.max_gap_days"],
-    )
+    windows, report = dataio.prepare_windows(records,
+                                             **_args(config, "data", dataio.prepare_windows))
     if not windows:
         raise DataError("ingest produced no windows; every record was skipped or too short")
     dataio.write_window_store(windows, out / "windows.jsonl")
@@ -172,17 +161,18 @@ def cmd_train(args: argparse.Namespace, config: dict[str, object]) -> int:
     length = config["data.window"]
     store = dataio.read_window_store(args.store, length, config["net.n_industries"])
     train_split, test_split = dataio.split_train_test(
-        store, train_fraction=config["data.train_fraction"]
+        store, **_args(config, "data", dataio.split_train_test)
     )
     windows = np.stack([w.values for w in train_split])
     conditions = [w.condition for w in train_split]
-    schedule = make_linear_schedule(**_group(config, "schedule"))
+    schedule = make_linear_schedule(**_args(config, "schedule", make_linear_schedule))
     result = scorenet.train(
         windows,
         conditions,
         schedule,
-        scorenet.TrainConfig(seed=args.seed, **_group(config, "train")),
-        net_config=scorenet.ScoreNetConfig(input_len=length, **_group(config, "net")),
+        scorenet.TrainConfig(seed=args.seed, **_args(config, "train", scorenet.TrainConfig)),
+        net_config=scorenet.ScoreNetConfig(input_len=length,
+                                          **_args(config, "net", scorenet.ScoreNetConfig)),
     )
     digest = config_digest(config)
     scorenet.save_checkpoint(
@@ -225,7 +215,7 @@ def cmd_sample(args: argparse.Namespace, config: dict[str, object]) -> int:
     params, schedule = _load_model(args)
     board = None if args.board is None else _parse_board(args.board)
     condition = scorenet.encode_condition(args.industry, board, params)
-    cfg = samplers.SamplerConfig(seed=args.seed, **_group(config, "sampler"))
+    cfg = samplers.SamplerConfig(seed=args.seed, **_args(config, "sampler", samplers.SamplerConfig))
     result = samplers.sample(params, schedule, cfg, condition)
     base = {
         "industry_id": args.industry,
@@ -256,7 +246,8 @@ def cmd_augment(args: argparse.Namespace, config: dict[str, object]) -> int:
         if not targets:
             raise DataError(f"store has no real windows on board {board.name}")
         n_synth = (len(targets) * synth) // real
-        cfg = samplers.SamplerConfig(seed=args.seed, **_group(config, "sampler"))
+        cfg = samplers.SamplerConfig(seed=args.seed,
+                                     **_args(config, "sampler", samplers.SamplerConfig))
         # --use-mean draws k consecutive rows per synthetic window and averages them
         k = cfg.num_samples if args.use_mean else 1
         donors = [targets[i % len(targets)] for i in range(n_synth) for _ in range(k)]
@@ -313,9 +304,9 @@ def _equity_svg(dates: list[str], y: np.ndarray) -> str:
 def cmd_backtest(args: argparse.Namespace, config: dict[str, object]) -> int:
     out = _out_dir(args)
     panel = evaluate.read_panel_csv(args.panel)
-    k = config["eval.top_k"]
-    result = evaluate.topk_dropk_backtest(panel, k=k)
-    summary = evaluate.summarize_backtest(panel, k=k, result=result)
+    top_k = _args(config, "eval", evaluate.topk_dropk_backtest)
+    result = evaluate.topk_dropk_backtest(panel, **top_k)
+    summary = evaluate.summarize_backtest(panel, **top_k, result=result)
     summary["config_digest"] = config_digest(config)
     _write_json(summary, out / "summary.json")
     with dataio._replacing(out / "backtest.csv") as fh:

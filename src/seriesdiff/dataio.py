@@ -31,7 +31,7 @@ from typing import Iterator, TextIO
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DataError, ParameterError, check_array, check_int, check_real
+from .errors import DataError, ParameterError, _shown, check_array, check_int, check_real
 
 __all__ = [
     "Board",
@@ -86,11 +86,11 @@ _BOARD_PREFIXES: tuple[tuple[str, Board], ...] = (
 def classify_board(ticker: str) -> Board:
     """Listing board from the ticker's numeric prefix; unknown prefixes are errors."""
     if not ticker or not ticker.isdigit():
-        raise DataError(f"ticker {ticker!r} is not a numeric code")
+        raise DataError(f"ticker {_shown(ticker, repr)} is not a numeric code")
     for prefix, board in _BOARD_PREFIXES:
         if ticker.startswith(prefix):
             return board
-    raise DataError(f"ticker {ticker!r} has no known board prefix")
+    raise DataError(f"ticker {_shown(ticker, repr)} has no known board prefix")
 
 
 def _check_types(*fields: tuple[str, object, type]) -> None:
@@ -125,8 +125,8 @@ class StockRecord:
         _check_types(("ticker", self.ticker, str), ("dates", self.dates, list))
         self.close = check_array(self.close, "close", ndim=(1,), last=len(self.dates), error=DataError)
         if not all(map(operator.lt, self.dates, self.dates[1:])):
-            raise DataError(f"record {self.ticker}: dates must be strictly increasing")
-        where = f" in record {self.ticker}"
+            raise DataError(f"record {_shown(self.ticker)}: dates must be strictly increasing")
+        where = f" in record {_shown(self.ticker)}"
         self.industry_id = check_int(self.industry_id, "industry_id", 0, where=where)
         if type(self.board) is not Board:
             self.board = Board(check_int(self.board, "board", 0, len(Board), where=where))
@@ -165,7 +165,7 @@ def repair_suspensions(
     close = record.close.copy()
     missing = ~np.isfinite(close)
     if int(np.sum(~missing)) < 2:
-        raise DataError(f"record {record.ticker}: fewer than 2 present closes")
+        raise DataError(f"record {_shown(record.ticker)}: fewer than 2 present closes")
 
     dates = list(record.dates)
     notes = list(record.notes)
@@ -252,7 +252,8 @@ class SeriesWindow:
                      ("synthetic", self.synthetic, bool))
         self.values = check_array(self.values, "values", ndim=(1,), nonempty=True, error=DataError)
         if not np.isfinite(self.values).all():  # ndarray.all(): np.all() takes about 1 us more
-            raise DataError(f"window {self.ticker}@{self.start_date} has non-finite values")
+            raise DataError(f"window {_shown(self.ticker)}@{_shown(self.start_date)} has "
+                            "non-finite values")
         self.mean = check_real(self.mean, "mean", error=DataError)
         self.scale = check_real(self.scale, "scale", 0, open_low=True, error=DataError)
         self.industry_id = check_int(self.industry_id, "industry_id", 0)
@@ -303,11 +304,10 @@ def make_windows(record: StockRecord, length: int = 60, step: int = 20) -> list[
     check_int(length, "length", 2)
     check_int(step, "step", 1)
     if len(record) < length:
-        raise DataError(
-            f"record {record.ticker}: {len(record)} rows are fewer than the window length {length}"
-        )
+        raise DataError(f"record {_shown(record.ticker)}: {len(record)} rows are fewer than "
+                        f"the window length {length}")
     if not np.all(np.isfinite(record.close)):
-        raise DataError(f"record {record.ticker}: unrepaired gaps remain")
+        raise DataError(f"record {_shown(record.ticker)}: unrepaired gaps remain")
     values, (mu, scale) = normalize_window(sliding_window_view(record.close, length)[::step])
     # zip stops at the last window; dates[::step] may run past it
     return [
@@ -436,15 +436,15 @@ def read_close_csv(path: str | Path, n_industries: int = 124) -> list[StockRecor
         try:
             value = float(cell) if cell else 1.0
         except ValueError:
-            raise DataError(f"{at}: close {cell!r} is not a number") from None
+            raise DataError(f"{at}: close {_shown(cell, repr)} is not a number") from None
         if not (math.isfinite(value) and value > 0.0):
-            raise DataError(f"{at}: close must be positive, got {cell}")
+            raise DataError(f"{at}: close must be positive, got {_shown(cell)}")
         try:
             industry_i = int(ind)
         except ValueError:
-            raise DataError(f"{at}: industry_id {ind!r} is not an integer") from None
+            raise DataError(f"{at}: industry_id {_shown(ind, repr)} is not an integer") from None
         if not 0 <= industry_i < n_industries:
-            raise DataError(f"{at}: industry_id {industry_i} outside [0, {n_industries})")
+            raise DataError(f"{at}: industry_id {_shown(industry_i)} outside [0, {n_industries})")
     order = np.lexsort((d_code, t_code))
     d_code, t_code, close, industry = d_code[order], t_code[order], close[order], industry[order]
     repeat = np.r_[False, (d_code[1:] == d_code[:-1]) & (t_code[1:] == t_code[:-1])]
@@ -454,8 +454,8 @@ def read_close_csv(path: str | Path, n_industries: int = 124) -> list[StockRecor
     for ticker, a, b in zip(tickers, bounds, bounds[1:]):
         if repeat[a:b].any():  # name a few, so one bad ticker cannot flood the message
             dupes = day[np.unique(d_code[a:b][repeat[a:b]])].tolist()
-            raise DataError(f"{path}: ticker {ticker} has {len(dupes)} duplicate dates, "
-                            f"first {', '.join(dupes[:5])}")
+            raise DataError(f"{path}: ticker {_shown(ticker)} has {len(dupes)} duplicate dates, "
+                            f"first {_shown(', '.join(dupes[:5]))}")
         dates_j, industry_j = day[d_code[a:b]].tolist(), int(industry[b - 1])
         records.append(StockRecord(ticker, dates_j, close[a:b], industry_j, classify_board(ticker)))
     return records
@@ -463,7 +463,7 @@ def read_close_csv(path: str | Path, n_industries: int = 124) -> list[StockRecor
 
 def prepare_windows(
     records: list[StockRecord],
-    length: int = 60,
+    window: int = 60,
     step: int = 20,
     ipo_head_days: int = 5,
     max_interp_gap: int = 5,
@@ -491,15 +491,15 @@ def prepare_windows(
         if trimmed.exclude:
             skipped.append({"ticker": record.ticker, "reasons": trimmed.notes})
             continue
-        if len(trimmed) < length:
+        if len(trimmed) < window:
             skipped.append(
                 {
                     "ticker": record.ticker,
-                    "reasons": [f"too short: {len(trimmed)} rows < window length {length}"],
+                    "reasons": [f"too short: {len(trimmed)} rows < window length {window}"],
                 }
             )
             continue
-        windows.extend(make_windows(trimmed, length=length, step=step))
+        windows.extend(make_windows(trimmed, length=window, step=step))
 
     report = {
         "n_records": len(records),
@@ -556,11 +556,12 @@ def _replacing(path: str | Path) -> Iterator[TextIO]:
 
 @contextmanager
 def _reading(path: str | Path, what: str, errors: str = "strict") -> Iterator[TextIO]:
-    """``path`` open for streaming; a failed open or decode, even mid-read, is a DataError."""
+    """``path`` open for streaming; a failed open, decode or CSV parse, even mid-read, is a
+    DataError."""
     try:
         with open(path, encoding="utf-8", errors=errors) as fh:
             yield fh
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         reason = getattr(exc, "strerror", None) or exc  # an OSError's text repeats the path
         raise DataError(f"cannot read {what} {path}: {reason}") from exc
 
@@ -569,7 +570,7 @@ def _read_json(path: str | Path, what: str) -> dict:
     """The JSON object stored at ``path``, or a DataError naming ``what`` and the path."""
     try:  # whole-file read, parsed after close; parsing inside _reading ran slower
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # bad JSON or UTF-8, or an integer too long to parse
+    except (OSError, ValueError, RecursionError) as exc:  # bad JSON or UTF-8, huge int, deep nest
         reason = getattr(exc, "strerror", None) or exc  # an OSError's text repeats the path
         raise DataError(f"cannot read {what} {path}: {reason}") from exc
     if not isinstance(obj, dict):
@@ -601,8 +602,8 @@ def _store_lines(path: str | Path, length: int, n_industries: int
                 w = SeriesWindow(obj["ticker"], obj["start_date"], obj["values"], obj["mean"],
                                  obj["scale"], obj["industry_id"], Board[obj["board"]],
                                  obj.get("synthetic", False))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: malformed window record: {exc}") from exc
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
+                raise DataError(f"{path}:{lineno}: malformed window record: {_shown(exc)}") from exc
             if w.values.size != length or w.industry_id >= n_industries:  # SeriesWindow: id >= 0
                 raise DataError(
                     f"{path}:{lineno}: window of length {w.values.size} and industry_id "

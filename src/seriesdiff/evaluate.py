@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import _check_types, _csv_columns, _numbers
-from .errors import DataError, NumericError, ParameterError, check_array, check_int
+from .errors import DataError, NumericError, ParameterError, _shown, check_array, check_int
 
 __all__ = [
     "information_coefficient",
@@ -139,11 +139,12 @@ def read_panel_csv(path: str | Path) -> PredictionPanel:
             raise DataError(f"{path}:{lines[i]}: score and return must be finite numbers")
         if cell[i] in held:
             d, t = dates[d_code[i]], tickers[t_code[i]]
-            raise DataError(f"{path}:{lines[i]}: duplicate cell ({d}, {t})")
+            raise DataError(f"{path}:{lines[i]}: duplicate cell ({_shown(d)}, {_shown(t)})")
         held.add(cell[i])
     if n != D * N:  # cells are unique, so the grid is full exactly when it holds D * N rows
         d, t = divmod(int(np.argmin(counts)), N)
-        raise DataError(f"{path}: missing cell for ({dates[d]}, {tickers[t]}); the grid must be full")
+        raise DataError(f"{path}: missing cell for ({_shown(dates[d])}, {_shown(tickers[t])}); "
+                        "the grid must be full")
     grid = np.empty((2, D * N))
     grid[0, cell], grid[1, cell] = scores, returns  # no (2, n) stack of the two first
     return PredictionPanel(dates, tickers, *grid.reshape(2, D, N))
@@ -169,21 +170,21 @@ class BacktestResult:
         return float(self.cumulative[-1])
 
 
-def topk_dropk_backtest(panel: PredictionPanel, k: int = 20) -> BacktestResult:
-    """Hold the top min(k, universe) names by score each date, equal-weighted.
+def topk_dropk_backtest(panel: PredictionPanel, top_k: int = 20) -> BacktestResult:
+    """Hold the top min(top_k, universe) names by score each date, equal-weighted.
 
     Ranking sorts by score descending with ties broken by ticker so results
-    are deterministic.  Universes smaller than k hold everything.
+    are deterministic.  Universes smaller than top_k hold everything.
     """
-    check_int(k, "k", 1)
+    check_int(top_k, "top_k", 1)
     tickers = np.asarray(panel.tickers)
     # lexsort's last key is primary: score descending, then ticker ascending, on every date
-    held = np.lexsort((np.broadcast_to(tickers, panel.scores.shape), -panel.scores))[:, :k]
+    held = np.lexsort((np.broadcast_to(tickers, panel.scores.shape), -panel.scores))[:, :top_k]
     daily = np.take_along_axis(panel.returns, held, axis=-1).mean(axis=-1)
     cumulative = np.cumprod(1.0 + daily) - 1.0
     bad = np.flatnonzero(~np.isfinite(cumulative))
     if bad.size:
-        raise NumericError(f"compounded return is non-finite from {panel.dates[bad[0]]} on")
+        raise NumericError(f"compounded return is non-finite from {_shown(panel.dates[bad[0]])} on")
     in_top = np.zeros(panel.scores.shape, dtype=bool)
     np.put_along_axis(in_top, held, True, axis=-1)
     return BacktestResult(
@@ -196,18 +197,18 @@ def topk_dropk_backtest(panel: PredictionPanel, k: int = 20) -> BacktestResult:
 
 
 def summarize_backtest(
-    panel: PredictionPanel, k: int = 20, result: BacktestResult | None = None
+    panel: PredictionPanel, top_k: int = 20, result: BacktestResult | None = None
 ) -> dict:
     """Backtest plus per-date IC / Rank IC averages, as one flat summary dict.
 
-    ``result`` is ``topk_dropk_backtest(panel, k)`` when the caller already
+    ``result`` is ``topk_dropk_backtest(panel, top_k)`` when the caller already
     holds it; otherwise the backtest runs here.  A date whose scores or
     returns are constant, where both correlations are undefined, is skipped
     and counted instead of poisoning the averages; with a 1-name universe
     every date is skipped and the averages are reported as None.
     """
     if result is None:
-        result = topk_dropk_backtest(panel, k=k)
+        result = topk_dropk_backtest(panel, top_k=top_k)
     step = max(1, 16_384 // len(panel.tickers))  # dates per block of ~16k cells, not one stack
 
     def correlations(a: int) -> tuple[np.ndarray, np.ndarray]:
@@ -219,7 +220,7 @@ def summarize_backtest(
     return {
         "n_dates": len(panel.dates),
         "n_tickers": len(panel.tickers),
-        "top_k": k,
+        "top_k": top_k,
         "cumulative_rr": result.cumulative_return,
         "mean_daily_return": float(np.mean(result.daily_returns)),
         "mean_ic": float(np.mean(ics)) if ics.size else None,

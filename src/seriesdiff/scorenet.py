@@ -48,7 +48,6 @@ __all__ = [
     "init_params",
     "predict_eps",
     "predict_eps_vjp",
-    "condition_dropout",
     "dsm_loss",
     "train",
     "save_checkpoint",
@@ -429,27 +428,6 @@ def predict_eps_vjp(
     return out[0], _backward(params, acts, cenc, mlp, cot)
 
 
-def condition_dropout(
-    iid: np.ndarray, bid: np.ndarray, p_uncond: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Set each (iid, bid) pair of the integer id vectors to NULL (-1) with probability p_uncond.
-
-    One uniform is drawn per batch element in order, so the drops are independent and the rng
-    stream consumed here is a pure function of the batch size.
-    """
-    p_uncond = check_real(p_uncond, "p_uncond", 0, 1)
-    check_array(bid, "bid", ndim=(1,), like=("iid", check_array(iid, "iid", ndim=(1,))))
-    iid, bid = np.asarray(iid), np.asarray(bid)  # as given: check_array made float copies
-    for name, ids in (("iid", iid), ("bid", bid)):
-        if not np.issubdtype(ids.dtype, np.integer):
-            raise ParameterError(f"{name} of dtype {ids.dtype} is not an array of integers")
-    u = rng.random(iid.shape[0])
-    drop = u < p_uncond
-    iid = np.where(drop, -1, iid)
-    bid = np.where(drop, -1, bid)
-    return iid, bid
-
-
 def _condition_arrays(
     conditions: Sequence[tuple[int, int] | None], cfg: ScoreNetConfig
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -481,13 +459,15 @@ def dsm_loss(
     Per element: draw t uniform on [1, T], corrupt the clean window with fresh
     noise, and penalize w_t * ||predicted noise - drawn noise||^2, averaged
     over the batch.  ``weighting`` "elbo" uses w_t = 1 - alpha_bar_t, "unit"
-    uses 1.  Conditions are dropped to NULL with probability ``p_uncond``.
-    The rng stream is consumed in a fixed order (steps, noise, dropout), so
-    the loss is a deterministic function of (params, batch, rng state); the
-    finite-difference tests rely on that.
+    uses 1.  Each condition is dropped to NULL when its own uniform draw falls
+    below ``p_uncond``, which lies in [0, 1).  The rng stream is consumed in a
+    fixed order (steps, noise, dropout), so the loss is a deterministic
+    function of (params, batch, rng state); the finite-difference tests rely
+    on that.
     """
     if weighting not in ("elbo", "unit"):
         raise ParameterError(f"unknown weighting {weighting!r}")
+    p_uncond = check_real(p_uncond, "p_uncond", 0, 1)
     windows = check_array(windows, "windows", ndim=(2,), last=params.config.input_len, finite=True)
     B, L = windows.shape
     if len(conditions) != B:
@@ -496,7 +476,8 @@ def dsm_loss(
 
     t = rng.integers(1, schedule.T + 1, size=B)
     eps = rng.standard_normal((B, L))
-    iid, bid = condition_dropout(iid, bid, p_uncond, rng)
+    drop = rng.random(B) < p_uncond
+    iid, bid = np.where(drop, -1, iid), np.where(drop, -1, bid)
 
     ab = schedule.alpha_bar[t - 1]
     x_t = np.sqrt(ab)[:, None] * windows + np.sqrt(1.0 - ab)[:, None] * eps

@@ -180,7 +180,7 @@ def test_full_pipeline_and_exit_codes(tmp_path, prices_csv, fast_config):
     summary = json.loads((run / "summary.json").read_text())
     assert summary["top_k"] == 3
     # every data cell is a plain decimal number equal to the backtest's own value
-    result = topk_dropk_backtest(read_panel_csv(panel), k=FAST["eval.top_k"])
+    result = topk_dropk_backtest(read_panel_csv(panel), top_k=FAST["eval.top_k"])
     rows = [line.split(",") for line in (run / "backtest.csv").read_text().splitlines()]
     assert rows[0] == ["date", "daily_return", "cumulative_rr"]
     assert [r[0] for r in rows[1:]] == result.dates
@@ -448,6 +448,43 @@ def test_ingest_and_backtest_open_every_file_as_utf8(tmp_path, prices_csv, panel
                 "--out", tmp_path / "run"]
         done = subprocess.run(argv, env=env, capture_output=True, timeout=300)
         assert done.returncode == 0, done.stderr.decode(errors="replace")
+
+
+DEEP = "[" * 200_000 + "]" * 200_000  # nested past the JSON parser's recursion limit
+
+
+@pytest.mark.parametrize("target", ["config", "checkpoint", "schedule", "manifest", "store"])
+def test_too_deeply_nested_json_is_a_typed_error(tmp_path, prices_csv, capsys, target):
+    run, config = _untrained_run(tmp_path, prices_csv)
+    sample = ("sample", run / "checkpoint.json", "--config", config, "--seed", 2,
+              "--industry", 7, "--board", "STAR", "--out", tmp_path / "o")
+    path, argv = {
+        "config": (tmp_path / "deep.json", ("ingest", prices_csv, "--config",
+                                            tmp_path / "deep.json", "--out", tmp_path / "o")),
+        "checkpoint": (run / "checkpoint.json", sample),
+        "schedule": (run / "schedule.json", sample),
+        "manifest": (run / "manifest.json", ("report", run)),
+        "store": (run / "windows.jsonl", ("train", run / "windows.jsonl", "--config", config,
+                                          "--seed", 1, "--out", tmp_path / "o")),
+    }[target]
+    path.write_text(DEEP + "\n")
+    capsys.readouterr()
+    assert _run(*argv) == (2 if target == "config" else 3)
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: " if target == "config" else "data error: ")
+    assert f"{path}" in err and "maximum recursion depth exceeded" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("verb, header", [("ingest", "date,ticker,close,industry_id"),
+                                          ("backtest", "date,ticker,score,realized_return")],
+                         ids=["close", "panel"])
+def test_a_cell_past_the_csv_field_limit_is_a_data_error(tmp_path, fast_config, capsys, verb,
+                                                         header):
+    # an unterminated quote runs its cell on past the csv module's 131,072-character limit
+    path = tmp_path / "input.csv"
+    path.write_text(f'{header}\n2021-01-04,600000,"{"1" * 140_000},1\n')
+    err = _data_error(capsys, verb, path, "--config", fast_config, "--out", tmp_path / "o")
+    assert err.startswith("data error: cannot read ") and f"{path}: field larger than" in err
 
 
 def test_store_industry_ids_outside_the_net_are_data_errors(tmp_path, prices_csv, capsys):

@@ -384,7 +384,7 @@ def test_replacing_removes_the_directories_it_made_when_the_body_raises(tmp_path
 
 def test_prepare_windows_report(prices_csv):
     records = read_close_csv(prices_csv)
-    windows, report = prepare_windows(records, length=60, step=20)
+    windows, report = prepare_windows(records, window=60, step=20)
     assert report["n_records"] == 8
     assert report["n_skipped_records"] == 0
     assert report["n_windows"] == len(windows)
@@ -399,7 +399,7 @@ def test_prepare_windows_report(prices_csv):
 def test_prepare_windows_skips_short_records():
     good = _record([10.0 + 0.1 * i for i in range(80)], ticker="600519")
     short = _record([10.0 + 0.1 * i for i in range(30)], ticker="000001")
-    windows, report = prepare_windows([good, short], length=60, step=20)
+    windows, report = prepare_windows([good, short], window=60, step=20)
     assert report["n_skipped_records"] == 1
     assert report["skipped"][0]["ticker"] == "000001"
     assert all(w.ticker == "600519" for w in windows)
@@ -409,7 +409,7 @@ def test_prepare_windows_skips_records_the_repair_excluded_with_its_reasons():
     good = _record([10.0 + 0.1 * i for i in range(80)], ticker="600519")
     closes = [10.0 + 0.1 * i for i in range(200)]
     closes[50:121] = [math.nan] * 71  # one gap longer than max_gap_days
-    windows, report = prepare_windows([good, _record(closes, ticker="000001")], length=60,
+    windows, report = prepare_windows([good, _record(closes, ticker="000001")], window=60,
                                       max_gap_days=60)
     assert report["n_skipped_records"] == 1 and report["skipped"][0]["ticker"] == "000001"
     assert "excluded: a gap of 71 days exceeds 60" in report["skipped"][0]["reasons"]
@@ -454,6 +454,28 @@ def test_window_store_round_trip(tmp_path):
         assert a.synthetic == b.synthetic
         assert np.array_equal(a.values, b.values)
         assert (a.mean, a.scale) == (b.mean, b.scale)
+
+
+LONG = "x" * 100_000
+STORE_LINE = {"ticker": "600000", "start_date": "2021-01-04", "values": [0.0] * 4, "mean": 0.0,
+              "scale": 1.0, "industry_id": 7, "board": "MAIN"}
+
+
+@pytest.mark.parametrize("read, text", [
+    (read_close_csv, f"date,ticker,close,industry_id\n2021-01-04,600000,{LONG},7"),
+    (read_close_csv, f"date,ticker,close,industry_id\n2021-01-04,600000,10.5,{LONG}"),
+    (read_close_csv, f"date,ticker,close,industry_id\n2021-01-04,{LONG},10.5,7"),
+    (read_panel_csv, "date,ticker,score,realized_return\n" + f"{LONG},600000,0.1,0.01\n" * 2),
+    (lambda p: read_window_store(p, 4, 124), json.dumps(dict(STORE_LINE, board=LONG))),
+    (lambda p: read_window_store(p, 4, 124),
+     json.dumps(dict(STORE_LINE, ticker=LONG, values=[math.nan] * 4))),
+], ids=["close", "industry", "ticker", "panel-duplicate-date", "store-board", "store-ticker"])
+def test_a_data_error_quoting_long_file_text_stays_bounded(tmp_path, read, text):
+    path = tmp_path / "input"
+    path.write_text(text + "\n")
+    with pytest.raises(DataError) as info:
+        read(path)
+    assert LONG[:10] in str(info.value) and len(str(info.value)) < 600
 
 
 def test_window_store_errors(tmp_path):

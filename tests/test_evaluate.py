@@ -149,18 +149,18 @@ def test_backtest_hand_example():
         scores=np.array([[3.0, 1.0, 2.0], [1.0, 1.0, 0.0]]),
         returns=np.array([[0.10, 0.00, -0.05], [0.02, 0.04, 0.00]]),
     )
-    res = topk_dropk_backtest(panel, k=1)
+    res = topk_dropk_backtest(panel, top_k=1)
     assert res.holdings == [["AAA"], ["AAA"]]
     assert np.allclose(res.daily_returns, [0.10, 0.02], atol=1e-15)
     assert res.cumulative[-1] == pytest.approx(1.10 * 1.02 - 1.0, abs=1e-15)
     assert res.turnover == 0.0  # same single name held both dates
 
-    res2 = topk_dropk_backtest(panel, k=2)
+    res2 = topk_dropk_backtest(panel, top_k=2)
     assert res2.holdings[0] == ["AAA", "CCC"]
     assert res2.holdings[1] == ["AAA", "BBB"]  # tie at 1.0 broken by ticker
     assert res2.turnover == 1.0  # CCC swapped out for BBB
 
-    res3 = topk_dropk_backtest(panel, k=10)  # k larger than the universe
+    res3 = topk_dropk_backtest(panel, top_k=10)  # k larger than the universe
     assert res3.holdings[0] == ["AAA", "CCC", "BBB"]  # score order, ties by name
 
 
@@ -177,14 +177,14 @@ def test_backtest_matches_reference_on_randoms():
             returns[rng.random(nd) < 0.3] = 0.01
         panel = PredictionPanel(dates=dates, tickers=tickers,
                                 scores=scores, returns=returns)
-        got = topk_dropk_backtest(panel, k=k)
+        got = topk_dropk_backtest(panel, top_k=k)
         holdings, daily, cum = reference_topk_backtest(dates, tickers, scores, returns, k)
         assert got.holdings == holdings
         assert np.max(np.abs(np.asarray(got.daily_returns) - daily)) < 1e-12
         assert got.cumulative_return == pytest.approx(cum, abs=1e-12)
         assert got.turnover == sum(len(set(a) - set(b)) for a, b in zip(holdings, holdings[1:]))
 
-        s = summarize_backtest(panel, k=k, result=got)
+        s = summarize_backtest(panel, top_k=k, result=got)
         kept = [d for d in range(nd) if np.ptp(scores[d]) > 0 and np.ptp(returns[d]) > 0]
         assert s["skipped_ic_dates"] == nd - len(kept)
         for key, oracle in (("mean_ic", pearson_direct), ("mean_rank_ic", spearman_direct)):
@@ -202,7 +202,7 @@ def test_summarize_backtest_keys_and_skips():
         scores=np.array([[1.0, 2.0, 3.0], [5.0, 5.0, 5.0]]),  # d2 constant
         returns=np.array([[0.01, 0.02, 0.03], [0.00, 0.01, 0.02]]),
     )
-    s = summarize_backtest(panel, k=2)
+    s = summarize_backtest(panel, top_k=2)
     assert s["n_dates"] == 2
     assert s["skipped_ic_dates"] == 1
     assert s["mean_ic"] == pytest.approx(1.0, abs=1e-12)  # d1 is perfectly aligned
@@ -213,7 +213,7 @@ def test_summarize_backtest_keys_and_skips():
         dates=["d1"], tickers=["A", "B"],
         scores=np.array([[1.0, 1.0]]), returns=np.array([[0.01, 0.02]]),
     )
-    s2 = summarize_backtest(all_bad, k=1)
+    s2 = summarize_backtest(all_bad, top_k=1)
     assert s2["mean_ic"] is None
     assert s2["mean_rank_ic"] is None
 
@@ -222,7 +222,7 @@ def test_summarize_backtest_keys_and_skips():
         dates=["d1", "d2", "d3"], tickers=["A"],
         scores=np.array([[1.0], [2.0], [3.0]]), returns=np.array([[0.01], [-0.02], [0.03]]),
     )
-    s1 = summarize_backtest(one_name, k=5)
+    s1 = summarize_backtest(one_name, top_k=5)
     assert (s1["mean_ic"], s1["mean_rank_ic"], s1["skipped_ic_dates"]) == (None, None, 3)
     assert (s1["turnover"], s1["top_k"]) == (0, 5)
     assert s1["mean_daily_return"] == pytest.approx(0.02 / 3, abs=1e-15)
@@ -235,7 +235,7 @@ def test_summarize_backtest_keys_and_skips():
         scores=np.stack([np.full(7, 0.1), seven]),
         returns=np.stack([0.01 * seven, -0.01 * seven]),
     )
-    s3 = summarize_backtest(constant_first, k=2)
+    s3 = summarize_backtest(constant_first, top_k=2)
     assert s3["skipped_ic_dates"] == 1
     assert s3["mean_ic"] == pytest.approx(-1.0, abs=1e-12)
     assert s3["mean_rank_ic"] == pytest.approx(-1.0, abs=1e-12)
@@ -256,11 +256,11 @@ def test_summarize_backtest_runs_over_blocks_of_dates_as_over_one_stack():
     scores[::13], returns[::17] = 0.5, 0.0  # constant dates, skipped
     panel = PredictionPanel([f"d{i:03d}" for i in range(D)], [f"T{j:03d}" for j in range(N)],
                             scores, returns)
-    result = topk_dropk_backtest(panel, k=20)
-    summarize_backtest(panel, k=20, result=result)  # first-call allocations are not its own
+    result = topk_dropk_backtest(panel, top_k=20)
+    summarize_backtest(panel, top_k=20, result=result)  # first-call allocations are not its own
     tracemalloc.start()
     try:
-        got = summarize_backtest(panel, k=20, result=result)
+        got = summarize_backtest(panel, top_k=20, result=result)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -73,7 +73,7 @@ REEXPORTED = [schedules, scorenet, samplers, regularizers, dataio, evaluate]
 # earlier names that were taken out of the package on purpose, each with its old module
 RETIRED = {"momentum_panel": evaluate, "return_ratio": evaluate, "log_return": evaluate,
            "perturb_to_level": samplers, "ddim_step": samplers, "antv_weight": regularizers,
-           "dsm_residual_loss": scorenet}
+           "dsm_residual_loss": scorenet, "condition_dropout": scorenet}
 README = SRC.parents[1] / "README.md"
 
 

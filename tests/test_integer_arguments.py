@@ -19,7 +19,7 @@ from seriesdiff import (AntvConfig, BandSpec, Board, DataError, NoiseSchedule, P
                         PredictionPanel, SamplerConfig, ScoreNetConfig, ScoreNetworkParams,
                         SeriesWindow, SigmaLadder, StockRecord, TrainConfig, antv_exact_grad,
                         antv_loss, antv_step, band_mask, band_pass, bp_grad_step, bp_loss,
-                        condition_dropout, ddim_mean, ddpm_mean, ddpm_step, denormalize_window,
+                        ddim_mean, ddpm_mean, ddpm_step, denormalize_window,
                         dft, drop_ipo_head, dsm_loss, encode_condition, forward_perturb,
                         guided_eps, idft, information_coefficient, init_params, jump_variance,
                         langevin_sample, make_linear_schedule, make_sigma_ladder,
@@ -90,7 +90,7 @@ CASES = {
     "make_windows.step": (lambda v: make_windows(_record(), length=4, step=v), (0,), 1),
     "SeriesWindow.industry_id": (lambda v: _window(industry_id=v), (-1,), 0),
     "SeriesWindow.board": (lambda v: _window(board=v), (-1, len(Board)), 4),
-    "topk_dropk_backtest.k": (lambda v: topk_dropk_backtest(PANEL, v), (0,), 1),
+    "topk_dropk_backtest.top_k": (lambda v: topk_dropk_backtest(PANEL, v), (0,), 1),
     # the step index: its bounds come from the schedule's T, or t >= 1 for the network
     "alpha_bar_at.t": (lambda v: SCH.alpha_bar_at(v), (-1, 7), 6),
     "forward_perturb.t": (lambda v: forward_perturb(X, v, X, SCH), (0, 7), 6),
@@ -119,7 +119,6 @@ def test_integer_arguments_take_integers_in_their_bounds_and_nothing_else(case):
 
 
 BELOW_0 = math.nextafter(0.0, -1.0)  # the largest float below a closed bound at 0
-IDS = np.zeros(2, dtype=np.int64)
 
 # name: (call with the value, values just outside the bounds, a value inside them: an int
 # wherever the bounds hold one)
@@ -135,8 +134,9 @@ REAL_CASES = {
     "AntvConfig.sigma": (lambda v: AntvConfig(window=1, sigma=v, rate=0.1), (0.0,), 1),
     "AntvConfig.rate": (lambda v: AntvConfig(window=1, sigma=1.0, rate=v), (0.0,), 1),
     "bp_grad_step.rate": (lambda v: bp_grad_step(X, X, BandSpec(0, 1), v), (0.0,), 1),
-    "condition_dropout.p_uncond": (lambda v: condition_dropout(
-        IDS, IDS, v, np.random.default_rng(0)), (BELOW_0, 1.0), 0),
+    "dsm_loss.p_uncond": (lambda v: dsm_loss(
+        PARAMS, [X, X], [None, (1, 2)], SCH, np.random.default_rng(0), p_uncond=v),
+        (BELOW_0, 1.0), 0),
     "TrainConfig.learning_rate": (lambda v: TrainConfig(epochs=1, learning_rate=v), (0.0,), 1),
     "TrainConfig.p_uncond": (lambda v: TrainConfig(epochs=1, p_uncond=v), (BELOW_0, 1), 0),
     "make_linear_schedule.beta_start": (lambda v: make_linear_schedule(5, v, 0.5),
@@ -426,15 +426,14 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "seriesdiff"
 
 def _own_conversions(source: str) -> list[int]:
     """Lines of the source's ``np.asarray`` or ``np.array`` calls given the dtype ``np.float64``
-    and of its ``.dtype.kind`` reads."""
+    and of its ``.dtype`` reads."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.asarray", "np.array"):
             dtypes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "dtype"]
             if any(ast.unparse(d) == "np.float64" for d in dtypes):
                 found.append(node.lineno)
-        elif (isinstance(node, ast.Attribute) and node.attr == "kind"
-              and isinstance(node.value, ast.Attribute) and node.value.attr == "dtype"):
+        elif isinstance(node, ast.Attribute) and node.attr == "dtype":
             found.append(node.lineno)
     return sorted(found)
 
@@ -443,8 +442,8 @@ def test_only_errors_and_the_oracles_convert_to_float64_or_read_a_dtype_kind():
     """One owner for the array rule: every other module converts an argument or a record field
     with ``check_array`` or ``check_real``."""
     planted = ("np.asarray(x, dtype=np.float64)\nnp.array(x, np.float64)\na.dtype.kind\n"
-               "np.asarray(x)\nnp.zeros(2, dtype=np.float64)\n")
-    assert _own_conversions(planted) == [1, 2, 3]
+               "np.asarray(x)\nnp.zeros(2, dtype=np.float64)\nnp.issubdtype(x.dtype, np.integer)\n")
+    assert _own_conversions(planted) == [1, 2, 3, 6]
     found = {path.name: _own_conversions(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py")) if path.name not in ("errors.py", "oracles.py")}
     assert {name: lines for name, lines in found.items() if lines} == {}

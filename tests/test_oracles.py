@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from seriesdiff import DataError, ParameterError
+from seriesdiff import DataError, NumericError, ParameterError
 from seriesdiff.oracles import (
     GaussianSpec,
     dft_direct,
@@ -139,3 +140,48 @@ def test_equivalence_check_true_score_model():
     # explicit objective is exactly zero for the true score
     assert res.explicit == 0.0
     assert abs(res.drift) <= 3.0 * res.drift_se
+
+
+SPEC = GaussianSpec(mean=0.0, var=1.0)
+X = np.array([0.5, -1.5])
+PAIR = "need two equal-length vectors with at least 2 entries"
+
+
+# every raise in the oracles: a bad oracle input is an error, never a quiet wrong reference
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: GaussianSpec(mean=math.nan, var=1.0), ParameterError,
+     "Gaussian parameters must be finite"),
+    (lambda: GaussianSpec(mean=0.0, var=0.0), ParameterError, "variance must be positive, got 0.0"),
+    (lambda: perturbed_gaussian_score(X, SPEC, 0.0), ParameterError,
+     "alpha_bar must lie in (0, 1], got 0.0"),
+    (lambda: ve_perturbed_gaussian_score(X, SPEC, -1.0), ParameterError,
+     "sigma must be >= 0, got -1.0"),
+    (lambda: kde_score([1.0], X), DataError, "need at least 2 samples for a KDE score"),
+    (lambda: kde_score([2.0, 2.0, 2.0], X), DataError,
+     "degenerate sample spread; cannot pick a bandwidth"),
+    (lambda: kde_score([0.0, 1.0], X, bandwidth=0.0), ParameterError,
+     "bandwidth must be positive, got 0.0"),
+    (lambda: kde_score([0.0, 1.0], [1e3], bandwidth=0.01), NumericError,
+     "KDE density underflowed to zero at a query point"),
+    (lambda: finite_diff_grad(lambda x: 0.0, X, h=0.0), ParameterError,
+     "step size must be positive, got 0.0"),
+    (lambda: finite_diff_grad(lambda x: math.inf, X), NumericError,
+     "function returned non-finite value near coordinate 0"),
+    (lambda: score_matching_equivalence_check(lambda x: x, lambda x: x, SPEC, 1,
+                                              np.random.default_rng(0)),
+     ParameterError, "need at least 2 samples"),
+    (lambda: score_matching_equivalence_check(lambda x: x[:1], lambda x: x, SPEC, 4,
+                                              np.random.default_rng(0)),
+     ParameterError, "model score functions must be elementwise on the sample vector"),
+    (lambda: dft_direct([]), ParameterError, "expected a non-empty 1-D array"),
+    (lambda: pearson_direct([1.0, 2.0], [1.0]), ParameterError, PAIR),
+    (lambda: pearson_direct([1.0, 1.0], [1.0, 2.0]), DataError,
+     "correlation undefined for a constant vector"),
+    (lambda: spearman_direct([1.0], [1.0]), ParameterError, PAIR),
+], ids=["spec-non-finite", "spec-variance", "perturbed-alpha-bar", "ve-sigma", "kde-one-sample",
+        "kde-no-spread", "kde-bandwidth", "kde-underflow", "fd-step", "fd-non-finite",
+        "equivalence-one-sample", "equivalence-shape", "dft-empty", "pearson-shape",
+        "pearson-constant", "spearman-shape"])
+def test_each_oracle_guard_raises_its_typed_error(call, error, message):
+    with pytest.raises(error, match="^" + re.escape(message) + "$"):
+        call()

@@ -30,7 +30,6 @@ from seriesdiff import (
 )
 from seriesdiff.scorenet import (
     _Prepared,
-    condition_dropout,
     predict_eps_vjp,
     read_checkpoint_meta,
 )
@@ -269,37 +268,22 @@ def test_dsm_loss_is_reproducible_and_validated():
         dsm_loss(params, rng.standard_normal((4, 3)), conds, sch, rng)
 
 
-def test_condition_dropout_endpoints():
-    iid = np.array([0, 1, 2, 0])
-    bid = np.array([1, 1, 0, 3])
-    rng = np.random.default_rng(7)
-    i0, b0 = condition_dropout(iid, bid, 0.0, rng)
-    assert np.array_equal(i0, iid) and np.array_equal(b0, bid)
-    i9, b9 = condition_dropout(iid, bid, 0.999, np.random.default_rng(8))
-    assert np.all(i9 == -1) and np.all(b9 == -1)
-    with pytest.raises(ParameterError):
-        condition_dropout(iid, bid, 1.0, rng)
-    with pytest.raises(ParameterError):
-        condition_dropout(iid, bid, -0.1, rng)
-
-
-def test_condition_dropout_takes_id_lists_and_rejects_other_ids():
-    iid, bid = [0, 1, 2, 0], [1, 1, 0, 3]
-    got = condition_dropout(iid, bid, 0.5, np.random.default_rng(7))
-    want = condition_dropout(np.array(iid), np.array(bid), 0.5, np.random.default_rng(7))
-    assert all(np.array_equal(g, w) and g.dtype == w.dtype for g, w in zip(got, want))
-    for bad_iid, bad_bid, message in (
-        ([0.0, 1.0], [0, 1], "iid of dtype float64 is not an array of integers"),
-        ([0, 1], np.zeros(2, np.float32), "bid of dtype float32 is not an array of integers"),
-        ([0, 1], [True, False], "bid of dtype bool is not an array of real numbers"),
-        ([0, 1], ["0", "1"], "bid of dtype <U1 is not an array of real numbers"),
-        ([[0, 1]], [[0, 1]], "iid of shape (1, 2) is not of rank 1"),
-        (3, 3, "iid of shape () is not of rank 1"),
-        ([0, 1], [[0], [1, 2]], "bid is not a rectangular array"),
-        ([0, 1], [0, 1, 2], "bid of shape (3,) does not match iid of shape (2,)"),
-    ):
-        with pytest.raises(ParameterError, match="^" + re.escape(message) + "$"):
-            condition_dropout(bad_iid, bad_bid, 0.5, np.random.default_rng(7))
+def test_dsm_loss_drops_conditions_to_null_with_probability_p_uncond():
+    # the embedding and the condition MLP learn only from the rows that keep their condition
+    sch = make_linear_schedule(7, 1e-3, 0.3)
+    rng = np.random.default_rng(17)
+    params = init_params(TINY, rng)
+    params = params.with_values(params.values + 0.1 * rng.standard_normal(params.n_params))
+    windows, conds = rng.standard_normal((4, 2)), [(0, 1), (1, 1), (2, 0), (0, 3)]
+    cond_names = ["embed"] + [n for n in params.names() if n.startswith("cond_")]
+    for p_uncond, all_dropped in ((0.0, False), (0.999, True)):
+        _, grad = dsm_loss(params, windows, conds, sch, np.random.default_rng(8), p_uncond=p_uncond)
+        grads = params.with_values(grad)
+        for name in cond_names:
+            assert np.all(grads.view(name) == 0.0) == all_dropped, (p_uncond, name)
+    for bad in (1.0, -0.1):
+        with pytest.raises(ParameterError, match=re.escape(f"p_uncond {bad} outside [0, 1)")):
+            dsm_loss(params, windows, conds, sch, rng, p_uncond=bad)
 
 
 def test_relu_activation_variant_runs():
