@@ -304,9 +304,9 @@ def _equity_svg(dates: list[str], y: np.ndarray) -> str:
 def cmd_backtest(args: argparse.Namespace, config: dict[str, object]) -> int:
     out = _out_dir(args)
     panel = evaluate.read_panel_csv(args.panel)
-    top_k = _args(config, "eval", evaluate.topk_dropk_backtest)
-    result = evaluate.topk_dropk_backtest(panel, **top_k)
-    summary = evaluate.summarize_backtest(panel, **top_k, result=result)
+    chosen = _args(config, "eval", evaluate.topk_dropk_backtest)
+    result = evaluate.topk_dropk_backtest(panel, **chosen)
+    summary = evaluate.summarize_backtest(panel, **chosen, result=result)
     summary["config_digest"] = config_digest(config)
     _write_json(summary, out / "summary.json")
     with dataio._replacing(out / "backtest.csv") as fh:

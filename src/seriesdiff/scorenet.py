@@ -459,11 +459,10 @@ def dsm_loss(
     Per element: draw t uniform on [1, T], corrupt the clean window with fresh
     noise, and penalize w_t * ||predicted noise - drawn noise||^2, averaged
     over the batch.  ``weighting`` "elbo" uses w_t = 1 - alpha_bar_t, "unit"
-    uses 1.  Each condition is dropped to NULL when its own uniform draw falls
-    below ``p_uncond``, which lies in [0, 1).  The rng stream is consumed in a
-    fixed order (steps, noise, dropout), so the loss is a deterministic
-    function of (params, batch, rng state); the finite-difference tests rely
-    on that.
+    uses 1.  Each condition is dropped to NULL with probability ``p_uncond``,
+    in [0, 1), by one uniform draw.  The rng stream is consumed in a fixed
+    order (steps, noise, dropout), so the loss is a deterministic function of
+    (params, batch, rng state); the finite-difference tests rely on that.
     """
     if weighting not in ("elbo", "unit"):
         raise ParameterError(f"unknown weighting {weighting!r}")

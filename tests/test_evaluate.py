@@ -160,7 +160,7 @@ def test_backtest_hand_example():
     assert res2.holdings[1] == ["AAA", "BBB"]  # tie at 1.0 broken by ticker
     assert res2.turnover == 1.0  # CCC swapped out for BBB
 
-    res3 = topk_dropk_backtest(panel, top_k=10)  # k larger than the universe
+    res3 = topk_dropk_backtest(panel, top_k=10)  # top_k larger than the universe
     assert res3.holdings[0] == ["AAA", "CCC", "BBB"]  # score order, ties by name
 
 
