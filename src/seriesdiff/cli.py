@@ -164,11 +164,10 @@ def cmd_train(args: argparse.Namespace, config: dict[str, object]) -> int:
         store, **_args(config, "data", dataio.split_train_test)
     )
     windows = np.stack([w.values for w in train_split])
-    conditions = [w.condition for w in train_split]
     schedule = make_linear_schedule(**_args(config, "schedule", make_linear_schedule))
     result = scorenet.train(
         windows,
-        conditions,
+        [w.condition for w in train_split],
         schedule,
         scorenet.TrainConfig(seed=args.seed, **_args(config, "train", scorenet.TrainConfig)),
         net_config=scorenet.ScoreNetConfig(input_len=length,
@@ -214,7 +213,10 @@ def cmd_sample(args: argparse.Namespace, config: dict[str, object]) -> int:
     out = _out_dir(args)
     params, schedule = _load_model(args)
     board = None if args.board is None else _parse_board(args.board)
-    condition = scorenet.encode_condition(args.industry, board, params)
+    if (args.industry is None) != (board is None):
+        raise ParameterError("a condition needs an industry and a board: give both "
+                             "(--industry with --board) or neither")
+    condition = None if board is None else (args.industry, int(board))
     cfg = samplers.SamplerConfig(seed=args.seed, **_args(config, "sampler", samplers.SamplerConfig))
     result = samplers.sample(params, schedule, cfg, condition)
     base = {
@@ -255,7 +257,7 @@ def cmd_augment(args: argparse.Namespace, config: dict[str, object]) -> int:
             params,
             schedule,
             cfg,
-            [scorenet.encode_condition(w.industry_id, int(w.board), params) for w in donors],
+            [w.condition for w in donors],
             sources=[w.values for w in donors] if args.transfer else None,
         )
         values = rows.reshape(n_synth, k, length).mean(axis=1)

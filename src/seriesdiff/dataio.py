@@ -365,29 +365,32 @@ def _csv_columns(path: Path, header: list[str], what: str, parse) -> tuple:
     """
     keys: tuple[list[str], ...] = ([], [])
     memos: tuple[dict[str, str], ...] = ({}, {})  # one string per distinct date and ticker
-    chunks, held, short = [], {}, None
+    chunks, held, short, first = [], {}, None, None
     with _reading(path, what) as fh:
         reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None:
-            raise DataError(f"{path}: file is empty")
-        if [h.strip() for h in first] != header:
-            raise DataError(f"{path}: expected header {','.join(header)}")
-        add_d, add_t = (k.append for k in keys)
-        key_d, key_t = (m.setdefault for m in memos)
-        while short is None and len(keys[0]) == _CHUNK * len(chunks):  # until a short chunk
-            add_x, add_y = (xs := []).append, (ys := []).append
-            for row in islice(reader, _CHUNK):
-                if len(row) != 4:
-                    if "".join(row).strip():  # named once the keys of the rows before it pass
-                        short = len(row)
-                        break
-                    row = ["", "", "", ""]  # a blank row keeps its place: index + 2 is the line
-                d, t, x, y = row
-                add_d(key_d(d, d)), add_t(key_t(t, t)), add_x(x), add_y(y)
-            chunks.append(parse(xs, ys))
-            line = len(keys[0]) - len(xs) + 2
-            held.update((line + i, (xs[i], ys[i])) for i in np.flatnonzero(chunks[-1][-1]).tolist())
+        try:
+            first = next(reader, None)
+            if first is None:
+                raise DataError(f"{path}: file is empty")
+            if [h.strip() for h in first] != header:
+                raise DataError(f"{path}: expected header {','.join(header)}")
+            add_d, add_t = (k.append for k in keys)
+            key_d, key_t = (m.setdefault for m in memos)
+            while short is None and len(keys[0]) == _CHUNK * len(chunks):  # until a short chunk
+                add_x, add_y = (xs := []).append, (ys := []).append
+                for row in islice(reader, _CHUNK):
+                    if len(row) != 4:
+                        if "".join(row).strip():  # named once the keys of the rows before it pass
+                            short = len(row)
+                            break
+                        row = ["", "", "", ""]  # a blank row keeps its place: index + 2 is the line
+                    d, t, x, y = row
+                    add_d(key_d(d, d)), add_t(key_t(t, t)), add_x(x), add_y(y)
+                chunks.append(parse(xs, ys))
+                at = len(keys[0]) - len(xs) + 2  # the line of the chunk's first row
+                held.update((at + i, (xs[i], ys[i])) for i in np.flatnonzero(chunks[-1][-1]).tolist())
+        except csv.Error as exc:  # a field past the size limit, or a NUL byte on Python 3.10
+            raise DataError(f"{path}:{1 if first is None else len(keys[0]) + 2}: {exc}") from exc
     codes = []
     for memo, col in zip(memos, keys):
         index = {name: i for i, name in enumerate(sorted({raw.strip() for raw in memo} - {""}))}
@@ -556,12 +559,11 @@ def _replacing(path: str | Path) -> Iterator[TextIO]:
 
 @contextmanager
 def _reading(path: str | Path, what: str, errors: str = "strict") -> Iterator[TextIO]:
-    """``path`` open for streaming; a failed open, decode or CSV parse, even mid-read, is a
-    DataError."""
+    """``path`` open for streaming; a failed open or decode, even mid-read, is a DataError."""
     try:
         with open(path, encoding="utf-8", errors=errors) as fh:
             yield fh
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc  # an OSError's text repeats the path
         raise DataError(f"cannot read {what} {path}: {reason}") from exc
 
@@ -599,11 +601,13 @@ def _store_lines(path: str | Path, length: int, n_industries: int
                 continue
             try:
                 obj = json.loads(line)
+                if (board := Board.__members__.get(obj["board"])) is None:
+                    raise ValueError(f"unknown board {_shown(obj['board'], repr)}")
                 w = SeriesWindow(obj["ticker"], obj["start_date"], obj["values"], obj["mean"],
-                                 obj["scale"], obj["industry_id"], Board[obj["board"]],
-                                 obj.get("synthetic", False))
+                                 obj["scale"], obj["industry_id"], board, obj.get("synthetic", False))
             except (KeyError, TypeError, ValueError, RecursionError) as exc:
-                raise DataError(f"{path}:{lineno}: malformed window record: {_shown(exc)}") from exc
+                why = f"missing field {exc}" if isinstance(exc, KeyError) else _shown(exc)
+                raise DataError(f"{path}:{lineno}: malformed window record: {why}") from exc
             if w.values.size != length or w.industry_id >= n_industries:  # SeriesWindow: id >= 0
                 raise DataError(
                     f"{path}:{lineno}: window of length {w.values.size} and industry_id "

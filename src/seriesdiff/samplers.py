@@ -30,7 +30,7 @@ from .errors import (NumericError, ParameterError, check_array, check_finite_row
                      check_real)
 from .regularizers import AntvConfig, BandSpec, antv_step, band_mask, bp_grad_step
 from .schedules import NoiseSchedule, SigmaLadder, forward_perturb
-from .scorenet import ConditionVector, ScoreNetworkParams, _Prepared, predict_eps
+from .scorenet import ScoreNetworkParams, _condition_arrays, _Prepared, predict_eps
 
 __all__ = [
     "SamplerConfig",
@@ -52,7 +52,7 @@ def guided_eps(
     params: ScoreNetworkParams,
     x_t: np.ndarray,
     t: int,
-    cond: ConditionVector | None | Sequence[ConditionVector | None],
+    cond: tuple[int, int] | None | Sequence[tuple[int, int] | None],
     omega: float,
 ) -> np.ndarray:
     """Classifier-free guided noise prediction.
@@ -78,10 +78,8 @@ def guided_eps(
 
 def _guidance(params: ScoreNetworkParams, cond: Sequence, B: int, omega: float) -> _Prepared:
     """The checked conditions of B rows at weight omega, with NULL twins unless omega is 0 or 1."""
-    n = len(cond) if isinstance(cond, Sequence) else "no sequence"
-    if n != B:
-        raise ParameterError(f"{B} windows need {B} conditions, got {n}")
-    if omega != 0.0 and any(c is None or c.is_null for c in cond):
+    _condition_arrays(cond, params.config, B)  # every id, even those omega 0 does not encode
+    if omega != 0.0 and any(c is None for c in cond):
         raise ParameterError(f"guidance weight {omega} needs a condition to guide toward: "
                              "give one (--industry and --board) or set sampler.guidance to 0")
     return _Prepared(params, [None] * B if omega == 0.0 else list(cond) + [None] * B * (omega != 1.0))
@@ -298,7 +296,7 @@ def _reverse(
     params: ScoreNetworkParams,
     schedule: NoiseSchedule,
     cfg: SamplerConfig,
-    conditions: Sequence[ConditionVector | None],
+    conditions: Sequence[tuple[int, int] | None],
     sources: np.ndarray | Sequence[np.ndarray] | None,
     rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
@@ -343,7 +341,7 @@ def sample_one(
     params: ScoreNetworkParams,
     schedule: NoiseSchedule,
     cfg: SamplerConfig,
-    condition: ConditionVector | None,
+    condition: tuple[int, int] | None,
     rng: np.random.Generator,
     source: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -362,7 +360,7 @@ def sample_rows(
     params: ScoreNetworkParams,
     schedule: NoiseSchedule,
     cfg: SamplerConfig,
-    conditions: Sequence[ConditionVector | None],
+    conditions: Sequence[tuple[int, int] | None],
     sources: np.ndarray | Sequence[np.ndarray] | None = None,
 ) -> np.ndarray:
     """Draw one window per condition, as a (len(conditions), L) array.
@@ -383,7 +381,7 @@ def sample(
     params: ScoreNetworkParams,
     schedule: NoiseSchedule,
     cfg: SamplerConfig,
-    condition: ConditionVector | None = None,
+    condition: tuple[int, int] | None = None,
 ) -> SampleResult:
     """Generate ``cfg.num_samples`` windows and their pointwise mean.
 

@@ -33,18 +33,16 @@ from typing import Sequence
 import numpy as np
 
 from .dataio import _read_json, _replacing
-from .errors import (DataError, NumericError, ParameterError, check_array, check_finite_rows,
-                     check_int, check_real)
+from .errors import (DataError, NumericError, ParameterError, _shown, check_array,
+                     check_finite_rows, check_int, check_real)
 from .schedules import NoiseSchedule
 
 __all__ = [
     "ScoreNetConfig",
-    "ConditionVector",
     "ScoreNetworkParams",
     "TrainConfig",
     "TrainResult",
     "time_embedding",
-    "encode_condition",
     "init_params",
     "predict_eps",
     "predict_eps_vjp",
@@ -70,7 +68,7 @@ class ScoreNetConfig:
     width : hidden width of the residual trunk.
     blocks : number of residual blocks.
     time_dim : sinusoidal time-embedding dimension (even).
-    embed_dim : industry embedding dimension E; the condition vector has
+    embed_dim : industry embedding dimension E; the condition encoding has
         length E + n_boards.
     cond_hidden : hidden width of the condition MLP.
     activation : "silu" (default; smooth, so gradient checks are exact to
@@ -99,23 +97,6 @@ class ScoreNetConfig:
     @property
     def cond_dim(self) -> int:
         return self.embed_dim + self.n_boards
-
-
-@dataclass(frozen=True)
-class ConditionVector:
-    """An encoded (industry, board) condition; ids None on the NULL condition.
-
-    ``encoded`` belongs to the parameters that made it (see
-    ``encode_condition``) and is what ``predict_eps`` feeds the trunk.
-    """
-
-    industry_id: int | None
-    board_id: int | None
-    encoded: np.ndarray
-
-    @property
-    def is_null(self) -> bool:
-        return self.industry_id is None
 
 
 def _param_layout(cfg: ScoreNetConfig) -> list[tuple[str, tuple[int, ...]]]:
@@ -230,25 +211,6 @@ def time_embedding(t: int | np.ndarray, dim: int) -> np.ndarray:
     out[:, 0::2] = np.sin(ang)
     out[:, 1::2] = np.cos(ang)
     return out[0] if t.ndim == 0 else out
-
-
-def encode_condition(
-    industry_id: int | None, board_id: int | None, params: ScoreNetworkParams
-) -> ConditionVector:
-    """Encode an (industry, board) pair, or the NULL condition if both are None.
-
-    The encoding concatenates the MLP-refined industry embedding with a board
-    one-hot.  NULL encodes as the all-zero vector; a partially-None pair is
-    rejected because the network was never trained on one.  The encoding
-    belongs to ``params``: it is what ``predict_eps`` feeds the trunk, so it
-    must be used with the parameters that made it.
-    """
-    if (industry_id is None) != (board_id is None):
-        raise ParameterError("a condition needs an industry and a board: give both "
-                             "(--industry with --board) or neither")
-    ids = None if industry_id is None else (industry_id, board_id)
-    cenc, _ = _encode_batch(params, *_condition_arrays([ids], params.config))
-    return ConditionVector(industry_id, board_id, cenc[0])
 
 
 def _encode_batch(
@@ -370,36 +332,37 @@ def _tiles(a: np.ndarray) -> np.ndarray:
 class _Prepared:
     """Conditions made ready once for many ``predict_eps`` calls: each block's term on their tiles."""
 
-    def __init__(self, params: ScoreNetworkParams, conds: Sequence[ConditionVector | None]):
-        cond_dim = params.config.cond_dim
-        enc = [np.zeros(cond_dim) if c is None else c.encoded for c in conds]
-        if any(e.shape != (cond_dim,) for e in enc):
-            raise ParameterError(f"a condition encoding is not of shape ({cond_dim},)")
-        self.rows = len(enc)
-        self.terms = _cond_terms(params, _tiles(np.array(enc).reshape(len(enc), cond_dim)))
+    def __init__(self, params: ScoreNetworkParams, conds: Sequence[tuple[int, int] | None]):
+        self.rows = len(conds)
+        iid, bid = _condition_arrays(conds, params.config, self.rows)
+        cenc = np.zeros((self.rows, params.config.cond_dim))  # NULL rows stay zero
+        for n in np.flatnonzero(iid >= 0):  # one at a time: a many-row encoding rounds differently
+            cenc[n] = _encode_batch(params, iid[n : n + 1], bid[n : n + 1])[0][0]
+        self.terms = _cond_terms(params, _tiles(cenc))
+
+    def __len__(self) -> int:
+        return self.rows
 
 
 def predict_eps(
     params: ScoreNetworkParams,
     x_t: np.ndarray,
     t: int,
-    cond: ConditionVector | None | Sequence[ConditionVector | None] = None,
+    cond: tuple[int, int] | None | Sequence[tuple[int, int] | None] = None,
 ) -> np.ndarray:
     """Predicted noise for corrupted windows at step t (None = NULL condition).
 
-    ``x_t`` is one (L,) window with one condition, or a (B, L) batch with a
-    sequence of B conditions or their ``_Prepared`` value; row i does not
-    depend on the other rows.  The trunk reads each ``cond.encoded`` as
-    given.  The implied score is -predict_eps(...) / sqrt(1 - alpha_bar_t).
+    ``x_t`` is one (L,) window with one (industry_id, board_id) condition, or
+    a (B, L) batch with B conditions or their ``_Prepared`` value; row i does
+    not depend on the other rows.  The implied score is
+    -predict_eps(...) / sqrt(1 - alpha_bar_t).
     """
     x = check_array(x_t, "x_t", ndim=(1, 2), last=params.config.input_len)
     check_int(t, "t", 1)
     single, x = x.ndim == 1, np.atleast_2d(x)
     prep = [cond] if single else cond
-    if isinstance(prep, Sequence) and len(prep) == len(x):
-        prep = _Prepared(params, prep)
-    if not isinstance(prep, _Prepared) or prep.rows != len(x):
-        raise ParameterError(f"{len(x)} windows need a sequence of {len(x)} conditions")
+    _one_per_window(prep, len(x))
+    prep = prep if isinstance(prep, _Prepared) else _Prepared(params, prep)
     out = _forward(params, _tiles(x), t, prep.terms, keep=False)[0].reshape(-1, x.shape[1])[: len(x)]
     check_finite_rows(out, f"network output at t={t}")
     return out[0] if single else out
@@ -409,37 +372,49 @@ def predict_eps_vjp(
     params: ScoreNetworkParams,
     x_t: np.ndarray,
     t: int,
-    cond: ConditionVector | None,
+    cond: tuple[int, int] | None,
     cotangent: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Prediction plus gradient of <cotangent, prediction> w.r.t. the flat vector.
 
-    This is the building block the finite-difference tests drive directly.
-    The condition is encoded again from its ids, since the gradient reaches
-    the condition MLP.  The (L,) window and cotangent run in a NULL-padded tile as in ``predict_eps``.
+    This is the building block the finite-difference tests drive directly; the
+    gradient reaches the condition MLP.  The (L,) window and cotangent run in a
+    NULL-padded tile as in ``predict_eps``.
     """
     x = check_array(x_t, "x_t", ndim=(1,), last=params.config.input_len)
     cot = check_array(cotangent, "cotangent", like=("x_t", x))
     check_int(t, "t", 1)
     x, cot = _tiles(x[None])[0], _tiles(cot[None])[0]
-    ids = None if cond is None or cond.is_null else (cond.industry_id, cond.board_id)
-    cenc, mlp = _encode_batch(params, *_condition_arrays([ids] + [None] * (_TILE - 1), params.config))
+    conds = [cond] + [None] * (_TILE - 1)
+    cenc, mlp = _encode_batch(params, *_condition_arrays(conds, params.config, _TILE))
     out, acts = _forward(params, x, t, _cond_terms(params, cenc))
     return out[0], _backward(params, acts, cenc, mlp, cot)
 
 
+def _one_per_window(conditions: object, rows: int) -> None:
+    """The rule of one condition per window, in the one text every entry point gives."""
+    try:
+        n = len(conditions)
+    except TypeError:
+        n = "no sequence"
+    if n != rows:
+        raise ParameterError(f"{rows} windows need {rows} conditions, got {n}")
+
+
 def _condition_arrays(
-    conditions: Sequence[tuple[int, int] | None], cfg: ScoreNetConfig
+    conditions: Sequence[tuple[int, int] | None], cfg: ScoreNetConfig, rows: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Checked industry and board id arrays, -1 for NULL; the only id validator."""
-    iid, bid = np.full((2, len(conditions)), -1, dtype=np.int64)  # -1: the NULL condition
+    """Checked id arrays of ``rows`` conditions, -1 for NULL; the only id validator."""
+    _one_per_window(conditions, rows)
+    iid, bid = np.full((2, rows), -1, dtype=np.int64)  # -1: the NULL condition
     for n, c in enumerate(conditions):
         if c is None:
             continue
         try:
             industry, board = c
         except (TypeError, ValueError):
-            raise ParameterError(f"condition {c!r} at position {n} is not a pair") from None
+            shown = _shown(c, repr)
+            raise ParameterError(f"condition {shown} at position {n} is not a pair") from None
         iid[n] = check_int(industry, "industry_id", 0, cfg.n_industries, f" at position {n}")
         bid[n] = check_int(board, "board_id", 0, cfg.n_boards, f" at position {n}")
     return iid, bid
@@ -469,9 +444,7 @@ def dsm_loss(
     p_uncond = check_real(p_uncond, "p_uncond", 0, 1)
     windows = check_array(windows, "windows", ndim=(2,), last=params.config.input_len, finite=True)
     B, L = windows.shape
-    if len(conditions) != B:
-        raise ParameterError("conditions must match the batch size")
-    iid, bid = _condition_arrays(conditions, params.config)
+    iid, bid = _condition_arrays(conditions, params.config, B)
 
     t = rng.integers(1, schedule.T + 1, size=B)
     eps = rng.standard_normal((B, L))
@@ -533,9 +506,7 @@ def train(
     windows = check_array(windows, "windows", ndim=(2,), nonempty=True, last=net_config.input_len,
                           finite=True)
     N = len(windows)
-    if len(conditions) != N:
-        raise ParameterError("conditions must match the number of windows")
-    _condition_arrays(conditions, net_config)  # each bad id named by its index, not a batch slot
+    _condition_arrays(conditions, net_config, N)  # each bad id named by its index, not a batch slot
 
     rng = np.random.default_rng(config.seed)
     params = init_params(net_config, rng)

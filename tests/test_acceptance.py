@@ -30,7 +30,6 @@ from seriesdiff import (
     ddim_mean,
     ddpm_mean,
     dft,
-    encode_condition,
     forward_perturb,
     guided_eps,
     idft,
@@ -155,7 +154,7 @@ def test_criterion_3_guidance_endpoints():
         params = params.with_values(
             params.values + 0.1 * rng.standard_normal(params.values.size)
         )
-        cond = encode_condition(2, 1, params)
+        cond = (2, 1)
         for _ in range(20):
             x = rng.standard_normal(cfg.input_len)
             t = int(rng.integers(1, 50))
@@ -365,8 +364,8 @@ def test_criterion_8_trained_score_and_conditional_generation():
         def accuracy(omega):
             hits = 0
             jobs = (
-                (centroid_a, encode_condition(0, 0, fit2.params), 21),
-                (centroid_b, encode_condition(1, 0, fit2.params), 22),
+                (centroid_a, (0, 0), 21),
+                (centroid_b, (1, 0), 22),
             )
             for own_centroid, cond, seed in jobs:
                 drawn = sample(

@@ -199,14 +199,21 @@ def test_full_pipeline_and_exit_codes(tmp_path, prices_csv, fast_config):
     assert _run("report", run, "--config", bad) == 2
 
 
-def test_sample_flag_validation(tmp_path, prices_csv, fast_config):
+def test_sample_flag_validation(tmp_path, prices_csv, fast_config, capsys):
     run = tmp_path / "run"
     _run("ingest", prices_csv, "--config", fast_config, "--out", run)
     _run("train", run / "windows.jsonl", "--config", fast_config, "--seed", 1, "--out", run)
     ckpt = run / "checkpoint.json"
-    # --industry without --board is a usage error
-    assert _run("sample", ckpt, "--config", fast_config, "--seed", 2,
-                "--industry", 7, "--out", run) == 2
+    # either half of the (--industry, --board) pair alone is a usage error, as is an id off the net
+    pair = ("configuration error: a condition needs an industry and a board: give both "
+            "(--industry with --board) or neither\n")
+    for flags, err in ((("--industry", 7), pair), (("--board", "STAR"), pair),
+                       (("--industry", 999, "--board", "STAR"),
+                        "configuration error: industry_id 999 outside [0, 124) at position 0\n")):
+        capsys.readouterr()
+        assert _run("sample", ckpt, "--config", fast_config, "--seed", 2, *flags,
+                    "--out", run) == 2
+        assert capsys.readouterr().err == err
     # unconditional sampling demands guidance 0 (default config has 7.5)
     assert _run("sample", ckpt, "--config", fast_config, "--seed", 2, "--out", run) == 2
     # missing seed
@@ -484,7 +491,10 @@ def test_a_cell_past_the_csv_field_limit_is_a_data_error(tmp_path, fast_config, 
     path = tmp_path / "input.csv"
     path.write_text(f'{header}\n2021-01-04,600000,"{"1" * 140_000},1\n')
     err = _data_error(capsys, verb, path, "--config", fast_config, "--out", tmp_path / "o")
-    assert err.startswith("data error: cannot read ") and f"{path}: field larger than" in err
+    assert err.startswith(f"data error: {path}:2: field larger than")
+    path.write_text(f'"{"1" * 140_000}\n')  # in the header, line 1
+    err = _data_error(capsys, verb, path, "--config", fast_config, "--out", tmp_path / "o")
+    assert err.startswith(f"data error: {path}:1: field larger than")
 
 
 def test_store_industry_ids_outside_the_net_are_data_errors(tmp_path, prices_csv, capsys):

@@ -478,6 +478,20 @@ def test_a_data_error_quoting_long_file_text_stays_bounded(tmp_path, read, text)
     assert LONG[:10] in str(info.value) and len(str(info.value)) < 600
 
 
+@pytest.mark.parametrize("line, why", [
+    ({k: v for k, v in STORE_LINE.items() if k != "board"}, "missing field 'board'"),
+    ({k: v for k, v in STORE_LINE.items() if k != "ticker"}, "missing field 'ticker'"),
+    (dict(STORE_LINE, board="FOO"), "unknown board 'FOO'"),
+    (dict(STORE_LINE, board="ticker"), "unknown board 'ticker'"),  # a field's name is no board
+], ids=["no-board", "no-ticker", "board-FOO", "board-ticker"])
+def test_a_store_line_names_its_missing_field_or_unknown_board(tmp_path, line, why):
+    path = tmp_path / "windows.jsonl"
+    path.write_text(json.dumps(STORE_LINE) + "\n" + json.dumps(line) + "\n")
+    with pytest.raises(DataError) as info:
+        read_window_store(path, 4, 124)
+    assert str(info.value) == f"{path}:2: malformed window record: {why}"
+
+
 def test_window_store_errors(tmp_path):
     path = tmp_path / "windows.jsonl"
     with pytest.raises(DataError):

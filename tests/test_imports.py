@@ -1,5 +1,5 @@
-"""Every module under src/seriesdiff and tests uses each name it imports, and the package
-re-exports every module's ``__all__``."""
+"""Every module under src/seriesdiff and tests uses each name it imports, the package
+re-exports every module's ``__all__``, and the README's library example runs."""
 from __future__ import annotations
 
 import ast
@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import seriesdiff
@@ -73,7 +74,8 @@ REEXPORTED = [schedules, scorenet, samplers, regularizers, dataio, evaluate]
 # earlier names that were taken out of the package on purpose, each with its old module
 RETIRED = {"momentum_panel": evaluate, "return_ratio": evaluate, "log_return": evaluate,
            "perturb_to_level": samplers, "ddim_step": samplers, "antv_weight": regularizers,
-           "dsm_residual_loss": scorenet, "condition_dropout": scorenet}
+           "dsm_residual_loss": scorenet, "condition_dropout": scorenet,
+           "ConditionVector": scorenet, "encode_condition": scorenet}
 README = SRC.parents[1] / "README.md"
 
 
@@ -100,3 +102,14 @@ def test_a_retired_name_is_gone_from_the_package_its_module_and_the_readme(name)
     head, _, tail = README.read_text().partition("\n## Contract changes\n")
     note, _, rest = tail.partition("\n## ")
     assert f"`{name}`" in note and name not in head + rest
+
+
+def test_the_readme_library_example_runs():
+    # the fenced block under "## Library" as printed, on 64 z-scored random windows of length 60
+    code = README.read_text().partition("\n## Library\n")[2].partition("```python\n")[2]
+    code = code.partition("```")[0]
+    noise = np.random.default_rng(0).standard_normal((64, 60))
+    windows = (noise - noise.mean(axis=1, keepdims=True)) / noise.std(axis=1, keepdims=True)
+    names = {"windows": windows, "conditions": [(i % 124, i % 5) for i in range(64)]}
+    exec(code, names)
+    assert names["draws"].shape == (16, 60)

@@ -20,7 +20,7 @@ from seriesdiff import (AntvConfig, BandSpec, Board, DataError, NoiseSchedule, P
                         SeriesWindow, SigmaLadder, StockRecord, TrainConfig, antv_exact_grad,
                         antv_loss, antv_step, band_mask, band_pass, bp_grad_step, bp_loss,
                         ddim_mean, ddpm_mean, ddpm_step, denormalize_window,
-                        dft, drop_ipo_head, dsm_loss, encode_condition, forward_perturb,
+                        dft, drop_ipo_head, dsm_loss, forward_perturb,
                         guided_eps, idft, information_coefficient, init_params, jump_variance,
                         langevin_sample, make_linear_schedule, make_sigma_ladder,
                         make_subsequence, make_windows, normalize_window, predict_eps,
@@ -57,8 +57,8 @@ CASES = {
        for f in ("input_len", "width", "blocks", "time_dim", "embed_dim", "cond_hidden",
                  "n_industries", "n_boards")},
     "time_embedding.dim": (lambda v: time_embedding(1, v), (1,), 4),
-    "encode_condition.industry_id": (lambda v: encode_condition(v, 0, PARAMS), (-1, 4), 3),
-    "encode_condition.board_id": (lambda v: encode_condition(0, v, PARAMS), (-1, 5), 4),
+    "predict_eps.industry_id": (lambda v: predict_eps(PARAMS, X, 1, (v, 0)), (-1, 4), 3),
+    "predict_eps.board_id": (lambda v: predict_eps(PARAMS, X, 1, (0, v)), (-1, 5), 4),
     "TrainConfig.epochs": (lambda v: TrainConfig(epochs=v), (-1,), 0),
     "TrainConfig.batch_size": (lambda v: TrainConfig(epochs=1, batch_size=v), (0,), 1),
     "TrainConfig.seed": (lambda v: TrainConfig(epochs=1, seed=v), (-1,), 0),
@@ -101,7 +101,7 @@ CASES = {
     "jump_variance.t_cur": (lambda v: jump_variance(SCH, v, 0), (0, 7), 6),
     "jump_variance.t_prev": (lambda v: jump_variance(SCH, 4, v), (-1, 4), 3),
     "predict_eps.t": (lambda v: predict_eps(PARAMS, X, v), (0,), 6),
-    "guided_eps.t": (lambda v: guided_eps(PARAMS, X, v, encode_condition(3, 0, PARAMS), 0.5),
+    "guided_eps.t": (lambda v: guided_eps(PARAMS, X, v, (3, 0), 0.5),
                      (0,), 6),
     "predict_eps_vjp.t": (lambda v: predict_eps_vjp(PARAMS, X, v, None, X), (0,), 6),
 }
@@ -123,7 +123,7 @@ BELOW_0 = math.nextafter(0.0, -1.0)  # the largest float below a closed bound at
 # name: (call with the value, values just outside the bounds, a value inside them: an int
 # wherever the bounds hold one)
 REAL_CASES = {
-    "guided_eps.omega": (lambda v: guided_eps(PARAMS, X, 6, encode_condition(3, 0, PARAMS), v),
+    "guided_eps.omega": (lambda v: guided_eps(PARAMS, X, 6, (3, 0), v),
                          (), 2),
     "ddim_mean.sigma": (lambda v: ddim_mean(X, 4, 3, X, SCH, v), (BELOW_0,), 0),
     "SamplerConfig.eta": (lambda v: SamplerConfig(eta=v), (BELOW_0,), 1),

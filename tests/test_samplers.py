@@ -13,10 +13,11 @@ from seriesdiff import (
     ParameterError,
     SamplerConfig,
     ScoreNetConfig,
+    TrainConfig,
     ddim_mean,
     ddpm_mean,
     ddpm_step,
-    encode_condition,
+    dsm_loss,
     forward_perturb,
     guided_eps,
     init_params,
@@ -29,6 +30,7 @@ from seriesdiff import (
     sample,
     sample_one,
     sample_rows,
+    train,
 )
 from seriesdiff import samplers
 from seriesdiff.errors import check_finite_rows
@@ -49,7 +51,7 @@ def _noisy_params(seed: int):
 def test_guidance_endpoints_are_bitwise():
     params = _noisy_params(0)
     x = np.array([0.4, -0.2, 1.1])
-    cond = encode_condition(1, 2, params)
+    cond = (1, 2)
     assert np.array_equal(
         guided_eps(params, x, 2, cond, 0.0), predict_eps(params, x, 2, None)
     )
@@ -67,7 +69,7 @@ def test_guidance_endpoints_are_bitwise():
 def test_guidance_linear_combination():
     params = _noisy_params(1)
     x = np.array([0.1, 0.2, -0.3])
-    cond = encode_condition(0, 1, params)
+    cond = (0, 1)
     omega = 7.5
     want = omega * predict_eps(params, x, 4, cond) + (1 - omega) * predict_eps(
         params, x, 4, None
@@ -241,7 +243,7 @@ def test_ddpm_mode_rejects_subsequence():
 def test_ddpm_mode_is_the_full_skip_sampler_at_eta_one():
     params = _noisy_params(7)
     sch = make_linear_schedule(12, 1e-3, 0.1)
-    cond = encode_condition(1, 0, params)
+    cond = (1, 0)
     ddpm = SamplerConfig(mode="ddpm", eta=0.3, guidance=2.0, num_samples=3, seed=5)
     ddim = SamplerConfig(mode="ddim", steps=12, eta=1.0, guidance=2.0, num_samples=3, seed=5)
     a = sample(params, sch, ddpm, cond)
@@ -254,7 +256,7 @@ def test_sample_rows_gives_each_row_its_stream_condition_and_donor():
     sch = make_linear_schedule(12, 1e-3, 0.1)
     rng = np.random.default_rng(3)
     sources = [np.cumsum(rng.standard_normal(3)) for _ in range(3)]
-    conds = [encode_condition(i, 0, params) for i in range(3)]
+    conds = [(i, 0) for i in range(3)]
     cfg = SamplerConfig(mode="ddim", steps=6, eta=0.5, guidance=1.0, lambda_bp=0.01,
                         band_low=0, band_high=1, seed=13)
     rows = sample_rows(params, sch, cfg, conds, sources=sources)
@@ -271,7 +273,7 @@ def test_sample_rows_gives_each_row_its_stream_condition_and_donor():
 def test_sample_is_reproducible_and_prefix_stable():
     params = _noisy_params(8)
     sch = make_linear_schedule(12, 1e-3, 0.1)
-    cond = encode_condition(1, 0, params)
+    cond = (1, 0)
     cfg = SamplerConfig(mode="ddim", steps=6, eta=0.5, guidance=1.0,
                         num_samples=3, seed=42)
     a = sample(params, sch, cfg, cond)
@@ -338,7 +340,7 @@ def test_sample_rows_matches_sample_one_across_tile_boundaries():
     cfg = SamplerConfig(mode="ddim", steps=6, eta=0.5, guidance=2.0, lambda_antv=0.05,
                         antv_window=1, lambda_bp=0.1, band_low=0, band_high=1, seed=21)
     for n in (1, 7, 8, 9, 17):
-        conds = [encode_condition(i % 3, i % 5, params) for i in range(n)]
+        conds = [(i % 3, i % 5) for i in range(n)]
         streams = np.random.SeedSequence(21).spawn(n)
         for sources in (np.cumsum(rng.standard_normal((n, 3)), axis=1), None):
             rows = sample_rows(params, sch, cfg, conds, sources=sources)
@@ -353,7 +355,7 @@ def test_guided_eps_batch_matches_rows():
     rng = np.random.default_rng(5)
     for n in (1, 9, 17):
         x = rng.standard_normal((n, 3))
-        conds = [encode_condition(i % 3, i % 5, params) for i in range(n)]
+        conds = [(i % 3, i % 5) for i in range(n)]
         for omega in (0.0, 1.0, 7.5):
             got = guided_eps(params, x, 4, conds, omega)
             assert got.shape == (n, 3)
@@ -369,12 +371,29 @@ def test_guided_eps_checks_the_number_of_conditions():
     params = _noisy_params(16)
     x = np.random.default_rng(6).standard_normal((5, 3))
     for n in (3, 7):
-        conds = [encode_condition(i % 3, i % 5, params) for i in range(n)]
+        conds = [(i % 3, i % 5) for i in range(n)]
         for omega in (0.0, 1.0, 7.5):
             with pytest.raises(ParameterError, match=f"^5 windows need 5 conditions, got {n}$"):
                 guided_eps(params, x, 4, conds, omega)
     with pytest.raises(ParameterError, match="^5 windows need 5 conditions, got no sequence$"):
         guided_eps(params, x, 4, None, 0.0)
+
+
+@pytest.mark.parametrize("conds, got", [([(1, 2), None], 2), (5, "no sequence")])
+@pytest.mark.parametrize("entry", ["train", "dsm_loss", "predict_eps", "guided_eps"])
+def test_every_entry_point_states_the_condition_count_rule_in_one_text(entry, conds, got):
+    # sample_rows draws one row per condition, so its count cannot disagree
+    params = _noisy_params(16)
+    sch = make_linear_schedule(12, 1e-3, 0.1)
+    x = np.zeros((3, 3))
+    call = {
+        "train": lambda: train(x, conds, sch, TrainConfig(epochs=1), TINY),
+        "dsm_loss": lambda: dsm_loss(params, x, conds, sch, np.random.default_rng(0)),
+        "predict_eps": lambda: predict_eps(params, x, 4, conds),
+        "guided_eps": lambda: guided_eps(params, x, 4, conds, 7.5),
+    }[entry]
+    with pytest.raises(ParameterError, match=f"^3 windows need 3 conditions, got {got}$"):
+        call()
 
 
 def test_guidance_without_a_condition_fails_before_any_step(monkeypatch):
@@ -387,7 +406,7 @@ def test_guidance_without_a_condition_fails_before_any_step(monkeypatch):
 
     monkeypatch.setattr(samplers, "guided_eps", step)
     monkeypatch.setattr(samplers, "predict_eps", step)
-    cond, null = encode_condition(1, 2, params), encode_condition(None, None, params)
+    cond, null = (1, 2), None
     for conds in ([cond, None, cond], [null]):
         with pytest.raises(ParameterError, match="needs a condition to guide toward"):
             sample_rows(params, sch, cfg, conds)

@@ -19,7 +19,6 @@ from seriesdiff import (
     ScoreNetConfig,
     TrainConfig,
     dsm_loss,
-    encode_condition,
     init_params,
     load_checkpoint,
     make_linear_schedule,
@@ -64,7 +63,7 @@ def test_init_is_deterministic_and_zero_output():
     # residual second matrices and the head start at zero: output is zero
     x = np.array([0.3, -1.1])
     assert np.array_equal(predict_eps(p1, x, 3), np.zeros(2))
-    cond = encode_condition(1, 2, p1)
+    cond = (1, 2)
     assert np.array_equal(predict_eps(p1, x, 3, cond), np.zeros(2))
 
 
@@ -82,38 +81,21 @@ def test_param_layout_contiguous_named_views():
         params.with_values(np.zeros(params.n_params + 1))
 
 
-def test_encode_condition_contract():
-    params = init_params(TINY, np.random.default_rng(2))
-    cond = encode_condition(2, 4, params)
-    assert not cond.is_null
-    assert cond.encoded.shape == (TINY.cond_dim,)
-    again = encode_condition(2, 4, params)
-    assert np.array_equal(cond.encoded, again.encoded)
-    null = encode_condition(None, None, params)
-    assert null.is_null
-    assert np.array_equal(null.encoded, np.zeros(TINY.cond_dim))
-    with pytest.raises(ParameterError):
-        encode_condition(1, None, params)
-    with pytest.raises(ParameterError):
-        encode_condition(None, 1, params)
-    with pytest.raises(ParameterError):
-        encode_condition(3, 0, params)  # industry out of range (n_industries=3)
-    with pytest.raises(ParameterError):
-        encode_condition(0, 5, params)  # board out of range
-
-
-@pytest.mark.parametrize("ids", [(1.9, 0), (1, 0.0), (True, 0), (0, np.True_), ("1", 0)])
+@pytest.mark.parametrize("ids", [(1.9, 0), (1, 0.0), (True, 0), (0, np.True_), ("1", 0),
+                                 (1, None), (None, 1)])  # half a pair is no pair of ids
 def test_condition_ids_must_be_integers(ids):
     params = init_params(TINY, np.random.default_rng(2))
     with pytest.raises(ParameterError, match="is not an integer at position 0"):
-        encode_condition(*ids, params)
+        predict_eps(params, np.zeros(2), 3, ids)
     sch = make_linear_schedule(5, 1e-3, 0.2)
     with pytest.raises(ParameterError, match="is not an integer at position 1"):
         dsm_loss(params, np.zeros((2, 2)), [None, ids], sch, np.random.default_rng(0))
     with pytest.raises(ParameterError, match="is not an integer at position"):
         train(np.zeros((2, 2)), [(0, 0), ids], sch, TrainConfig(epochs=1), TINY)
     # numpy integers are ids too
-    assert encode_condition(np.int64(1), np.int32(0), params).industry_id == 1
+    x = np.array([0.3, -1.1])
+    assert np.array_equal(predict_eps(params, x, 3, (np.int64(1), np.int32(0))),
+                          predict_eps(params, x, 3, (1, 0)))
 
 
 def test_train_names_a_bad_condition_by_its_index_before_the_first_batch():
@@ -130,6 +112,8 @@ def test_a_condition_that_is_not_a_pair_is_named_by_its_position(condition):
     sch = make_linear_schedule(5, 1e-3, 0.2)
     with pytest.raises(ParameterError, match=r"^condition .* at position 1 is not a pair$"):
         dsm_loss(params, np.zeros((2, 2)), [None, condition], sch, np.random.default_rng(0))
+    with pytest.raises(ParameterError, match=r"^condition .* at position 1 is not a pair$"):
+        predict_eps(params, np.zeros((2, 2)), 3, [None, condition])
 
 
 def test_distinct_conditions_distinct_predictions():
@@ -142,8 +126,8 @@ def test_distinct_conditions_distinct_predictions():
     # nudge the trunk off the zero function so conditioning can show through
     params = params.with_values(params.values + 0.05 * rng.standard_normal(params.n_params))
     x = rng.standard_normal(4)
-    a = predict_eps(params, x, 2, encode_condition(0, 0, params))
-    b = predict_eps(params, x, 2, encode_condition(4, 1, params))
+    a = predict_eps(params, x, 2, (0, 0))
+    b = predict_eps(params, x, 2, (4, 1))
     c = predict_eps(params, x, 2, None)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
@@ -186,14 +170,12 @@ def test_vjp_matches_finite_differences():
     params = params.with_values(params.values + 0.1 * rng.standard_normal(params.n_params))
     x = rng.standard_normal(2)
     cot = rng.standard_normal(2)
-    for ids in [(1, 0), (None, None)]:
-        cond = encode_condition(*ids, params)
+    for cond in [(1, 0), None]:
         out, grad = predict_eps_vjp(params, x, 3, cond, cot)
         assert np.array_equal(out, predict_eps(params, x, 3, cond))
 
         def f(v: np.ndarray) -> float:
-            p = params.with_values(v)
-            return float(cot @ predict_eps(p, x, 3, encode_condition(*ids, p)))
+            return float(cot @ predict_eps(params.with_values(v), x, 3, cond))
 
         h = 1e-6
         base = params.values
@@ -205,19 +187,6 @@ def test_vjp_matches_finite_differences():
             fd[i] = (f(up) - f(dn)) / (2.0 * h)
         denom = max(1.0, float(np.max(np.abs(fd))))
         assert float(np.max(np.abs(grad - fd))) / denom < 1e-6
-
-
-def test_predict_eps_reads_the_given_encoding():
-    rng = np.random.default_rng(16)
-    params = init_params(TINY, rng)
-    params = params.with_values(params.values + 0.1 * rng.standard_normal(params.n_params))
-    x = rng.standard_normal(2)
-    cond = encode_condition(1, 0, params)
-    zeroed = replace(cond, encoded=np.zeros(TINY.cond_dim))
-    assert np.array_equal(predict_eps(params, x, 3, zeroed), predict_eps(params, x, 3, None))
-    assert not np.array_equal(predict_eps(params, x, 3, cond), predict_eps(params, x, 3, None))
-    with pytest.raises(ParameterError):
-        predict_eps(params, x, 3, replace(cond, encoded=np.zeros(TINY.cond_dim + 1)))
 
 
 def test_dsm_loss_all_null_batch_leaves_condition_gradient_zero():
@@ -404,8 +373,8 @@ def test_train_is_minibatch_adam_on_the_dsm_loss():
 _THREAD_RUN = """
 import hashlib
 import numpy as np
-from seriesdiff import (SamplerConfig, ScoreNetConfig, TrainConfig, encode_condition,
-                        make_linear_schedule, sample_rows, train)
+from seriesdiff import (SamplerConfig, ScoreNetConfig, TrainConfig, make_linear_schedule,
+                        sample_rows, train)
 windows = np.random.default_rng(0).standard_normal((1536, 60))
 conds = [(i % 124, i % 5) for i in range(1536)]
 schedule = make_linear_schedule(400, 1e-4, 0.02)
@@ -414,7 +383,7 @@ res = train(windows, conds, schedule, TrainConfig(epochs=1, batch_size=512, seed
 rows = sample_rows(res.params, schedule,
                    SamplerConfig(steps=50, guidance=7.5, lambda_antv=0.03,
                                  lambda_bp=0.005, seed=2),
-                   [encode_condition(*c, res.params) for c in conds[:24]],
+                   conds[:24],
                    sources=list(windows[:24]))
 for array in (res.params.values, rows):
     print(hashlib.sha256(array.tobytes()).hexdigest())
@@ -448,7 +417,7 @@ def test_train_divergence_raises():
 
 def test_train_checks_the_conditions_count_before_any_batch():
     sch = make_linear_schedule(5, 1e-3, 0.2)
-    with pytest.raises(ParameterError, match="^conditions must match the number of windows$"):
+    with pytest.raises(ParameterError, match="^3 windows need 3 conditions, got 2$"):
         train(np.zeros((3, 2)), [None] * 2, sch, TrainConfig(epochs=0), TINY)
 
 
@@ -561,8 +530,7 @@ def test_predict_eps_batch_matches_rows():
     params = params.with_values(params.values + 0.1 * rng.standard_normal(params.n_params))
     for n in (1, 7, 8, 9, 17):
         x = rng.standard_normal((n, 2))
-        conds = [None if i % 4 == 0 else encode_condition(i % 3, i % 5, params)
-                 for i in range(n)]
+        conds = [None if i % 4 == 0 else (i % 3, i % 5) for i in range(n)]
         got = predict_eps(params, x, 3, conds)
         assert got.shape == (n, 2)
         for i in range(n):
@@ -571,6 +539,9 @@ def test_predict_eps_batch_matches_rows():
         predict_eps(params, x, 3, conds[:-1])  # one condition short
     with pytest.raises(ParameterError):
         predict_eps(params, x, 3, None)  # a batch needs one condition per row
+    # a lone pair given for a two-row batch is read as two conditions, neither a pair
+    with pytest.raises(ParameterError, match="^condition 2 at position 0 is not a pair$"):
+        predict_eps(params, x[:2], 3, (2, 1))
 
 
 @pytest.mark.parametrize("activation", ["silu", "relu"])
@@ -584,15 +555,14 @@ def test_predict_eps_with_prepared_conditions_matches_per_row_calls(activation):
     params = params.with_values(params.values + 0.3 * rng.standard_normal(params.n_params))
     for n in (1, 7, 8, 9, 48):
         x = rng.standard_normal((n, 12))
-        conds = [None if i % 4 == 0 else encode_condition(i % 3, i % 5, params)
-                 for i in range(n)]
+        conds = [None if i % 4 == 0 else (i % 3, i % 5) for i in range(n)]
         prepared = _Prepared(params, conds)
         for t in (1, 37):
             got = predict_eps(params, x, t, prepared)
             assert np.array_equal(got, predict_eps(params, x, t, conds)), (n, t)
             for i in range(n):
                 assert np.array_equal(got[i], predict_eps(params, x[i], t, conds[i])), (n, t, i)
-    with pytest.raises(ParameterError, match="47 windows need a sequence of 47 conditions"):
+    with pytest.raises(ParameterError, match="^47 windows need 47 conditions, got 48$"):
         predict_eps(params, x[:-1], 3, prepared)  # prepared for one row more
 
 
