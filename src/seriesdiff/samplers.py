@@ -26,8 +26,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (NumericError, ParameterError, check_array, check_finite_rows, check_int,
-                     check_real)
+from .errors import (NumericError, ParameterError, _shown, check_array, check_finite_rows,
+                     check_int, check_real)
 from .regularizers import AntvConfig, BandSpec, antv_step, band_mask, bp_grad_step
 from .schedules import NoiseSchedule, SigmaLadder, forward_perturb
 from .scorenet import ScoreNetworkParams, _condition_arrays, _Prepared, predict_eps
@@ -217,8 +217,8 @@ class SamplerConfig:
 
     mode : "ddim" (skip sampler) or "ddpm" (the skip sampler over every
         step at eta = 1, i.e. the ancestral walk).
-    steps : subsequence length for ddim; None means the full T.  ddpm always
-        walks every step.
+    steps : subsequence length for ddim; None means the full T.  ddpm walks
+        every step, so it takes only None or T and raises on any other value.
     eta : noise scale factor; per-jump sigma = eta * sqrt(jump_variance).
         0 is deterministic, 1 matches the ancestral noise level.  ddpm
         ignores it.
@@ -336,24 +336,11 @@ def _reverse(
     return x
 
 
-# kept because bench/tracing.py patches it; it goes once the bench reads a run trace instead
-def sample_one(
-    params: ScoreNetworkParams,
-    schedule: NoiseSchedule,
-    cfg: SamplerConfig,
-    condition: tuple[int, int] | None,
-    rng: np.random.Generator,
-    source: np.ndarray | None = None,
-) -> np.ndarray:
-    """Generate a single window with an externally supplied generator.
-
-    The one-row reverse loop.  ``source`` is an optional clean donor window:
-    sampling then starts from a partial corruption of it instead of pure
-    noise, and the spectral anchor pulls toward its band-limited spectrum.
-    Raises NumericError with the offending step if the state leaves the
-    finite range.
-    """
-    return _reverse(params, schedule, cfg, [condition], None if source is None else [source], [rng])[0]
+# kept because bench/tracing.py patches it; it goes once the bench spans sample_rows instead
+def sample_one(params: ScoreNetworkParams, schedule: NoiseSchedule, cfg: SamplerConfig,
+               condition: tuple[int, int] | None) -> np.ndarray:
+    """Row 0 of ``sample_rows(params, schedule, cfg, [condition])``: child stream 0, no donor."""
+    return sample_rows(params, schedule, cfg, [condition])[0]
 
 
 def sample_rows(
@@ -365,14 +352,19 @@ def sample_rows(
 ) -> np.ndarray:
     """Draw one window per condition, as a (len(conditions), L) array.
 
-    Row i is ``sample_one`` on child stream i spawned from ``cfg.seed``, with
-    ``conditions[i]`` and donor window ``sources[i]``, so it does not depend on
-    how many rows are drawn.  ``sources`` is None (no donors) or one donor per
-    row, as a (B, L) array or B windows.  ``cfg.num_samples`` is not read.
+    The one entry to the reverse loop: row i draws from child stream i spawned
+    from ``cfg.seed``, with ``conditions[i]`` and donor window ``sources[i]``,
+    so it does not depend on how many rows are drawn.  ``sources`` is None (no
+    donors) or one donor per row, as a (B, L) array or B windows.
+    ``cfg.num_samples`` is not read.
     """
-    if not conditions:
+    try:
+        n = len(conditions)
+    except TypeError:
+        raise ParameterError(f"conditions {_shown(conditions, repr)} is not a sequence") from None
+    if not n:
         return np.empty((0, params.config.input_len))
-    streams = np.random.SeedSequence(cfg.seed).spawn(len(conditions))
+    streams = np.random.SeedSequence(cfg.seed).spawn(n)
     rngs = [np.random.default_rng(s) for s in streams]
     return _reverse(params, schedule, cfg, conditions, sources, rngs)
 

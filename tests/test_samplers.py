@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +47,12 @@ def _noisy_params(seed: int):
     rng = np.random.default_rng(seed)
     params = init_params(TINY, rng)
     return params.with_values(params.values + 0.2 * rng.standard_normal(params.n_params))
+
+
+def _one_row(params, sch, cfg, cond, stream, donor=None):
+    """A one-row run of the reverse loop on the given child stream."""
+    return samplers._reverse(params, sch, cfg, [cond], None if donor is None else donor[None],
+                             [np.random.default_rng(stream)])[0]
 
 
 def test_guidance_endpoints_are_bitwise():
@@ -237,7 +244,7 @@ def test_ddpm_mode_rejects_subsequence():
     sch = make_linear_schedule(12, 1e-3, 0.1)
     cfg = SamplerConfig(mode="ddpm", steps=6, guidance=0.0, seed=0)
     with pytest.raises(ParameterError):
-        sample_one(params, sch, cfg, None, np.random.default_rng(0))
+        sample_one(params, sch, cfg, None)
 
 
 def test_ddpm_mode_is_the_full_skip_sampler_at_eta_one():
@@ -262,12 +269,31 @@ def test_sample_rows_gives_each_row_its_stream_condition_and_donor():
     rows = sample_rows(params, sch, cfg, conds, sources=sources)
     streams = np.random.SeedSequence(13).spawn(3)
     for i in range(3):
-        one = sample_one(params, sch, cfg, conds[i], np.random.default_rng(streams[i]),
-                         source=sources[i])
-        assert np.array_equal(rows[i], one)
+        assert np.array_equal(rows[i], _one_row(params, sch, cfg, conds[i], streams[i], sources[i]))
     assert sample_rows(params, sch, cfg, []).shape == (0, 3)
     with pytest.raises(ParameterError):
         sample_rows(params, sch, cfg, conds, sources=sources[:2])
+
+
+def test_sample_one_is_row_zero_of_sample_rows():
+    params = _noisy_params(11)
+    sch = make_linear_schedule(12, 1e-3, 0.1)
+    cfg = SamplerConfig(mode="ddim", steps=6, eta=0.5, guidance=2.0, lambda_antv=0.05,
+                        antv_window=1, seed=13)
+    for cond, guidance in (((1, 2), 2.0), (None, 0.0)):
+        at = replace(cfg, guidance=guidance)
+        one = sample_one(params, sch, at, cond)
+        assert one.shape == (3,)
+        assert np.array_equal(one, sample_rows(params, sch, at, [cond])[0])
+
+
+@pytest.mark.parametrize("conds", [None, 5])
+def test_sample_rows_needs_a_sequence_of_conditions(conds):
+    # None used to give an empty draw, and 5 a bare TypeError from len()
+    params = _noisy_params(11)
+    sch = make_linear_schedule(12, 1e-3, 0.1)
+    with pytest.raises(ParameterError, match=f"^conditions {conds} is not a sequence$"):
+        sample_rows(params, sch, SamplerConfig(guidance=0.0), conds)
 
 
 def test_sample_is_reproducible_and_prefix_stable():
@@ -293,19 +319,10 @@ def test_smoothing_and_anchor_hooks_change_the_draw():
     rng = np.random.default_rng(1)
     source = np.cumsum(rng.standard_normal(3))
     base = SamplerConfig(mode="ddim", steps=6, guidance=0.0, seed=7)
-    plain = sample_one(params, sch, base, None, np.random.default_rng(7))
-    smoothed = sample_one(
-        params, sch,
-        SamplerConfig(mode="ddim", steps=6, guidance=0.0, seed=7,
-                      lambda_antv=0.05, antv_window=1),
-        None, np.random.default_rng(7),
-    )
-    anchored = sample_one(
-        params, sch,
-        SamplerConfig(mode="ddim", steps=6, guidance=0.0, seed=7,
-                      lambda_bp=0.01, band_low=0, band_high=1),
-        None, np.random.default_rng(7), source=source,
-    )
+    plain = sample_one(params, sch, base, None)
+    smoothed = sample_one(params, sch, replace(base, lambda_antv=0.05, antv_window=1), None)
+    anchored = sample_rows(params, sch, replace(base, lambda_bp=0.01, band_low=0, band_high=1),
+                           [None], sources=[source])[0]
     assert not np.array_equal(plain, smoothed)
     assert not np.array_equal(plain, anchored)
 
@@ -319,7 +336,7 @@ def test_source_window_shape_checked():
     for source, problem in ((np.ones(5), "of shape (1, 5) does not end in an axis of length 3"),
                             ([1.0, np.nan, 0.0], "of shape (1, 3) has non-finite entries")):
         with pytest.raises(ParameterError, match="^" + re.escape(f"donor stack {problem}") + "$"):
-            sample_one(params, sch, cfg, None, np.random.default_rng(0), source=source)
+            sample_rows(params, sch, cfg, [None], sources=[source])
     for sources, problem in (
         ([np.ones(3), None, np.ones(3)], "is not a rectangular array"),
         ([None] * 3, "of dtype object is not an array of real numbers"),
@@ -331,7 +348,7 @@ def test_source_window_shape_checked():
             sample_rows(params, sch, cfg, [None] * 3, sources=sources)
 
 
-def test_sample_rows_matches_sample_one_across_tile_boundaries():
+def test_sample_rows_matches_one_row_runs_across_tile_boundaries():
     # guided rows and their NULL twins share one network call in 8-row tiles;
     # every row must still be its own one-row draw, bit for bit, with donors and without
     params = _noisy_params(12)
@@ -345,9 +362,45 @@ def test_sample_rows_matches_sample_one_across_tile_boundaries():
         for sources in (np.cumsum(rng.standard_normal((n, 3)), axis=1), None):
             rows = sample_rows(params, sch, cfg, conds, sources=sources)
             for i in range(n):
-                one = sample_one(params, sch, cfg, conds[i], np.random.default_rng(streams[i]),
-                                 source=None if sources is None else sources[i])
+                one = _one_row(params, sch, cfg, conds[i], streams[i],
+                               None if sources is None else sources[i])
                 assert np.array_equal(rows[i], one), (n, i, sources is None)
+
+
+@pytest.mark.parametrize("eta", [0.0, 1.0])
+@pytest.mark.parametrize("steps", [10, 50, 400])
+def test_reverse_loop_matches_the_closed_form_under_the_exact_predictor(monkeypatch, steps, eta):
+    # for x0 ~ N(mu, s2 I) the exact noise predictor is affine in x, so every
+    # jump is x <- k x + b (+ sigma z); the recursion below re-draws z from the
+    # rows' child streams in the loop's order: the start normals, then one
+    # normal per jump with sigma > 0
+    mu, s2, L, B, seed = 0.3, 0.5, 4, 5, 9
+    params = init_params(replace(TINY, input_len=L), np.random.default_rng(0))
+    sch = make_linear_schedule(400, 1e-4, 0.02)
+    ab = np.concatenate([[1.0], np.cumprod(1.0 - sch.beta)])
+
+    def exact_eps(params, x, t, guide, omega):
+        assert omega == 0.0 and x.shape == (B, L)
+        return math.sqrt(1.0 - ab[t]) * (x - math.sqrt(ab[t]) * mu) / (ab[t] * s2 + 1.0 - ab[t])
+
+    monkeypatch.setattr(samplers, "guided_eps", exact_eps)
+    cfg = SamplerConfig(mode="ddim", steps=steps, eta=eta, guidance=0.0, seed=seed)
+    got = sample_rows(params, sch, cfg, [None] * B)
+
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(B)]
+    x = np.array([rng.standard_normal(L) for rng in rngs])
+    taus = list(range(400, 0, -(400 // steps))) + [0]
+    for t, p in zip(taus, taus[1:]):
+        sigma = eta * math.sqrt((1.0 - ab[p]) / (1.0 - ab[t]) * (1.0 - ab[t] / ab[p]))
+        c = math.sqrt(1.0 - ab[t]) / (ab[t] * s2 + 1.0 - ab[t])
+        r = math.sqrt(max(1.0 - ab[p] - sigma * sigma, 0.0))
+        root = math.sqrt(ab[p] / ab[t])
+        k = root * (1.0 - math.sqrt(1.0 - ab[t]) * c) + r * c
+        b = (root * math.sqrt(1.0 - ab[t]) - r) * c * math.sqrt(ab[t]) * mu
+        x = k * x + b
+        if sigma > 0.0:
+            x = x + sigma * np.array([rng.standard_normal(L) for rng in rngs])
+    assert np.max(np.abs(got - x)) <= 1e-12
 
 
 def test_guided_eps_batch_matches_rows():
@@ -411,7 +464,7 @@ def test_guidance_without_a_condition_fails_before_any_step(monkeypatch):
         with pytest.raises(ParameterError, match="needs a condition to guide toward"):
             sample_rows(params, sch, cfg, conds)
     with pytest.raises(ParameterError, match="needs a condition to guide toward"):
-        sample_one(params, sch, cfg, None, np.random.default_rng(0), source=np.ones(3))
+        sample_rows(params, sch, cfg, [None], sources=[np.ones(3)])
 
 
 def test_spectral_anchor_rate_must_contract():
@@ -424,12 +477,12 @@ def test_spectral_anchor_rate_must_contract():
     cfg = SamplerConfig(mode="ddim", steps=6, guidance=0.0, band_low=0, band_high=1,
                         lambda_bp=1.0 / 3.0, seed=2)
     with pytest.raises(ParameterError, match="1/L"):
-        sample_one(params, sch, cfg, None, np.random.default_rng(0), source=source)
+        sample_rows(params, sch, cfg, [None], sources=[source])
     with pytest.raises(ParameterError, match="1/L"):
         sample_rows(params, sch, cfg, [None, None], sources=[source, source])
     below = replace(cfg, lambda_bp=0.33)
     assert np.all(np.isfinite(
-        sample_one(params, sch, below, None, np.random.default_rng(0), source=source)))
+        sample_rows(params, sch, below, [None], sources=[source])))
     # without a donor the anchor never runs, so the rate is not checked
     assert sample_rows(params, sch, cfg, [None]).shape == (1, 3)
 
@@ -474,7 +527,7 @@ def test_non_finite_state_names_step_and_rows():
         # the named row, drawn alone on its stream, fails at the same step
         stream = np.random.SeedSequence(3).spawn(40)[first]
         with pytest.raises(NumericError, match=f"t={t} is non-finite in 1 of 1 rows"):
-            sample_one(params, sch, cfg, None, np.random.default_rng(stream))
+            _one_row(params, sch, cfg, None, stream)
         huge = params.with_values(params.values * 1e200)
         with pytest.raises(NumericError, match="network output at t=12"):
             sample_rows(huge, sch, replace(cfg, lambda_antv=0.0), [None] * 3)
@@ -484,3 +537,24 @@ def test_non_finite_state_names_step_and_rows():
     with pytest.raises(NumericError, match="in 2 of 8 rows, first row 3"):
         check_finite_rows(bad, "state")
     check_finite_rows(np.zeros((8, 2)), "state")
+
+
+def test_the_bench_tracer_sees_every_sampling_kernel(monkeypatch):
+    # the benchmark's tracer patches these names on their modules; a kernel called
+    # past its module attribute, or a patched name removed, shows here and not only
+    # in the benchmark's own smoke run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from tracing import Tracer
+
+    params = _noisy_params(19)
+    sch = make_linear_schedule(12, 1e-3, 0.1)
+    cfg = SamplerConfig(mode="ddim", steps=6, eta=0.5, guidance=2.0, lambda_antv=0.05,
+                        antv_window=1, lambda_bp=0.01, band_low=0, band_high=1, seed=4)
+    sources = np.cumsum(np.random.default_rng(8).standard_normal((3, 3)), axis=1)
+    tracer = Tracer()
+    with tracer.installed():
+        rows = sample_rows(params, sch, cfg, [(0, 1), (1, 2), (2, 0)], sources=sources)
+    assert rows.shape == (3, 3)
+    for name in ("samplers.guided_eps", "scorenet.predict_eps", "regularizers.antv_step",
+                 "regularizers.bp_grad_step"):
+        assert tracer.calls[name] == 6, name
