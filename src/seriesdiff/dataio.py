@@ -15,6 +15,7 @@ dates is chronological order; the module never parses them into date objects.
 
 from __future__ import annotations
 
+import copy
 import csv
 import enum
 import json
@@ -23,7 +24,7 @@ import operator
 import os
 from collections import Counter
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterator, TextIO
@@ -122,12 +123,15 @@ class StockRecord:
     n_forward_filled_gaps: int = 0
 
     def __post_init__(self) -> None:
-        _check_types(("ticker", self.ticker, str), ("dates", self.dates, list))
+        _check_types(("ticker", self.ticker, str), ("dates", self.dates, list),
+                     ("exclude", self.exclude, bool), ("notes", self.notes, list))
         self.close = check_array(self.close, "close", ndim=(1,), last=len(self.dates), error=DataError)
         if not all(map(operator.lt, self.dates, self.dates[1:])):
             raise DataError(f"record {_shown(self.ticker)}: dates must be strictly increasing")
         where = f" in record {_shown(self.ticker)}"
         self.industry_id = check_int(self.industry_id, "industry_id", 0, where=where)
+        for name in ("n_interpolated_gaps", "n_forward_filled_gaps"):
+            setattr(self, name, check_int(getattr(self, name), name, 0, where=where))
         if type(self.board) is not Board:
             self.board = Board(check_int(self.board, "board", 0, len(Board), where=where))
 
@@ -142,6 +146,13 @@ def _nan_runs(mask: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(edges[0::2], edges[1::2]))
 
 
+def _derived(record: StockRecord, dates: list[str], close: np.ndarray) -> StockRecord:
+    """A shallow copy of ``record`` owning its notes; a suffix of checked rows needs no check."""
+    out = copy.copy(record)
+    out.dates, out.close, out.notes = dates, close, list(record.notes)
+    return out
+
+
 def repair_suspensions(
     record: StockRecord,
     max_interp_gap: int = 5,
@@ -150,88 +161,66 @@ def repair_suspensions(
 ) -> StockRecord:
     """Fill suspension gaps and flag records too broken to train on.
 
-    Interior gaps of at most ``max_interp_gap`` days are linearly
-    interpolated between the bracketing closes; longer interior gaps are
-    forward-filled from the last close before the gap.  Rows before the first
-    present close are dropped (there is nothing to fill from), and a trailing
-    gap is forward-filled since it has no right bracket.  The record is
-    marked exclude-from-training when more than ``max_long_gaps`` gaps
-    exceeded ``max_interp_gap`` days or any gap exceeded ``max_gap_days``.
-    Present closes are never altered.  Needs at least 2 present closes.
+    Interior gaps of at most ``max_interp_gap`` days are linearly interpolated between the
+    bracketing closes; longer interior gaps are forward-filled from the last close before the
+    gap.  Rows before the first present close are dropped (there is nothing to fill from), and a
+    trailing gap is forward-filled since it has no right bracket.  The record is marked
+    exclude-from-training when more than ``max_long_gaps`` gaps exceeded ``max_interp_gap`` days
+    or any gap exceeded ``max_gap_days``.  Needs at least 2 present closes.  Returns an edited
+    copy: ``record`` and its present closes are never altered.
     """
     check_int(max_interp_gap, "max_interp_gap", 1)
     check_int(max_long_gaps, "max_long_gaps", 0)
     check_int(max_gap_days, "max_gap_days", 1)
-    close = record.close.copy()
-    missing = ~np.isfinite(close)
+    missing = ~np.isfinite(record.close)
     if int(np.sum(~missing)) < 2:
         raise DataError(f"record {_shown(record.ticker)}: fewer than 2 present closes")
 
-    dates = list(record.dates)
-    notes = list(record.notes)
-    first_present = int(np.argmin(missing))  # first False
-    if missing[0]:
-        notes.append(f"dropped {first_present} leading rows with no close")
-        close = close[first_present:]
-        dates = dates[first_present:]
-        missing = missing[first_present:]
+    lead = int(np.argmin(missing))  # the first present close
+    out = _derived(record, record.dates[lead:], record.close[lead:].copy())
+    close, missing = out.close, missing[lead:]
+    if lead:
+        out.notes.append(f"dropped {lead} leading rows with no close")
 
-    n_interp = record.n_interpolated_gaps
-    n_ffill = record.n_forward_filled_gaps
-    n_long = 0
-    longest = 0
+    n_long = longest = 0
     for start, stop in _nan_runs(missing):
         gap = stop - start
         longest = max(longest, gap)
-        if gap > max_interp_gap:
-            n_long += 1
+        n_long += gap > max_interp_gap
         # a trailing suspension has no right bracket: forward fill regardless of length
         trailing = "trailing " if stop == close.shape[0] else ""
         if gap <= max_interp_gap and not trailing:
-            left = close[start - 1]
-            right = close[stop]
+            left, right = close[start - 1], close[stop]
             steps = np.arange(1, gap + 1, dtype=np.float64) / (gap + 1)
             close[start:stop] = left + steps * (right - left)
-            n_interp += 1
-            notes.append(f"interpolated gap of {gap} days at {dates[start]}")
+            out.n_interpolated_gaps += 1
+            out.notes.append(f"interpolated gap of {gap} days at {out.dates[start]}")
         else:
             close[start:stop] = close[start - 1]
-            n_ffill += 1
-            notes.append(f"forward-filled {trailing}gap of {gap} days at {dates[start]}")
+            out.n_forward_filled_gaps += 1
+            out.notes.append(f"forward-filled {trailing}gap of {gap} days at {out.dates[start]}")
 
-    exclude = record.exclude
     if n_long > max_long_gaps:
-        exclude = True
-        notes.append(f"excluded: {n_long} gaps longer than {max_interp_gap} days")
+        out.exclude = True
+        out.notes.append(f"excluded: {n_long} gaps longer than {max_interp_gap} days")
     if longest > max_gap_days:
-        exclude = True
-        notes.append(f"excluded: a gap of {longest} days exceeds {max_gap_days}")
-    return replace(
-        record,
-        dates=dates,
-        close=close,
-        exclude=exclude,
-        notes=notes,
-        n_interpolated_gaps=n_interp,
-        n_forward_filled_gaps=n_ffill,
-    )
+        out.exclude = True
+        out.notes.append(f"excluded: a gap of {longest} days exceeds {max_gap_days}")
+    return out
 
 
 def drop_ipo_head(record: StockRecord, n_days: int = 5) -> StockRecord:
     """Remove the first ``n_days`` rows (the post-listing price-discovery period).
 
+    Returns a copy whose closes view the rest of ``record``'s and whose notes are its own.
     A record with no rows left is returned empty and marked unusable.
     """
     check_int(n_days, "n_days", 0)
-    if len(record) <= n_days:
-        return replace(
-            record,
-            dates=[],
-            close=np.empty(0, dtype=np.float64),
-            exclude=True,
-            notes=list(record.notes) + [f"unusable: {len(record)} rows <= ipo head {n_days}"],
-        )
-    return replace(record, dates=record.dates[n_days:], close=record.close[n_days:])
+    out = _derived(record, record.dates[n_days:], record.close[n_days:])
+    if not len(out):
+        out.exclude = True
+        out.notes.append(f"unusable: {len(record)} rows <= ipo head {n_days}")
+    return out
 
 
 @dataclass

@@ -201,14 +201,17 @@ def summarize_backtest(
 ) -> dict:
     """Backtest plus per-date IC / Rank IC averages, as one flat summary dict.
 
-    ``result`` is ``topk_dropk_backtest(panel, top_k)`` when the caller already
-    holds it; otherwise the backtest runs here.  A date whose scores or
-    returns are constant, where both correlations are undefined, is skipped
-    and counted instead of poisoning the averages; with a 1-name universe
-    every date is skipped and the averages are reported as None.
+    ``result`` is ``topk_dropk_backtest(panel, top_k)`` when the caller already holds it (other
+    dates or another count of names held is a ParameterError); otherwise the backtest runs here.
+    A date whose scores or returns are constant, where both correlations are undefined, is
+    skipped and counted instead of poisoning the averages; with a 1-name universe every date is
+    skipped and the averages are reported as None.
     """
+    held = min(check_int(top_k, "top_k", 1), len(panel.tickers))  # names held on each date
     if result is None:
         result = topk_dropk_backtest(panel, top_k=top_k)
+    elif set(map(len, result.holdings)) != {held} or result.dates != panel.dates:
+        raise ParameterError(f"result is not topk_dropk_backtest(panel, top_k={_shown(top_k)})")
     step = max(1, 16_384 // len(panel.tickers))  # dates per block of ~16k cells, not one stack
 
     def correlations(a: int) -> tuple[np.ndarray, np.ndarray]:

@@ -130,6 +130,21 @@ def _runs_after_leading_rows(missing: list[bool]) -> int:
     return runs
 
 
+def _fields(rec: StockRecord) -> tuple:
+    return (rec.ticker, list(rec.dates), rec.close.tobytes(), rec.industry_id, rec.board,
+            rec.exclude, list(rec.notes), rec.n_interpolated_gaps, rec.n_forward_filled_gaps)
+
+
+def _derived_checked(source: StockRecord, stage) -> StockRecord:
+    """``stage(source)``, asserted to pass every record check again with equal fields and to
+    leave ``source`` as it was."""
+    before = _fields(source)
+    out = stage(source)
+    assert _fields(replace(out)) == _fields(out)  # replace re-runs every check
+    assert _fields(source) == before
+    return out
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.booleans(), min_size=2, max_size=40).filter(lambda m: m.count(False) >= 2))
 @example([True, True, False, False, True])  # leading and trailing gaps
@@ -138,7 +153,8 @@ def _runs_after_leading_rows(missing: list[bool]) -> int:
 @example([False, True, True, True, True, False])  # one day longer
 def test_every_gap_is_repaired_once_and_present_closes_stay(missing):
     closes = [math.nan if m else 10.0 + i for i, m in enumerate(missing)]
-    rec = repair_suspensions(_record(closes), max_interp_gap=3)
+    source = _record(closes)
+    rec = _derived_checked(source, lambda r: repair_suspensions(r, max_interp_gap=3))
     assert rec.n_interpolated_gaps + rec.n_forward_filled_gaps == _runs_after_leading_rows(missing)
     lead = missing.index(False)
     assert len(rec) == len(missing) - lead
@@ -146,6 +162,16 @@ def test_every_gap_is_repaired_once_and_present_closes_stay(missing):
         if not m:
             assert rec.close[i - lead] == closes[i]
     assert np.all(np.isfinite(rec.close))
+    for n_days in (0, len(rec) - 1, len(rec), len(rec) + 3):
+        trimmed = _derived_checked(rec, lambda r: drop_ipo_head(r, n_days))
+        assert trimmed.dates == rec.dates[n_days:] and trimmed.exclude == (n_days >= len(rec))
+
+
+def test_each_stage_returns_a_record_that_owns_its_notes():
+    source = replace(_record([math.nan, 10.0, math.nan, 12.0, 13.0, 14.0]), notes=["given"])
+    for out in (repair_suspensions(source), drop_ipo_head(source, 2), drop_ipo_head(source, 9)):
+        out.notes.append("added")
+        assert source.notes == ["given"]
 
 
 def test_too_many_long_gaps_excludes():
@@ -382,9 +408,12 @@ def test_replacing_removes_the_directories_it_made_when_the_body_raises(tmp_path
     assert [p.name for p in (parent / "a").iterdir()] == ["other"]
 
 
-def test_prepare_windows_report(prices_csv):
+def test_prepare_windows_report(prices_csv, monkeypatch):
     records = read_close_csv(prices_csv)
+    checks = []
+    monkeypatch.setattr(StockRecord, "__post_init__", lambda rec: checks.append(rec.ticker))
     windows, report = prepare_windows(records, window=60, step=20)
+    assert checks == []  # each stage edits a copy of the checked record; none is checked again
     assert report["n_records"] == 8
     assert report["n_skipped_records"] == 0
     assert report["n_windows"] == len(windows)

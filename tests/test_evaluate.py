@@ -226,6 +226,15 @@ def test_summarize_backtest_keys_and_skips():
     assert (s1["mean_ic"], s1["mean_rank_ic"], s1["skipped_ic_dates"]) == (None, None, 3)
     assert (s1["turnover"], s1["top_k"]) == (0, 5)
     assert s1["mean_daily_return"] == pytest.approx(0.02 / 3, abs=1e-15)
+    assert summarize_backtest(one_name, top_k=5, result=topk_dropk_backtest(one_name, 1)) == s1
+
+    # a result over other dates, or holding another count of names, is not this panel's
+    for top_k, other in ((1, topk_dropk_backtest(one_name, top_k=1)),
+                         (1, topk_dropk_backtest(panel, top_k=2)),
+                         (2, topk_dropk_backtest(panel, top_k=1))):
+        with pytest.raises(ParameterError, match=re.escape(
+                f"result is not topk_dropk_backtest(panel, top_k={top_k})")):
+            summarize_backtest(panel, top_k, other)
 
     # a constant 0.1 row is skipped for IC and Rank IC alike, so neither
     # average keeps a value from it

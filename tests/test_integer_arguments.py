@@ -36,8 +36,8 @@ PARAMS = init_params(NET, np.random.default_rng(0))
 DAYS = trading_days("2021-01-04", 12)
 
 
-def _record(industry_id: int = 3, board: Board = Board.MAIN) -> StockRecord:
-    return StockRecord("600000", DAYS, 10.0 + 0.01 * np.arange(12.0), industry_id, board)
+def _record(industry_id: int = 3, board: Board = Board.MAIN, **fields) -> StockRecord:
+    return StockRecord("600000", DAYS, 10.0 + 0.01 * np.arange(12.0), industry_id, board, **fields)
 
 
 def _window(**fields) -> SeriesWindow:
@@ -85,6 +85,8 @@ CASES = {
        for f, low in (("max_interp_gap", 1), ("max_long_gaps", 0), ("max_gap_days", 1))},
     "StockRecord.industry_id": (lambda v: _record(industry_id=v), (-1,), 0),
     "StockRecord.board": (lambda v: _record(board=v), (-1, len(Board)), 4),
+    **{f"StockRecord.{f}": ((lambda v, f=f: _record(**{f: v})), (-1,), 0)
+       for f in ("n_interpolated_gaps", "n_forward_filled_gaps")},
     "drop_ipo_head.n_days": (lambda v: drop_ipo_head(_record(), v), (-1,), 0),
     "make_windows.length": (lambda v: make_windows(_record(), length=v), (1,), 2),
     "make_windows.step": (lambda v: make_windows(_record(), length=4, step=v), (0,), 1),
@@ -373,7 +375,8 @@ def test_a_window_takes_str_text_fields_and_a_bool_flag():
 
 
 def test_records_and_panels_take_str_text_fields():
-    # a text field, or each entry of a list of them, must be a str; a str is not such a list
+    # a text field, or each entry of a list of them, must be a str; a str is not such a list;
+    # a record's exclude flag must be a bool
     for call, message in (
         (lambda: StockRecord(600000, [1, 2, 3], [1.0, 2.0, 3.0], 3, Board.MAIN),
          "ticker of type int is not str"),
@@ -381,6 +384,10 @@ def test_records_and_panels_take_str_text_fields():
          "dates[0] of type int is not str"),
         (lambda: StockRecord("600000", tuple(DAYS[:3]), [1.0, 2.0, 3.0], 3, Board.MAIN),
          "dates of type tuple is not list"),
+        (lambda: _record(exclude="false"), "exclude of type str is not bool"),
+        (lambda: _record(exclude=1), "exclude of type int is not bool"),
+        (lambda: _record(notes="abc"), "notes of type str is not list"),
+        (lambda: _record(notes=["repaired", 5]), "notes[1] of type int is not str"),
         (lambda: PredictionPanel("ab", "cd", np.eye(2), np.eye(2)),
          "dates of type str is not list"),
         (lambda: PredictionPanel(DAYS[:2], "cd", np.eye(2), np.eye(2)),
