@@ -329,19 +329,26 @@ def _tiles(a: np.ndarray) -> np.ndarray:
     return padded.reshape((-1, _TILE) + a.shape[1:])
 
 
-class _Prepared:
+class _CheckedIds:
+    """Conditions ``_condition_arrays`` has checked, as their (2, n) (industry, board) ids."""
+
+    def __init__(self, ids: np.ndarray):
+        self.ids = ids
+
+    def __len__(self) -> int:
+        return self.ids.shape[1]
+
+
+class _Prepared(_CheckedIds):
     """Conditions made ready once for many ``predict_eps`` calls: each block's term on their tiles."""
 
     def __init__(self, params: ScoreNetworkParams, conds: Sequence[tuple[int, int] | None]):
-        self.rows = len(conds)
-        iid, bid = _condition_arrays(conds, params.config, self.rows)
-        cenc = np.zeros((self.rows, params.config.cond_dim))  # NULL rows stay zero
+        super().__init__(_condition_arrays(conds, params.config, len(conds)))
+        iid, bid = self.ids
+        cenc = np.zeros((len(self), params.config.cond_dim))  # NULL rows stay zero
         for n in np.flatnonzero(iid >= 0):  # one at a time: a many-row encoding rounds differently
             cenc[n] = _encode_batch(params, iid[n : n + 1], bid[n : n + 1])[0][0]
         self.terms = _cond_terms(params, _tiles(cenc))
-
-    def __len__(self) -> int:
-        return self.rows
 
 
 def predict_eps(
@@ -402,11 +409,14 @@ def _one_per_window(conditions: object, rows: int) -> None:
 
 
 def _condition_arrays(
-    conditions: Sequence[tuple[int, int] | None], cfg: ScoreNetConfig, rows: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Checked id arrays of ``rows`` conditions, -1 for NULL; the only id validator."""
+    conditions: Sequence[tuple[int, int] | None] | _CheckedIds, cfg: ScoreNetConfig, rows: int
+) -> np.ndarray:
+    """Checked (2, ``rows``) industry and board ids of ``rows`` conditions, -1 for NULL; the only
+    id validator, which a ``_CheckedIds`` value has passed already."""
     _one_per_window(conditions, rows)
-    iid, bid = np.full((2, rows), -1, dtype=np.int64)  # -1: the NULL condition
+    if isinstance(conditions, _CheckedIds):
+        return conditions.ids
+    ids = np.full((2, rows), -1, dtype=np.int64)  # -1: the NULL condition
     for n, c in enumerate(conditions):
         if c is None:
             continue
@@ -415,9 +425,9 @@ def _condition_arrays(
         except (TypeError, ValueError):
             shown = _shown(c, repr)
             raise ParameterError(f"condition {shown} at position {n} is not a pair") from None
-        iid[n] = check_int(industry, "industry_id", 0, cfg.n_industries, f" at position {n}")
-        bid[n] = check_int(board, "board_id", 0, cfg.n_boards, f" at position {n}")
-    return iid, bid
+        ids[:, n] = (check_int(industry, "industry_id", 0, cfg.n_industries, f" at position {n}"),
+                     check_int(board, "board_id", 0, cfg.n_boards, f" at position {n}"))
+    return ids
 
 
 def dsm_loss(
@@ -442,7 +452,8 @@ def dsm_loss(
     if weighting not in ("elbo", "unit"):
         raise ParameterError(f"unknown weighting {weighting!r}")
     p_uncond = check_real(p_uncond, "p_uncond", 0, 1)
-    windows = check_array(windows, "windows", ndim=(2,), last=params.config.input_len, finite=True)
+    windows = check_array(windows, "windows", ndim=(2,), nonempty=True,
+                          last=params.config.input_len, finite=True)
     B, L = windows.shape
     iid, bid = _condition_arrays(conditions, params.config, B)
 
@@ -506,14 +517,13 @@ def train(
     windows = check_array(windows, "windows", ndim=(2,), nonempty=True, last=net_config.input_len,
                           finite=True)
     N = len(windows)
-    _condition_arrays(conditions, net_config, N)  # each bad id named by its index, not a batch slot
+    ids = _condition_arrays(conditions, net_config, N)  # checked once, a bad id named by index
 
     rng = np.random.default_rng(config.seed)
     params = init_params(net_config, rng)
 
-    # Hand-rolled Adam; the parameter set is one flat vector so the state is too.
-    m = np.zeros_like(params.values)
-    v = np.zeros_like(params.values)
+    # Hand-rolled Adam on the flat vector, in place: its two moments and two scratch vectors.
+    m, v, num, den = np.zeros((4, params.n_params))
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
     step = 0
 
@@ -523,25 +533,22 @@ def train(
         weighted = 0.0
         for start in range(0, N, config.batch_size):
             batch_idx = perm[start : start + config.batch_size]
-            loss, grad = dsm_loss(
-                params,
-                windows[batch_idx],
-                [conditions[i] for i in batch_idx],
-                schedule,
-                rng,
-                weighting=config.weighting,
-                p_uncond=config.p_uncond,
-            )
+            loss, grad = dsm_loss(params, windows[batch_idx], _CheckedIds(ids[:, batch_idx]),
+                                  schedule, rng, weighting=config.weighting,
+                                  p_uncond=config.p_uncond)
             if not (math.isfinite(loss) and np.all(np.isfinite(grad))):
                 raise NumericError(
                     f"training diverged at epoch {epoch}, batch {start // config.batch_size}"
                 )
             step += 1
-            m = beta1 * m + (1.0 - beta1) * grad
-            v = beta2 * v + (1.0 - beta2) * grad * grad
-            m_hat = m / (1.0 - beta1**step)
-            v_hat = v / (1.0 - beta2**step)
-            params.values -= config.learning_rate * m_hat / (np.sqrt(v_hat) + adam_eps)
+            # in the textbook order, so the bytes match it: (lr (m / c1)) / (sqrt(v / c2) + eps)
+            m *= beta1
+            m += np.multiply(1.0 - beta1, grad, out=num)
+            v *= beta2
+            v += np.multiply(np.multiply(1.0 - beta2, grad, out=den), grad, out=den)
+            np.multiply(config.learning_rate, np.divide(m, 1.0 - beta1**step, out=num), out=num)
+            np.add(np.sqrt(np.divide(v, 1.0 - beta2**step, out=den), out=den), adam_eps, out=den)
+            params.values -= np.divide(num, den, out=num)
             weighted += loss * batch_idx.shape[0]
         epoch_loss = weighted / N
         epoch_losses.append(epoch_loss)

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,10 +25,13 @@ from seriesdiff import (
     make_linear_schedule,
     predict_eps,
     save_checkpoint,
+    scorenet,
     time_embedding,
     train,
 )
 from seriesdiff.scorenet import (
+    _CheckedIds,
+    _condition_arrays,
     _Prepared,
     predict_eps_vjp,
     read_checkpoint_meta,
@@ -235,6 +239,29 @@ def test_dsm_loss_is_reproducible_and_validated():
         dsm_loss(params, windows, [None] * 3, sch, rng)
     with pytest.raises(ParameterError):
         dsm_loss(params, rng.standard_normal((4, 3)), conds, sch, rng)
+    with pytest.raises(ParameterError, match=r"^windows of shape \(0, 2\) is a scalar or empty$"):
+        dsm_loss(params, np.zeros((0, 2)), [], sch, rng)
+
+
+@pytest.mark.parametrize("weighting", ["elbo", "unit"])
+def test_dsm_loss_takes_checked_ids_in_place_of_the_conditions(weighting):
+    # train checks its conditions once and hands each batch its slice of the ids
+    sch = make_linear_schedule(7, 1e-3, 0.3)
+    rng = np.random.default_rng(21)
+    params = init_params(TINY, rng)
+    params = params.with_values(params.values + 0.1 * rng.standard_normal(params.n_params))
+    windows = rng.standard_normal((6, 2))
+    conds = [(0, 1), None, (2, 4), (1, 0), None, (2, 2)]
+    checked = _CheckedIds(_condition_arrays(conds, TINY, 6))
+    kept = checked.ids.copy()
+    want = dsm_loss(params, windows, conds, sch, np.random.default_rng(5), weighting, 0.3)
+    got = dsm_loss(params, windows, checked, sch, np.random.default_rng(5), weighting, 0.3)
+    assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+    # the gradient is the caller's own, and the conditions dropped to NULL leave the ids alone
+    assert not np.shares_memory(got[1], want[1]) and not np.shares_memory(got[1], params.values)
+    assert np.array_equal(checked.ids, kept)
+    with pytest.raises(ParameterError, match="^5 windows need 5 conditions, got 6$"):
+        dsm_loss(params, windows[:5], checked, sch, rng, weighting, 0.3)
 
 
 def test_dsm_loss_drops_conditions_to_null_with_probability_p_uncond():
@@ -413,6 +440,38 @@ def test_train_divergence_raises():
                         weighting="unit", seed=0),
             net_config=TINY,
         )
+
+
+def test_the_bench_tracer_sees_every_training_batch(monkeypatch):
+    # the benchmark's tracer patches scorenet.dsm_loss; a trainer that called the loss
+    # past its module attribute would read 0 calls there
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from tracing import Tracer
+
+    windows = np.random.default_rng(13).standard_normal((10, 2))
+    conds = [(i % 3, i % 2) for i in range(10)]
+    sch = make_linear_schedule(5, 1e-3, 0.2)
+    tracer = Tracer()
+    with tracer.installed():
+        train(windows, conds, sch, TrainConfig(epochs=2, batch_size=4, seed=8), TINY)
+    assert tracer.calls["scorenet.dsm_loss"] == 6  # batches of 4, 4 and 2 in each epoch
+    assert tracer.counts["scorenet.dsm_loss.rows"] == 20
+
+
+def test_train_checks_each_condition_id_once_per_run(monkeypatch):
+    checked = Counter()
+    check_int = scorenet.check_int
+
+    def counting(value, name, *args):
+        checked[name] += 1
+        return check_int(value, name, *args)
+
+    monkeypatch.setattr(scorenet, "check_int", counting)
+    windows = np.random.default_rng(13).standard_normal((10, 2))
+    conds = [None if i % 5 == 0 else (i % 3, i % 2) for i in range(10)]
+    sch = make_linear_schedule(5, 1e-3, 0.2)
+    train(windows, conds, sch, TrainConfig(epochs=2, batch_size=4, seed=8), TINY)
+    assert checked["industry_id"] == checked["board_id"] == 8  # the conditioned rows, once
 
 
 def test_train_checks_the_conditions_count_before_any_batch():
