@@ -331,11 +331,14 @@ def cmd_report(args: argparse.Namespace, config: dict[str, object]) -> int:
     out = _out_dir(args) if args.out else run_dir
     report: dict[str, object] = {}
     for section, name in (("ingest", "manifest.json"), ("augment", "augment_manifest.json"),
-                          ("backtest", "summary.json")):
-        if (run_dir / name).exists():
-            report[section] = dataio._read_json(run_dir / name, name)
-    if (run_dir / "checkpoint.json").exists():
-        report["train"] = scorenet.read_checkpoint_meta(run_dir / "checkpoint.json")
+                          ("backtest", "summary.json"), ("train", "checkpoint.json")):
+        if (path := run_dir / name).exists():
+            report[section] = (scorenet.read_checkpoint_meta(path) if section == "train"
+                               else dataio._read_json(path, name))
+            try:  # report.json is strict JSON
+                json.dumps(report[section], allow_nan=False)
+            except ValueError:
+                raise DataError(f"{path} holds a non-finite number") from None
     loss_csv = run_dir / "loss.csv"
     losses = []
     if loss_csv.exists():  # undecodable bytes fail below, in the row that holds them

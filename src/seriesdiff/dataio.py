@@ -274,7 +274,11 @@ def normalize_window(raw_closes: np.ndarray) -> tuple[np.ndarray, tuple]:
 def denormalize_window(values: np.ndarray, stats: tuple) -> np.ndarray:
     """Invert ``normalize_window``: exp(values * scale + mean), per row for a stack."""
     values = check_array(values, "values")
-    mu, scale = (check_array(s, name) for s, name in zip(stats, ("mean", "scale"), strict=True))
+    try:
+        mu, scale = stats
+    except (TypeError, ValueError):
+        raise ParameterError(f"stats {_shown(stats, repr)} is not a (mean, scale) pair") from None
+    mu, scale = check_array(mu, "mean"), check_array(scale, "scale")
     if mu.shape != scale.shape or mu.ndim and mu.shape != values.shape[:-1]:
         raise ParameterError(f"stats of shapes {mu.shape} and {scale.shape} do not fit "
                              f"windows of shape {values.shape}")
@@ -559,11 +563,12 @@ def _reading(path: str | Path, what: str, errors: str = "strict") -> Iterator[Te
 
 def _read_json(path: str | Path, what: str) -> dict:
     """The JSON object stored at ``path``, or a DataError naming ``what`` and the path."""
-    try:  # whole-file read, parsed after close; parsing inside _reading ran slower
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError) as exc:  # bad JSON or UTF-8, huge int, deep nest
-        reason = getattr(exc, "strerror", None) or exc  # an OSError's text repeats the path
-        raise DataError(f"cannot read {what} {path}: {reason}") from exc
+    with _reading(path, what) as fh:  # read whole, parsed after close: parsing inside ran slower
+        text = fh.read()
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad JSON, a huge int, a deep nest
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise DataError(f"{what} {path} does not hold a JSON object")
     return obj

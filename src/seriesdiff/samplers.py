@@ -78,11 +78,12 @@ def guided_eps(
 
 def _guidance(params: ScoreNetworkParams, cond: Sequence, B: int, omega: float) -> _Prepared:
     """The checked conditions of B rows at weight omega, with NULL twins unless omega is 0 or 1."""
-    _condition_arrays(cond, params.config, B)  # every id, even those omega 0 does not encode
-    if omega != 0.0 and any(c is None for c in cond):
+    ids = _condition_arrays(cond, params.config, B)  # every id, even those omega 0 does not encode
+    if omega != 0.0 and np.any(ids[0] < 0):
         raise ParameterError(f"guidance weight {omega} needs a condition to guide toward: "
                              "give one (--industry and --board) or set sampler.guidance to 0")
-    return _Prepared(params, [None] * B if omega == 0.0 else list(cond) + [None] * B * (omega != 1.0))
+    null = np.full_like(ids, -1)  # the twin layout: NULL rows at 0, the rows at 1, else both
+    return _Prepared(params, null if omega == 0 else ids if omega == 1 else np.hstack([ids, null]))
 
 
 def ddpm_mean(
@@ -164,13 +165,17 @@ def ddim_mean(
     sigma = check_real(sigma, "sigma", 0)
     x_t = check_array(x_t, "x_t")
     eps_hat = check_array(eps_hat, "eps_hat", like=("x_t", x_t))
+    x0_hat = (x_t - math.sqrt(1.0 - ab_cur) * eps_hat) / math.sqrt(ab_cur)
+    return math.sqrt(ab_prev) * x0_hat + math.sqrt(_budget(ab_prev, sigma, t_prev)) * eps_hat
+
+
+def _budget(ab_prev: float, sigma: float, t_prev: int) -> float:
+    """What sigma^2 leaves of the noise budget 1 - alpha_bar_prev, or a ParameterError past it."""
     budget = 1.0 - ab_prev - sigma * sigma
     if budget < -1e-15:
-        raise ParameterError(
-            f"sigma^2={sigma * sigma} exceeds the noise budget {1.0 - ab_prev} at t_prev={t_prev}"
-        )
-    x0_hat = (x_t - math.sqrt(1.0 - ab_cur) * eps_hat) / math.sqrt(ab_cur)
-    return math.sqrt(ab_prev) * x0_hat + math.sqrt(max(budget, 0.0)) * eps_hat
+        raise ParameterError(f"sigma^2={sigma * sigma} exceeds the noise budget {1.0 - ab_prev} "
+                             f"at t_prev={t_prev}")
+    return max(budget, 0.0)
 
 
 def langevin_sample(
@@ -285,11 +290,11 @@ def _jumps(schedule: NoiseSchedule, cfg: SamplerConfig) -> list[tuple[int, int, 
             )
         eta = 1.0
     taus = make_subsequence(T, steps).tolist()[::-1]
-    prevs = taus[1:] + [0]
-    return [
-        (t_cur, t_prev, eta * math.sqrt(jump_variance(schedule, t_cur, t_prev)))
-        for t_cur, t_prev in zip(taus, prevs)
-    ]
+    jumps = [(t_cur, t_prev, eta * math.sqrt(jump_variance(schedule, t_cur, t_prev)))
+             for t_cur, t_prev in zip(taus, taus[1:] + [0])]
+    for _, t_prev, sigma in jumps:  # an eta past some jump's budget fails before the first step
+        _budget(schedule.alpha_bar_at(t_prev), sigma, t_prev)
+    return jumps
 
 
 def _reverse(

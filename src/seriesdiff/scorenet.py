@@ -340,11 +340,11 @@ class _CheckedIds:
 
 
 class _Prepared(_CheckedIds):
-    """Conditions made ready once for many ``predict_eps`` calls: each block's term on their tiles."""
+    """Checked ids made ready for many ``predict_eps`` calls: each block's term on their tiles."""
 
-    def __init__(self, params: ScoreNetworkParams, conds: Sequence[tuple[int, int] | None]):
-        super().__init__(_condition_arrays(conds, params.config, len(conds)))
-        iid, bid = self.ids
+    def __init__(self, params: ScoreNetworkParams, ids: np.ndarray):
+        super().__init__(ids)
+        iid, bid = ids
         cenc = np.zeros((len(self), params.config.cond_dim))  # NULL rows stay zero
         for n in np.flatnonzero(iid >= 0):  # one at a time: a many-row encoding rounds differently
             cenc[n] = _encode_batch(params, iid[n : n + 1], bid[n : n + 1])[0][0]
@@ -368,8 +368,8 @@ def predict_eps(
     check_int(t, "t", 1)
     single, x = x.ndim == 1, np.atleast_2d(x)
     prep = [cond] if single else cond
-    _one_per_window(prep, len(x))
-    prep = prep if isinstance(prep, _Prepared) else _Prepared(params, prep)
+    ids = _condition_arrays(prep, params.config, len(x))
+    prep = prep if isinstance(prep, _Prepared) else _Prepared(params, ids)
     out = _forward(params, _tiles(x), t, prep.terms, keep=False)[0].reshape(-1, x.shape[1])[: len(x)]
     check_finite_rows(out, f"network output at t={t}")
     return out[0] if single else out
@@ -398,22 +398,17 @@ def predict_eps_vjp(
     return out[0], _backward(params, acts, cenc, mlp, cot)
 
 
-def _one_per_window(conditions: object, rows: int) -> None:
-    """The rule of one condition per window, in the one text every entry point gives."""
+def _condition_arrays(
+    conditions: Sequence[tuple[int, int] | None] | _CheckedIds, cfg: ScoreNetConfig, rows: int
+) -> np.ndarray:
+    """Checked (2, ``rows``) industry and board ids of ``rows`` conditions, -1 for NULL: the one
+    owner of the count rule and of the id rule, which a ``_CheckedIds`` value has passed already."""
     try:
         n = len(conditions)
     except TypeError:
         n = "no sequence"
     if n != rows:
         raise ParameterError(f"{rows} windows need {rows} conditions, got {n}")
-
-
-def _condition_arrays(
-    conditions: Sequence[tuple[int, int] | None] | _CheckedIds, cfg: ScoreNetConfig, rows: int
-) -> np.ndarray:
-    """Checked (2, ``rows``) industry and board ids of ``rows`` conditions, -1 for NULL; the only
-    id validator, which a ``_CheckedIds`` value has passed already."""
-    _one_per_window(conditions, rows)
     if isinstance(conditions, _CheckedIds):
         return conditions.ids
     ids = np.full((2, rows), -1, dtype=np.int64)  # -1: the NULL condition

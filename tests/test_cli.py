@@ -402,6 +402,28 @@ def test_report_corrupt_artifact_is_a_data_error(tmp_path, prices_csv, panel_csv
     assert "checkpoint.json" in _data_error(capsys, "report", run)
 
 
+def test_report_refuses_an_artifact_that_holds_a_non_finite_number(tmp_path, prices_csv,
+                                                                    panel_csv, capsys):
+    # report.json is strict JSON, so a NaN or an Infinity read from an artifact stops the merge
+    run, config = _untrained_run(tmp_path, prices_csv)
+    assert _run("backtest", panel_csv, "--config", config, "--out", run) == 0
+    (run / "augment_manifest.json").write_text(json.dumps({"board": "MAIN"}))
+    checkpoint = json.loads((run / "checkpoint.json").read_text())
+    checkpoint["meta"] = {"loss": float("inf")}
+    for name, junk in (("manifest.json", '{"n_windows": NaN, "x": Infinity}'),
+                       ("augment_manifest.json", '{"board": "MAIN", "ratio": [1, -Infinity]}'),
+                       ("summary.json", '{"turnover": 7, "mean_ic": NaN}'),
+                       ("checkpoint.json", json.dumps(checkpoint))):
+        good = (run / name).read_text()
+        (run / name).write_text(junk)
+        err = _data_error(capsys, "report", run)
+        assert err == f"data error: {run / name} holds a non-finite number\n"
+        assert not (run / "report.json").exists()
+        (run / name).write_text(good)
+    assert _run("report", run) == 0
+    json.loads((run / "report.json").read_text(), parse_constant=pytest.fail)  # strict JSON
+
+
 def test_sample_with_a_corrupt_model_is_a_data_error(tmp_path, prices_csv, capsys):
     run, config = _untrained_run(tmp_path, prices_csv)
     argv = ("sample", run / "checkpoint.json", "--config", config, "--seed", 2,

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -267,6 +268,14 @@ def test_denormalize_checks_the_stats_of_each_row():
     for stats in [(np.zeros(2), np.ones(2)), (np.zeros(3), np.ones(2)), (np.zeros(3), 1.0)]:
         with pytest.raises(ParameterError, match="do not fit windows of shape"):
             denormalize_window(values, stats)
+    # anything but a (mean, scale) pair used to escape as a bare ValueError or TypeError
+    for stats in [(0.0, 1.0, 2.0), (0.0,), 1.0, None]:
+        with pytest.raises(ParameterError, match=rf"^stats {re.escape(repr(stats))} is not a "
+                                                 r"\(mean, scale\) pair$"):
+            denormalize_window(values[0], stats)
+    cut = r"^stats \(0, 0, 0, 0, 0, 0, 0\.\.\.<3000 characters> is not a \(mean, scale\) pair$"
+    with pytest.raises(ParameterError, match=cut):
+        denormalize_window(values[0], (0,) * 1000)  # a long value is cut
 
 
 def test_normalize_requires_positive_closes():

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -33,7 +34,7 @@ from seriesdiff import (
     sample_rows,
     train,
 )
-from seriesdiff import samplers
+from seriesdiff import samplers, scorenet
 from seriesdiff.errors import check_finite_rows
 from seriesdiff.oracles import GaussianSpec, ve_perturbed_gaussian_score
 
@@ -467,6 +468,23 @@ def test_guidance_without_a_condition_fails_before_any_step(monkeypatch):
         sample_rows(params, sch, cfg, [None], sources=[np.ones(3)])
 
 
+@pytest.mark.parametrize("guidance", [0.0, 1.0, 2.5])
+def test_sample_rows_checks_each_condition_id_once(monkeypatch, guidance):
+    # the guided twins are built from the checked ids, not checked a second time
+    checked = Counter()
+    check_int = scorenet.check_int
+
+    def counting(value, name, *args):
+        checked[name] += 1
+        return check_int(value, name, *args)
+
+    monkeypatch.setattr(scorenet, "check_int", counting)
+    cfg = SamplerConfig(mode="ddim", steps=4, guidance=guidance, seed=3)
+    params, sch = _noisy_params(19), make_linear_schedule(12, 1e-3, 0.1)
+    assert sample_rows(params, sch, cfg, [(0, 1), (2, 4), (1, 0)]).shape == (3, 3)
+    assert checked["industry_id"] == checked["board_id"] == 3  # the conditioned rows, once
+
+
 def test_spectral_anchor_rate_must_contract():
     # the anchor maps x - target to (1 - 2 L rate)(x - target): at rate >= 1/L
     # it no longer contracts, and 50 steps at the old default of 0.03 with
@@ -506,6 +524,24 @@ def test_a_band_past_nyquist_fails_before_any_step(monkeypatch):
     monkeypatch.setattr(samplers, "guided_eps", step)
     with pytest.raises(ParameterError, match="^band high edge 2 exceeds Nyquist index 1 for n=3$"):
         sample_rows(params, sch, cfg, [None, None], sources)
+
+
+def test_an_eta_past_the_noise_budget_fails_before_any_step(monkeypatch):
+    # T = 40 at 10 steps fits every jump up to eta 1.138; eta 1.5 used to fail
+    # after 7 guided evaluations and 3.0 after 1
+    params = _noisy_params(20)
+    sch = make_linear_schedule(40)
+    cfg = SamplerConfig(mode="ddim", steps=10, eta=1.1, guidance=0.0, seed=4)
+    assert sample_rows(params, sch, cfg, [None]).shape == (1, 3)  # eta is not clamped to 1
+
+    def step(*args, **kwargs):
+        raise AssertionError("a reverse step ran")
+
+    monkeypatch.setattr(samplers, "guided_eps", step)
+    for eta, t_prev in ((1.2, 4), (1.5, 12), (3.0, 36)):  # the first jump past its budget
+        with pytest.raises(ParameterError, match=rf"^sigma\^2=\S+ exceeds the noise budget \S+ "
+                                                 rf"at t_prev={t_prev}$"):
+            sample_rows(params, sch, replace(cfg, eta=eta), [None])
 
 
 def test_non_finite_state_names_step_and_rows():

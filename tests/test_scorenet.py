@@ -615,7 +615,7 @@ def test_predict_eps_with_prepared_conditions_matches_per_row_calls(activation):
     for n in (1, 7, 8, 9, 48):
         x = rng.standard_normal((n, 12))
         conds = [None if i % 4 == 0 else (i % 3, i % 5) for i in range(n)]
-        prepared = _Prepared(params, conds)
+        prepared = _Prepared(params, _condition_arrays(conds, cfg, n))
         for t in (1, 37):
             got = predict_eps(params, x, t, prepared)
             assert np.array_equal(got, predict_eps(params, x, t, conds)), (n, t)
